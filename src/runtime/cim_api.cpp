@@ -22,6 +22,12 @@ CimRuntime* g_runtime = nullptr;
       return kCimExecutionFailed;
   }
 }
+
+/// Enqueue-then-drain: the facade is the runtime's only blocking surface.
+[[nodiscard]] int drain_after(const support::Status& enqueued) {
+  if (!enqueued.is_ok()) return to_error(enqueued);
+  return to_error(g_runtime->synchronize());
+}
 }  // namespace
 
 void set_current_runtime(CimRuntime* runtime) { g_runtime = runtime; }
@@ -85,8 +91,9 @@ int polly_cimBlasSGemm(bool trans_a, bool trans_b, std::uint64_t m,
     return kCimInvalidValue;
   }
   if (alpha == nullptr || beta == nullptr) return kCimInvalidValue;
-  return to_error(
-      g_runtime->sgemm(m, n, k, *alpha, a, lda, b, ldb, *beta, c, ldc));
+  return drain_after(g_runtime->sgemm_async(m, n, k, *alpha, a, lda, b, ldb,
+                                            *beta, c, ldc,
+                                            cim::StationaryOperand::kB));
 }
 
 int polly_cimBlasSGemv(bool trans_a, std::uint64_t m, std::uint64_t n,
@@ -94,7 +101,8 @@ int polly_cimBlasSGemv(bool trans_a, std::uint64_t m, std::uint64_t n,
                        std::uint64_t x, const float* beta, std::uint64_t y) {
   if (g_runtime == nullptr) return kCimNotInitialized;
   if (alpha == nullptr || beta == nullptr) return kCimInvalidValue;
-  return to_error(g_runtime->sgemv(trans_a, m, n, *alpha, a, lda, x, *beta, y));
+  return drain_after(
+      g_runtime->sgemv_async(trans_a, m, n, *alpha, a, lda, x, *beta, y));
 }
 
 int polly_cimBlasGemmBatched(std::uint64_t m, std::uint64_t n, std::uint64_t k,
@@ -108,11 +116,13 @@ int polly_cimBlasGemmBatched(std::uint64_t m, std::uint64_t n, std::uint64_t k,
       b_array == nullptr || c_array == nullptr || batch_count == 0) {
     return kCimInvalidValue;
   }
+  // Only kB (0) and kA (1) exist; never cast anything else into the enum.
+  if (stationary != 0 && stationary != 1) return kCimInvalidValue;
   std::vector<GemmBatchItem> items(batch_count);
   for (std::uint64_t i = 0; i < batch_count; ++i) {
     items[i] = GemmBatchItem{a_array[i], b_array[i], c_array[i]};
   }
-  return to_error(g_runtime->sgemm_batched(
+  return drain_after(g_runtime->sgemm_batched_async(
       m, n, k, *alpha, items, lda, ldb, *beta, ldc,
       static_cast<cim::StationaryOperand>(stationary)));
 }

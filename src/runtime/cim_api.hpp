@@ -5,7 +5,9 @@
 // Mirrors the cuBLAS "legacy" style: a process-wide current runtime bound
 // once at startup, C-int error codes. The class API (CimRuntime) remains the
 // primary interface; this facade exists so examples and generated code read
-// like the paper's listings.
+// like the paper's listings. It is also the only blocking BLAS surface: each
+// polly_cimBlas* call enqueues through the matching CimRuntime *_async entry
+// point, then synchronizes (returning early if enqueuing fails).
 #pragma once
 
 #include <cstdint>
@@ -72,6 +74,8 @@ int polly_cimBlasSGemv(bool trans_a, std::uint64_t m, std::uint64_t n,
                        std::uint64_t x, const float* beta, std::uint64_t y);
 
 /// Batched GEMM over parallel pointer arrays (the fusion pass's target).
+/// `stationary` is 0 (B stationary) or 1 (A stationary); any other value is
+/// kCimInvalidValue.
 int polly_cimBlasGemmBatched(std::uint64_t m, std::uint64_t n, std::uint64_t k,
                              const float* alpha, const std::uint64_t* a_array,
                              std::uint64_t lda, const std::uint64_t* b_array,

@@ -107,11 +107,6 @@ support::Status CimRuntime::sync_for_operands(std::span<const Rect> reads,
   return synchronize();
 }
 
-support::Status CimRuntime::copy(CopyDesc::Dir dir, sim::VirtAddr dst,
-                                 sim::VirtAddr src, std::uint64_t bytes) {
-  return copy_view(dir, dst, src, bytes, bytes, 1);
-}
-
 support::Status CimRuntime::copy_view(CopyDesc::Dir dir, sim::VirtAddr dst,
                                       sim::VirtAddr src, std::uint64_t pitch,
                                       std::uint64_t width, std::uint64_t rows) {
@@ -289,7 +284,7 @@ support::StatusOr<bool> CimRuntime::striped_copy_back(const CopyDesc& desc) {
 
 support::Status CimRuntime::host_to_dev(sim::VirtAddr dst, sim::VirtAddr src,
                                         std::uint64_t bytes) {
-  return copy(CopyDesc::Dir::kHostToDev, dst, src, bytes);
+  return copy_view(CopyDesc::Dir::kHostToDev, dst, src, bytes, bytes, 1);
 }
 
 void CimRuntime::invalidate_scales(sim::VirtAddr va, std::uint64_t bytes) {
@@ -304,7 +299,7 @@ void CimRuntime::invalidate_scales(sim::VirtAddr va, std::uint64_t bytes) {
 
 support::Status CimRuntime::dev_to_host(sim::VirtAddr dst, sim::VirtAddr src,
                                         std::uint64_t bytes) {
-  return copy(CopyDesc::Dir::kDevToHost, dst, src, bytes);
+  return copy_view(CopyDesc::Dir::kDevToHost, dst, src, bytes, bytes, 1);
 }
 
 support::Status CimRuntime::host_to_dev_2d(sim::VirtAddr dst, sim::VirtAddr src,
@@ -447,19 +442,16 @@ int CimRuntime::stationary_device(std::span<const WeightKey> keys) {
   return static_cast<int>(stream_->next_device());
 }
 
-CimRuntime::TilePlacement CimRuntime::place_tile(bool use_cache,
-                                                 const WeightKey& key,
-                                                 int device) {
+ResidencyCache::Acquire CimRuntime::place_tile(bool use_cache,
+                                               const WeightKey& key,
+                                               int device) {
   if (use_cache) {
     const auto acq = residency_->acquire(key, device);
-    if (acq.cached) {
-      return TilePlacement{acq.hit, acq.row0, acq.migrated, acq.shadow_base,
-                           acq.shadow_ld};
-    }
+    if (acq.cached) return acq;
   }
   // Uncached: the job programs rows [0, key.rows); resident tiles there die.
   residency_->on_programmed(device, 0, key.rows);
-  return TilePlacement{};
+  return {};
 }
 
 cim::ContextRegs CimRuntime::make_program_image(const WeightKey& key,
@@ -658,23 +650,65 @@ support::Status CimRuntime::enqueue_job(const cim::ContextRegs& image,
   return stream_->enqueue(command);
 }
 
-support::Status CimRuntime::sgemm(std::uint64_t m, std::uint64_t n,
-                                  std::uint64_t k, float alpha, sim::VirtAddr a,
-                                  std::uint64_t lda, sim::VirtAddr b,
-                                  std::uint64_t ldb, float beta, sim::VirtAddr c,
-                                  std::uint64_t ldc) {
-  return sgemm_with_stationary(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                               config_.default_stationary);
+WeightKey CimRuntime::tile_key(const Stationary& stat, std::uint64_t out0,
+                               std::uint64_t red0) const {
+  const std::uint64_t outs =
+      std::min<std::uint64_t>(accel_.tile().cols(), stat.out - out0);
+  const std::uint64_t reds =
+      std::min<std::uint64_t>(accel_.tile().rows(), stat.reduce - red0);
+  const Rect rect =
+      stat.layout == cim::StationaryOperand::kB
+          ? Rect{stat.pa + (red0 * stat.ld + out0) * kElem, stat.ld * kElem,
+                 outs * kElem, reds}
+          : Rect{stat.pa + (out0 * stat.ld + red0) * kElem, stat.ld * kElem,
+                 reds * kElem, outs};
+  return WeightKey{rect, stat.ld, stat.scale, stat.layout,
+                   static_cast<std::uint32_t>(reds),
+                   static_cast<std::uint32_t>(outs)};
 }
 
-support::Status CimRuntime::sgemm_with_stationary(
-    std::uint64_t m, std::uint64_t n, std::uint64_t k, float alpha,
-    sim::VirtAddr a, std::uint64_t lda, sim::VirtAddr b, std::uint64_t ldb,
-    float beta, sim::VirtAddr c, std::uint64_t ldc,
-    cim::StationaryOperand stationary, bool cacheable) {
-  TDO_RETURN_IF_ERROR(sgemm_async(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                                  stationary, cacheable));
-  return synchronize();
+template <typename StripeRect, typename TileImage>
+support::Status CimRuntime::walk_stationary(const Stationary& stat, float beta,
+                                            std::uint64_t streams,
+                                            bool use_cache,
+                                            StripeRect stripe_rect,
+                                            TileImage tile_image) {
+  // Each output stripe is element-disjoint, so stripes round-robin across
+  // accelerators (and are tracked per device for per-stripe copy-back); the
+  // reduce accumulation chain stays on one queue. A stripe whose weights are
+  // resident on some accelerator lands there instead — affinity routing
+  // makes the reuse request actually hit.
+  const std::uint64_t max_rows = accel_.tile().rows();
+  const std::uint64_t max_cols = accel_.tile().cols();
+  for (std::uint64_t out0 = 0; out0 < stat.out; out0 += max_cols) {
+    std::vector<WeightKey> keys;
+    for (std::uint64_t red0 = 0; red0 < stat.reduce; red0 += max_rows) {
+      keys.push_back(tile_key(stat, out0, red0));
+    }
+    const int device =
+        stationary_device(use_cache ? keys : std::span<const WeightKey>{});
+    stream_->note_write(stripe_rect(out0, keys.front().cols), device);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const WeightKey& key = keys[i];
+      const ResidencyCache::Acquire tile = place_tile(use_cache, key, device);
+      // Migrated tiles: the destination crossbar was programmed from the
+      // peer-to-peer staging copy, so the job's stationary pointer must
+      // reference it for the device-side validation to match.
+      const bool shadow = tile.hit && tile.migrated;
+      const cim::ContextRegs image = tile_image(StationaryTile{
+          .out0 = out0, .outs = key.cols, .red0 = i * max_rows,
+          .reds = key.rows,
+          .stat_pa = shadow ? tile.shadow_base : key.rect.base,
+          .stat_ld = shadow ? tile.shadow_ld : stat.ld,
+          .beta = i == 0 ? beta : 1.0f, .skip = tile.hit, .row0 = tile.row0});
+      const std::uint64_t writes = std::uint64_t{key.rows} * key.cols;
+      TDO_RETURN_IF_ERROR(enqueue_job(image, streams * writes,
+                                      tile.hit ? 0 : writes, device,
+                                      /*allow_cpu_fallback=*/i == 0));
+    }
+    if (use_cache) prefetch_predicted(keys.back(), device);
+  }
+  return support::Status::ok();
 }
 
 support::Status CimRuntime::sgemm_async(std::uint64_t m, std::uint64_t n,
@@ -718,8 +752,6 @@ support::Status CimRuntime::sgemm_async(std::uint64_t m, std::uint64_t n,
   auto max_b = operand_max_abs(b, k, n, ldb);
   if (!max_b.is_ok()) return max_b.status();
 
-  const std::uint64_t max_rows = accel_.tile().rows();
-  const std::uint64_t max_cols = accel_.tile().cols();
   invalidate_scales(c, c_bytes);
   // The kernel's C output is a host-visible write like any other: a cached
   // stationary tile backed by memory this call overwrites must die.
@@ -774,110 +806,32 @@ support::Status CimRuntime::sgemm_async(std::uint64_t m, std::uint64_t n,
       }
     }
 
-    // Stationary B tiles (k x n); stream rows of A; jj/kk tile loops. Each
-    // jj column stripe is element-disjoint in C, so stripes round-robin
-    // across accelerators (and are tracked per device for per-stripe
-    // copy-back); the kk accumulation chain stays on one queue. A stripe
-    // whose weights are resident on some accelerator lands there instead —
-    // affinity routing makes the reuse request actually hit.
-    for (std::uint64_t jj = 0; jj < n; jj += max_cols) {
-      const std::uint64_t njs = std::min(max_cols, n - jj);
-      std::vector<WeightKey> keys;
-      if (use_cache) {
-        for (std::uint64_t kk = 0; kk < k; kk += max_rows) {
-          const std::uint64_t ks = std::min(max_rows, k - kk);
-          const Rect tile_rect{*pa_b + (kk * ldb + jj) * kElem, ldb * kElem,
-                               njs * kElem, ks};
-          keys.push_back(WeightKey{tile_rect, ldb, q_b, stationary,
-                                   static_cast<std::uint32_t>(ks),
-                                   static_cast<std::uint32_t>(njs)});
-        }
-      }
-      const int device = stationary_device(keys);
-      stream_->note_write(
-          Rect{*pa_c + jj * kElem, ldc * kElem, njs * kElem, m_dev}, device);
-      std::size_t tile_index = 0;
-      for (std::uint64_t kk = 0; kk < k; kk += max_rows, ++tile_index) {
-        const std::uint64_t ks = std::min(max_rows, k - kk);
-        const float beta_eff = kk == 0 ? beta : 1.0f;
-        const WeightKey key =
-            use_cache ? keys[tile_index]
-                      : WeightKey{Rect{}, ldb, q_b, stationary,
-                                  static_cast<std::uint32_t>(ks),
-                                  static_cast<std::uint32_t>(njs)};
-        const TilePlacement tile = place_tile(use_cache, key, device);
-        // Migrated tiles: the destination crossbar was programmed from the
-        // peer-to-peer staging copy, so the job's stationary pointer must
-        // reference it for the device-side validation to match.
-        const sim::PhysAddr pa_b_eff = tile.skip && tile.migrated
-                                           ? tile.shadow_base
-                                           : *pa_b + (kk * ldb + jj) * kElem;
-        const std::uint64_t ldb_eff =
-            tile.skip && tile.migrated ? tile.shadow_ld : ldb;
-        const auto image = make_job_image(
-            m_dev, njs, ks, alpha, beta_eff, *pa_a + kk * kElem, lda,
-            pa_b_eff, ldb_eff, *pa_c + jj * kElem, ldc,
-            *max_a, *max_b, stationary, tile.skip, tile.row0);
-        TDO_RETURN_IF_ERROR(enqueue_job(image, m_dev * njs * ks,
-                                        tile.skip ? 0 : ks * njs, device,
-                                        /*allow_cpu_fallback=*/kk == 0));
-      }
-      if (use_cache && !keys.empty()) prefetch_predicted(keys.back(), device);
-    }
-    return support::Status::ok();
+    // Stationary B tiles (k x n); stream rows of A; C column stripes.
+    return walk_stationary(
+        Stationary{*pa_b, ldb, q_b, stationary, n, k}, beta, m_dev, use_cache,
+        [&](std::uint64_t out0, std::uint64_t outs) {
+          return Rect{*pa_c + out0 * kElem, ldc * kElem, outs * kElem, m_dev};
+        },
+        [&](const StationaryTile& t) {
+          return make_job_image(m_dev, t.outs, t.reds, alpha, t.beta,
+                                *pa_a + t.red0 * kElem, lda, t.stat_pa,
+                                t.stat_ld, *pa_c + t.out0 * kElem, ldc, *max_a,
+                                *max_b, stationary, t.skip, t.row0);
+        });
   }
 
-  // Stationary A^T tiles (k x m); stream columns of B; ii/kk tile loops.
-  for (std::uint64_t ii = 0; ii < m; ii += max_cols) {
-    const std::uint64_t ms = std::min(max_cols, m - ii);
-    std::vector<WeightKey> keys;
-    if (use_cache) {
-      for (std::uint64_t kk = 0; kk < k; kk += max_rows) {
-        const std::uint64_t ks = std::min(max_rows, k - kk);
-        const Rect tile_rect{*pa_a + (ii * lda + kk) * kElem, lda * kElem,
-                             ks * kElem, ms};
-        keys.push_back(WeightKey{tile_rect, lda, q_a, stationary,
-                                 static_cast<std::uint32_t>(ks),
-                                 static_cast<std::uint32_t>(ms)});
-      }
-    }
-    const int device = stationary_device(keys);
-    stream_->note_write(
-        Rect{*pa_c + ii * ldc * kElem, ldc * kElem, n * kElem, ms}, device);
-    std::size_t tile_index = 0;
-    for (std::uint64_t kk = 0; kk < k; kk += max_rows, ++tile_index) {
-      const std::uint64_t ks = std::min(max_rows, k - kk);
-      const float beta_eff = kk == 0 ? beta : 1.0f;
-      const WeightKey key =
-          use_cache ? keys[tile_index]
-                    : WeightKey{Rect{}, lda, q_a, stationary,
-                                static_cast<std::uint32_t>(ks),
-                                static_cast<std::uint32_t>(ms)};
-      const TilePlacement tile = place_tile(use_cache, key, device);
-      const sim::PhysAddr pa_a_eff = tile.skip && tile.migrated
-                                         ? tile.shadow_base
-                                         : *pa_a + (ii * lda + kk) * kElem;
-      const std::uint64_t lda_eff =
-          tile.skip && tile.migrated ? tile.shadow_ld : lda;
-      const auto image = make_job_image(
-          ms, n, ks, alpha, beta_eff, pa_a_eff, lda_eff,
-          *pa_b + kk * ldb * kElem, ldb, *pa_c + ii * ldc * kElem, ldc, *max_a,
-          *max_b, stationary, tile.skip, tile.row0);
-      TDO_RETURN_IF_ERROR(enqueue_job(image, ms * n * ks,
-                                      tile.skip ? 0 : ks * ms, device,
-                                      /*allow_cpu_fallback=*/kk == 0));
-    }
-    if (use_cache && !keys.empty()) prefetch_predicted(keys.back(), device);
-  }
-  return support::Status::ok();
-}
-
-support::Status CimRuntime::sgemv(bool transpose, std::uint64_t m,
-                                  std::uint64_t n, float alpha, sim::VirtAddr a,
-                                  std::uint64_t lda, sim::VirtAddr x, float beta,
-                                  sim::VirtAddr y) {
-  TDO_RETURN_IF_ERROR(sgemv_async(transpose, m, n, alpha, a, lda, x, beta, y));
-  return synchronize();
+  // Stationary A^T tiles (k x m); stream columns of B; C row stripes.
+  return walk_stationary(
+      Stationary{*pa_a, lda, q_a, stationary, m, k}, beta, n, use_cache,
+      [&](std::uint64_t out0, std::uint64_t outs) {
+        return Rect{*pa_c + out0 * ldc * kElem, ldc * kElem, n * kElem, outs};
+      },
+      [&](const StationaryTile& t) {
+        return make_job_image(t.outs, n, t.reds, alpha, t.beta, t.stat_pa,
+                              t.stat_ld, *pa_b + t.red0 * ldb * kElem, ldb,
+                              *pa_c + t.out0 * ldc * kElem, ldc, *max_a,
+                              *max_b, stationary, t.skip, t.row0);
+      });
 }
 
 support::Status CimRuntime::sgemv_async(bool transpose, std::uint64_t m,
@@ -911,119 +865,40 @@ support::Status CimRuntime::sgemv_async(bool transpose, std::uint64_t m,
   auto max_x = operand_max_abs(x, 1, xlen, xlen);
   if (!max_x.is_ok()) return max_x.status();
 
-  const std::uint64_t max_rows = accel_.tile().rows();
-  const std::uint64_t max_cols = accel_.tile().cols();
   invalidate_scales(y, ylen * kElem);
   residency_->invalidate_overlapping(rect_y);
   stream_->note_read(rect_a);
   stream_->note_read(rect_x);
   const bool use_cache = cacheable && residency_->enabled();
   const double q_a = support::QuantScale::for_max_abs(*max_a).scale;
+  const auto y_slice = [&](std::uint64_t out0, std::uint64_t outs) {
+    return Rect::linear(*pa_y + out0 * kElem, outs * kElem);
+  };
 
   if (!transpose) {
     // y[m] = alpha*A*x + beta*y. Stationary A^T (reduce n, out m).
-    for (std::uint64_t ii = 0; ii < m; ii += max_cols) {
-      const std::uint64_t ms = std::min(max_cols, m - ii);
-      std::vector<WeightKey> keys;
-      if (use_cache) {
-        for (std::uint64_t kk = 0; kk < n; kk += max_rows) {
-          const std::uint64_t ks = std::min(max_rows, n - kk);
-          const Rect tile_rect{*pa_a + (ii * lda + kk) * kElem, lda * kElem,
-                               ks * kElem, ms};
-          keys.push_back(WeightKey{tile_rect, lda, q_a,
-                                   cim::StationaryOperand::kA,
-                                   static_cast<std::uint32_t>(ks),
-                                   static_cast<std::uint32_t>(ms)});
-        }
-      }
-      const int device = stationary_device(keys);
-      stream_->note_write(Rect::linear(*pa_y + ii * kElem, ms * kElem), device);
-      std::size_t tile_index = 0;
-      for (std::uint64_t kk = 0; kk < n; kk += max_rows, ++tile_index) {
-        const std::uint64_t ks = std::min(max_rows, n - kk);
-        const float beta_eff = kk == 0 ? beta : 1.0f;
-        const WeightKey key =
-            use_cache ? keys[tile_index]
-                      : WeightKey{Rect{}, lda, q_a, cim::StationaryOperand::kA,
-                                  static_cast<std::uint32_t>(ks),
-                                  static_cast<std::uint32_t>(ms)};
-        const TilePlacement tile = place_tile(use_cache, key, device);
-        const sim::PhysAddr pa_a_eff = tile.skip && tile.migrated
-                                           ? tile.shadow_base
-                                           : *pa_a + (ii * lda + kk) * kElem;
-        const std::uint64_t lda_eff =
-            tile.skip && tile.migrated ? tile.shadow_ld : lda;
-        const auto image = make_job_image(
-            ms, 1, ks, alpha, beta_eff, pa_a_eff, lda_eff,
-            *pa_x + kk * kElem, 1, *pa_y + ii * kElem, 1, *max_a, *max_x,
-            cim::StationaryOperand::kA, tile.skip, tile.row0);
-        TDO_RETURN_IF_ERROR(enqueue_job(image, ms * ks,
-                                        tile.skip ? 0 : ks * ms, device,
-                                        /*allow_cpu_fallback=*/kk == 0));
-      }
-      if (use_cache && !keys.empty()) prefetch_predicted(keys.back(), device);
-    }
-    return support::Status::ok();
+    return walk_stationary(
+        Stationary{*pa_a, lda, q_a, cim::StationaryOperand::kA, m, n}, beta,
+        1, use_cache, y_slice, [&](const StationaryTile& t) {
+          return make_job_image(t.outs, 1, t.reds, alpha, t.beta, t.stat_pa,
+                                t.stat_ld, *pa_x + t.red0 * kElem, 1,
+                                *pa_y + t.out0 * kElem, 1, *max_a, *max_x,
+                                cim::StationaryOperand::kA, t.skip, t.row0);
+        });
   }
 
   // y[n] = alpha*A^T*x + beta*y. A itself is the natural stationary layout:
   // crossbar rows = rows of A (reduce m), columns = columns of A (out n).
-  for (std::uint64_t jj = 0; jj < n; jj += max_cols) {
-    const std::uint64_t njs = std::min(max_cols, n - jj);
-    std::vector<WeightKey> keys;
-    if (use_cache) {
-      for (std::uint64_t kk = 0; kk < m; kk += max_rows) {
-        const std::uint64_t ks = std::min(max_rows, m - kk);
-        const Rect tile_rect{*pa_a + (kk * lda + jj) * kElem, lda * kElem,
-                             njs * kElem, ks};
-        keys.push_back(WeightKey{tile_rect, lda, q_a,
-                                 cim::StationaryOperand::kB,
-                                 static_cast<std::uint32_t>(ks),
-                                 static_cast<std::uint32_t>(njs)});
-      }
-    }
-    const int device = stationary_device(keys);
-    stream_->note_write(Rect::linear(*pa_y + jj * kElem, njs * kElem), device);
-    std::size_t tile_index = 0;
-    for (std::uint64_t kk = 0; kk < m; kk += max_rows, ++tile_index) {
-      const std::uint64_t ks = std::min(max_rows, m - kk);
-      const float beta_eff = kk == 0 ? beta : 1.0f;
-      const WeightKey key =
-          use_cache ? keys[tile_index]
-                    : WeightKey{Rect{}, lda, q_a, cim::StationaryOperand::kB,
-                                static_cast<std::uint32_t>(ks),
-                                static_cast<std::uint32_t>(njs)};
-      const TilePlacement tile = place_tile(use_cache, key, device);
-      const sim::PhysAddr pa_stat_eff = tile.skip && tile.migrated
-                                            ? tile.shadow_base
-                                            : *pa_a + (kk * lda + jj) * kElem;
-      const std::uint64_t ld_stat_eff =
-          tile.skip && tile.migrated ? tile.shadow_ld : lda;
-      // One streamed "row of A" = x^T; output row = y^T.
-      const auto image = make_job_image(
-          1, njs, ks, alpha, beta_eff, *pa_x + kk * kElem, ks,
-          pa_stat_eff, ld_stat_eff, *pa_y + jj * kElem, njs,
-          *max_x, *max_a, cim::StationaryOperand::kB, tile.skip, tile.row0);
-      TDO_RETURN_IF_ERROR(enqueue_job(image, njs * ks,
-                                      tile.skip ? 0 : ks * njs, device,
-                                      /*allow_cpu_fallback=*/kk == 0));
-    }
-    if (use_cache && !keys.empty()) prefetch_predicted(keys.back(), device);
-  }
-  return support::Status::ok();
-}
-
-support::Status CimRuntime::sgemm_batched(std::uint64_t m, std::uint64_t n,
-                                          std::uint64_t k, float alpha,
-                                          std::span<const GemmBatchItem> items,
-                                          std::uint64_t lda, std::uint64_t ldb,
-                                          float beta, std::uint64_t ldc,
-                                          cim::StationaryOperand stationary,
-                                          bool cacheable, int device) {
-  TDO_RETURN_IF_ERROR(sgemm_batched_async(m, n, k, alpha, items, lda, ldb,
-                                          beta, ldc, stationary, cacheable,
-                                          device));
-  return synchronize();
+  // One streamed "row of A" = x^T; output row = y^T.
+  return walk_stationary(
+      Stationary{*pa_a, lda, q_a, cim::StationaryOperand::kB, n, m}, beta, 1,
+      use_cache, y_slice, [&](const StationaryTile& t) {
+        return make_job_image(1, t.outs, t.reds, alpha, t.beta,
+                              *pa_x + t.red0 * kElem, t.reds, t.stat_pa,
+                              t.stat_ld, *pa_y + t.out0 * kElem, t.outs,
+                              *max_x, *max_a, cim::StationaryOperand::kB,
+                              t.skip, t.row0);
+      });
 }
 
 std::optional<int> CimRuntime::weight_affinity(std::uint64_t m, std::uint64_t n,
@@ -1043,25 +918,17 @@ std::optional<int> CimRuntime::weight_affinity(std::uint64_t m, std::uint64_t n,
   if (!pa.is_ok()) return std::nullopt;
   auto max_stat = operand_max_abs(stat, stat_rows, stat_cols, ld_stat);
   if (!max_stat.is_ok()) return std::nullopt;
-  const double q = support::QuantScale::for_max_abs(*max_stat).scale;
+  const Stationary tiles{*pa, ld_stat,
+                         support::QuantScale::for_max_abs(*max_stat).scale,
+                         stationary, stationary_b ? n : m, k};
 
-  const std::uint64_t max_rows = accel_.tile().rows();
-  const std::uint64_t max_cols = accel_.tile().cols();
-  const std::uint64_t outer = stationary_b ? n : m;
-  for (std::uint64_t jj = 0; jj < outer; jj += max_cols) {
-    const std::uint64_t js = std::min(max_cols, outer - jj);
-    for (std::uint64_t kk = 0; kk < k; kk += max_rows) {
-      const std::uint64_t ks = std::min(max_rows, k - kk);
-      const Rect tile_rect =
-          stationary_b
-              ? Rect{*pa + (kk * ld_stat + jj) * kElem, ld_stat * kElem,
-                     js * kElem, ks}
-              : Rect{*pa + (jj * ld_stat + kk) * kElem, ld_stat * kElem,
-                     ks * kElem, js};
-      const WeightKey key{tile_rect, ld_stat, q, stationary,
-                          static_cast<std::uint32_t>(ks),
-                          static_cast<std::uint32_t>(js)};
-      if (const auto resident = residency_->peek(key)) return resident->device;
+  for (std::uint64_t out0 = 0; out0 < tiles.out;
+       out0 += accel_.tile().cols()) {
+    for (std::uint64_t red0 = 0; red0 < tiles.reduce;
+         red0 += accel_.tile().rows()) {
+      if (const auto resident = residency_->peek(tile_key(tiles, out0, red0))) {
+        return resident->device;
+      }
     }
   }
   return std::nullopt;
@@ -1140,20 +1007,19 @@ support::Status CimRuntime::sgemm_batched_async(
       device >= 0 ? 1 : std::min<std::uint64_t>(devices, items.size());
   const std::uint64_t per_chunk = (items.size() + chunks - 1) / chunks;
 
-  // The shared stationary tile's identity (for the residency cache).
+  // The shared stationary tile's identity (for the residency cache); the
+  // whole operand fits the crossbar, so it is the walk's first tile.
   auto max_stat = operand_max_abs(stationary_b ? items[0].b : items[0].a,
                                   stationary_b ? k : m,
                                   stationary_b ? n : k,
                                   stationary_b ? ldb : lda);
   if (!max_stat.is_ok()) return max_stat.status();
-  const Rect stationary_rect =
-      stationary_b ? Rect{addrs[0].b, ldb * kElem, n * kElem, k}
-                   : Rect{addrs[0].a, lda * kElem, k * kElem, m};
-  const WeightKey key{stationary_rect, stationary_b ? ldb : lda,
-                      support::QuantScale::for_max_abs(*max_stat).scale,
-                      stationary,
-                      static_cast<std::uint32_t>(tile_rows),
-                      static_cast<std::uint32_t>(tile_cols)};
+  const WeightKey key = tile_key(
+      Stationary{stationary_b ? addrs[0].b : addrs[0].a,
+                 stationary_b ? ldb : lda,
+                 support::QuantScale::for_max_abs(*max_stat).scale, stationary,
+                 tile_cols, tile_rows},
+      0, 0);
 
   // Chunk device pre-draw: a single-chunk batch whose weights are resident
   // somewhere lands there (affinity); a split batch keeps the round-robin
@@ -1222,10 +1088,10 @@ support::Status CimRuntime::sgemm_batched_async(
     }
 
     const int device = chunk_devices[chunk];
-    const TilePlacement tile = place_tile(use_cache, key, device);
+    const ResidencyCache::Acquire tile = place_tile(use_cache, key, device);
     cim::ContextRegs image = make_job_image(
         m, n, k, alpha, beta, 0, lda, 0, ldb, 0, ldc,
-        /*scale_a=*/1.0, /*scale_b=*/1.0, stationary, tile.skip, tile.row0);
+        /*scale_a=*/1.0, /*scale_b=*/1.0, stationary, tile.hit, tile.row0);
     // Batched jobs carry per-entry pointers/scales; the image's scale fields
     // are placeholders that decode() requires to be positive.
     image.write(cim::Reg::kOpcode,
@@ -1236,7 +1102,7 @@ support::Status CimRuntime::sgemm_batched_async(
     // (none do when the residency cache validated a resident tile).
     TDO_RETURN_IF_ERROR(enqueue_job(
         image, slice.size() * m * n * k,
-        tile.skip ? 0 : tile_rows * tile_cols, device,
+        tile.hit ? 0 : tile_rows * tile_cols, device,
         /*allow_cpu_fallback=*/false));
   }
   if (use_cache) prefetch_predicted(key, chunk_devices[0]);

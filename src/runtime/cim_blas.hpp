@@ -6,8 +6,9 @@
 // Tactics). It exposes a host-callable C API, similar to what cuBLAS or MKL
 // offers."
 //
-// Class-based core; see cim_api.hpp for the polly_cim* C-style facade that
-// generated code calls.
+// Class-based async core. The polly_cim* C-style facade that generated code
+// calls (cim_api.hpp) is the only blocking surface: each polly_cimBlas* call
+// is the matching *_async call followed by synchronize().
 #pragma once
 
 #include <cstdint>
@@ -60,12 +61,9 @@ struct RuntimeConfig {
   bool double_buffering = true;
   ScaleMode scale_mode = ScaleMode::kHostScan;
   double static_max_abs = 1.0;
-  /// Default stationary operand for plain GEMM calls. The paper's naive
-  /// mapping keeps B stationary and streams A (Section III-B).
-  cim::StationaryOperand default_stationary = cim::StationaryOperand::kB;
   DriverParams driver;
-  /// Command-stream behaviour (depth, dynamic CPU-fallback threshold). The
-  /// blocking BLAS entry points are wrappers over this stream.
+  /// Command-stream behaviour (depth, dynamic CPU-fallback threshold); every
+  /// BLAS entry point enqueues into it without draining.
   StreamParams stream;
   /// Transfer-engine behaviour: async copies riding the stream as DMA
   /// commands vs the paper's blocking host memcpy.
@@ -134,61 +132,38 @@ class CimRuntime {
                                  std::uint64_t pitch, std::uint64_t width,
                                  std::uint64_t rows);
 
-  /// polly_cimBlasSGemm: C = alpha*A*B + beta*C (row-major, no transposes).
-  /// Oversized operands are tiled internally to the crossbar geometry.
-  /// Blocking: a thin wrapper over the async variant plus synchronize().
-  support::Status sgemm(std::uint64_t m, std::uint64_t n, std::uint64_t k,
-                        float alpha, sim::VirtAddr a, std::uint64_t lda,
-                        sim::VirtAddr b, std::uint64_t ldb, float beta,
-                        sim::VirtAddr c, std::uint64_t ldc);
-  /// `cacheable` marks the stationary operand as reused across calls: the
-  /// runtime consults the weight-residency cache, requests skip-programming
-  /// on hits, and routes the call to the accelerator holding the weights.
-  support::Status sgemm_with_stationary(std::uint64_t m, std::uint64_t n,
-                                        std::uint64_t k, float alpha,
-                                        sim::VirtAddr a, std::uint64_t lda,
-                                        sim::VirtAddr b, std::uint64_t ldb,
-                                        float beta, sim::VirtAddr c,
-                                        std::uint64_t ldc,
-                                        cim::StationaryOperand stationary,
-                                        bool cacheable = false);
-
-  /// polly_cimBlasSGemv: y = alpha*op(A)*x + beta*y  (A is m x n row-major).
-  support::Status sgemv(bool transpose, std::uint64_t m, std::uint64_t n,
-                        float alpha, sim::VirtAddr a, std::uint64_t lda,
-                        sim::VirtAddr x, float beta, sim::VirtAddr y);
-
-  /// polly_cimBlasGemmBatched: same-shape GEMMs executed as one job; when
-  /// the stationary operand is shared between consecutive items the crossbar
-  /// image is reused — the paper's endurance-aware "smart mapping". With
-  /// several accelerators the batch splits round-robin across devices.
-  /// `device` >= 0 pins the whole batch to one accelerator (the serving
-  /// scheduler's batch-submit hook: it has already chosen a placement from
-  /// residency affinity or queue depths); -1 keeps the internal round-robin
-  /// chunking across devices.
-  support::Status sgemm_batched(std::uint64_t m, std::uint64_t n, std::uint64_t k,
-                                float alpha, std::span<const GemmBatchItem> items,
-                                std::uint64_t lda, std::uint64_t ldb, float beta,
-                                std::uint64_t ldc,
-                                cim::StationaryOperand stationary,
-                                bool cacheable = false, int device = -1);
-
-  // --- asynchronous entry points (command-stream path) ---
+  // --- BLAS entry points (command-stream path) ---
   //
   // Enqueue tile jobs into the stream and return without draining; the
-  // caller (interpreter, generated code) synchronizes at coherence points.
-  // Calls whose operands overlap an in-flight producer synchronize first.
+  // caller (interpreter, generated code, the polly_cimBlas* facade)
+  // synchronizes at coherence points. Calls whose operands overlap an
+  // in-flight producer synchronize first. Oversized operands are tiled
+  // internally to the crossbar geometry. `cacheable` marks the stationary
+  // operand as reused across calls: the runtime consults the
+  // weight-residency cache, requests skip-programming on hits, and routes
+  // the call to the accelerator holding the weights.
 
+  /// C = alpha*A*B + beta*C (row-major, no transposes) with `stationary`
+  /// programmed into the crossbar. The paper's naive mapping keeps B
+  /// stationary and streams A (Section III-B).
   support::Status sgemm_async(std::uint64_t m, std::uint64_t n, std::uint64_t k,
                               float alpha, sim::VirtAddr a, std::uint64_t lda,
                               sim::VirtAddr b, std::uint64_t ldb, float beta,
                               sim::VirtAddr c, std::uint64_t ldc,
                               cim::StationaryOperand stationary,
                               bool cacheable = false);
+  /// y = alpha*op(A)*x + beta*y  (A is m x n row-major).
   support::Status sgemv_async(bool transpose, std::uint64_t m, std::uint64_t n,
                               float alpha, sim::VirtAddr a, std::uint64_t lda,
                               sim::VirtAddr x, float beta, sim::VirtAddr y,
                               bool cacheable = false);
+  /// Same-shape GEMMs executed as one job; when the stationary operand is
+  /// shared between consecutive items the crossbar image is reused — the
+  /// paper's endurance-aware "smart mapping". With several accelerators the
+  /// batch splits round-robin across devices. `device` >= 0 pins the whole
+  /// batch to one accelerator (the serving scheduler's batch-submit hook: it
+  /// has already chosen a placement from residency affinity or queue
+  /// depths); -1 keeps the internal round-robin chunking across devices.
   support::Status sgemm_batched_async(std::uint64_t m, std::uint64_t n,
                                       std::uint64_t k, float alpha,
                                       std::span<const GemmBatchItem> items,
@@ -279,18 +254,44 @@ class CimRuntime {
   /// the job skips programming at the returned row window; on a miss rows
   /// are reserved (or, when `use_cache` is false / the tile cannot be
   /// cached, overlapping resident entries are retired because the job will
-  /// program rows [0, key.rows) uncached).
-  struct TilePlacement {
+  /// program rows [0, key.rows) uncached and an empty Acquire comes back).
+  ResidencyCache::Acquire place_tile(bool use_cache, const WeightKey& key,
+                                     int device);
+
+  /// A stationary operand as the crossbar tiles it: `reduce` along crossbar
+  /// rows, `out` along columns. kB layout is reduce x out row-major; kA is
+  /// out x reduce (held transposed).
+  struct Stationary {
+    sim::PhysAddr pa = 0;
+    std::uint64_t ld = 0;
+    double scale = 0.0;  ///< quantization scale, part of the tile identity
+    cim::StationaryOperand layout = cim::StationaryOperand::kB;
+    std::uint64_t out = 0, reduce = 0;
+  };
+  /// Residency key of the crossbar-sized tile of `stat` at output offset
+  /// `out0` and reduce offset `red0`: the one place a stationary tile's
+  /// rectangle is built, shared by dispatch and weight_affinity().
+  [[nodiscard]] WeightKey tile_key(const Stationary& stat, std::uint64_t out0,
+                                   std::uint64_t red0) const;
+
+  /// One reduce tile of a walk, as the caller's image builder sees it.
+  struct StationaryTile {
+    std::uint64_t out0 = 0, outs = 0, red0 = 0, reds = 0;
+    /// The tile itself, or the staging copy a migrated hit was adopted from.
+    sim::PhysAddr stat_pa = 0;
+    std::uint64_t stat_ld = 0;
+    float beta = 0.0f;  ///< the call's beta on the first reduce tile, else 1
     bool skip = false;
     std::uint32_t row0 = 0;
-    /// Migrated entries: substitute this staging rectangle for the job's
-    /// stationary pointer so the device-side validation matches what the
-    /// adoption actually programmed (bit-exact bytes, identical results).
-    bool migrated = false;
-    sim::PhysAddr shadow_base = 0;
-    std::uint64_t shadow_ld = 0;
   };
-  TilePlacement place_tile(bool use_cache, const WeightKey& key, int device);
+  /// Enqueues every tile of `stat`, `streams` vectors per tile. Per output
+  /// stripe: tile keys -> stationary_device -> note_write(stripe_rect(out0,
+  /// outs)) -> per reduce tile place_tile, tile_image(tile), enqueue_job ->
+  /// prefetch_predicted. Defined in cim_blas.cpp.
+  template <typename StripeRect, typename TileImage>
+  support::Status walk_stationary(const Stationary& stat, float beta,
+                                  std::uint64_t streams, bool use_cache,
+                                  StripeRect stripe_rect, TileImage tile_image);
 
   /// Topology-aware device pick: minimizes (queue depth + 1) x link latency
   /// multiplier across devices, rotating the scan start so equal-cost
@@ -339,14 +340,11 @@ class CimRuntime {
   support::Status sync_for_operands(std::span<const Rect> reads,
                                     std::span<const Rect> writes);
 
-  /// Issues one host<->device copy: async through the stream when the
-  /// transfer engine deems it eligible, else the blocking host path.
-  support::Status copy(CopyDesc::Dir dir, sim::VirtAddr dst, sim::VirtAddr src,
-                       std::uint64_t bytes);
-
-  /// Pitched-view generalization of copy(); flat copies pass rows == 1.
-  /// Marshals multi-segment chains into a staging CopySegEntry table the
-  /// device DMA fetches (released at synchronize(), like batch tables).
+  /// Issues one pitched host<->device copy (flat copies pass rows == 1):
+  /// async through the stream when the transfer engine deems it eligible,
+  /// else the blocking host path. Marshals multi-segment chains into a
+  /// staging CopySegEntry table the device DMA fetches (released at
+  /// synchronize(), like batch tables).
   support::Status copy_view(CopyDesc::Dir dir, sim::VirtAddr dst,
                             sim::VirtAddr src, std::uint64_t pitch,
                             std::uint64_t width, std::uint64_t rows);

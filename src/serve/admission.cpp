@@ -59,12 +59,12 @@ AdmitPath AdmissionController::admit(const SiteKey& key, bool host_probe_ok) {
     return host ? AdmitPath::kForceHost : AdmitPath::kForceDevice;
   };
   // Bootstrap: measure each path once before trusting the threshold.
-  if (site.dev_obs == 0) return probe(false);
-  if (site.host_obs == 0) return probe(true);
+  if (!site.dev.seeded()) return probe(false);
+  if (!site.host.seeded()) return probe(true);
   // Steady state: periodically refresh whichever EWMA is staler.
   if (params_.probe_period != 0 &&
       site.dispatches % params_.probe_period == 0) {
-    return probe(site.host_obs <= site.dev_obs);
+    return probe(site.host.count <= site.dev.count);
   }
   return AdmitPath::kAuto;
 }
@@ -80,27 +80,22 @@ void AdmissionController::observe(const SiteKey& key, bool offloaded,
                        ? site.intensity
                        : static_cast<double>(macs) /
                              static_cast<double>(cim_writes);
-  const double ps_per_mac =
-      latency.picoseconds() / static_cast<double>(macs);
-  double& ewma = offloaded ? site.dev_ps_per_mac : site.host_ps_per_mac;
-  std::uint64_t& obs = offloaded ? site.dev_obs : site.host_obs;
-  ewma = obs == 0 ? ps_per_mac
-                  : (1.0 - params_.ewma_alpha) * ewma +
-                        params_.ewma_alpha * ps_per_mac;
-  obs += 1;
+  (offloaded ? site.dev : site.host)
+      .observe(latency.picoseconds() / static_cast<double>(macs),
+               params_.ewma_alpha);
   observations_ += 1;
   retune_macs();
   retune_split();
 }
 
 double AdmissionController::ideal_split(const Site& site) const {
-  if (site.dev_obs == 0 || site.host_obs == 0 || site.dev_ps_per_mac <= 0.0 ||
-      site.host_ps_per_mac <= 0.0) {
+  if (!site.dev.seeded() || !site.host.seeded() || site.dev.value <= 0.0 ||
+      site.host.value <= 0.0) {
     return -1.0;
   }
   // Both stripes finish together when rows are shared inversely to each
   // path's per-MAC latency: host share f* = dev / (dev + host).
-  return site.dev_ps_per_mac / (site.dev_ps_per_mac + site.host_ps_per_mac);
+  return site.dev.value / (site.dev.value + site.host.value);
 }
 
 double AdmissionController::split_fraction_for(const SiteKey& key) const {
@@ -149,11 +144,11 @@ void AdmissionController::retune_macs() {
   double losing_max = -1.0;  // highest intensity the host wins
   bool any = false;
   for (const auto& [key, site] : sites_) {
-    if (site.dev_obs == 0 || site.host_obs == 0 || site.intensity <= 0.0) {
+    if (!site.dev.seeded() || !site.host.seeded() || site.intensity <= 0.0) {
       continue;
     }
     any = true;
-    if (site.host_ps_per_mac < site.dev_ps_per_mac) {
+    if (site.host.value < site.dev.value) {
       losing_max = std::max(losing_max, site.intensity);
     }
   }
@@ -183,28 +178,20 @@ void AdmissionController::observe_copy(std::uint64_t bytes, bool host_path,
                                        support::Duration host_cost) {
   if (!params_.adaptive || bytes == 0) return;
   if (host_path) {
-    const double ps_per_byte =
-        host_cost.picoseconds() / static_cast<double>(bytes);
-    host_ps_per_byte_ = host_copy_obs_ == 0
-                            ? ps_per_byte
-                            : (1.0 - params_.ewma_alpha) * host_ps_per_byte_ +
-                                  params_.ewma_alpha * ps_per_byte;
-    host_copy_obs_ += 1;
+    host_ps_per_byte_.observe(
+        host_cost.picoseconds() / static_cast<double>(bytes),
+        params_.ewma_alpha);
   } else {
-    enqueue_overhead_ps_ =
-        async_copy_obs_ == 0
-            ? host_cost.picoseconds()
-            : (1.0 - params_.ewma_alpha) * enqueue_overhead_ps_ +
-                  params_.ewma_alpha * host_cost.picoseconds();
-    async_copy_obs_ += 1;
+    enqueue_overhead_ps_.observe(host_cost.picoseconds(), params_.ewma_alpha);
   }
-  if (host_copy_obs_ == 0 || async_copy_obs_ == 0 ||
-      host_ps_per_byte_ <= 0.0) {
+  if (!host_ps_per_byte_.seeded() || !enqueue_overhead_ps_.seeded() ||
+      host_ps_per_byte_.value <= 0.0) {
     return;
   }
   // Break-even size: below it the host memcpy finishes before the enqueue
   // round trip would; snap to the next power of two for stability.
-  const double break_even = enqueue_overhead_ps_ / host_ps_per_byte_;
+  const double break_even =
+      enqueue_overhead_ps_.value / host_ps_per_byte_.value;
   std::uint64_t snapped = params_.min_async_floor;
   while (snapped < break_even && snapped < params_.min_async_ceiling) {
     snapped <<= 1;
@@ -226,12 +213,13 @@ double AdmissionController::device_ps_per_mac() const {
   double weighted = 0.0;
   double weight = 0.0;
   for (const auto& [key, site] : sites_) {
-    if (site.dev_obs == 0 || site.dev_ps_per_mac <= 0.0) continue;
+    if (!site.dev.seeded() || site.dev.value <= 0.0) continue;
     // Weight by dispatch traffic so the estimate tracks the live mix; a
-    // site observed but never re-dispatched still contributes its dev_obs.
+    // site observed but never re-dispatched still contributes its
+    // device observations.
     const double w =
-        static_cast<double>(std::max(site.dispatches, site.dev_obs));
-    weighted += site.dev_ps_per_mac * w;
+        static_cast<double>(std::max(site.dispatches, site.dev.count));
+    weighted += site.dev.value * w;
     weight += w;
   }
   return weight > 0.0 ? weighted / weight : 0.0;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 
+#include "support/ewma.hpp"
 #include "support/units.hpp"
 
 namespace tdo::serve {
@@ -154,10 +155,8 @@ class AdmissionController {
  private:
   struct Site {
     double intensity = 0.0;  ///< macs / cim_writes of a miss dispatch
-    double dev_ps_per_mac = 0.0;
-    double host_ps_per_mac = 0.0;
-    std::uint64_t dev_obs = 0;
-    std::uint64_t host_obs = 0;
+    support::Ewma dev;   ///< device-path picoseconds per MAC
+    support::Ewma host;  ///< host-path picoseconds per MAC
     std::uint64_t dispatches = 0;
   };
 
@@ -171,10 +170,8 @@ class AdmissionController {
   std::uint64_t knob_async_;
   double knob_split_ = 0.0;
   std::map<SiteKey, Site> sites_;
-  double host_ps_per_byte_ = 0.0;  ///< EWMA over host-path copies
-  std::uint64_t host_copy_obs_ = 0;
-  double enqueue_overhead_ps_ = 0.0;  ///< EWMA over async-path submissions
-  std::uint64_t async_copy_obs_ = 0;
+  support::Ewma host_ps_per_byte_;     ///< over host-path copies
+  support::Ewma enqueue_overhead_ps_;  ///< over async-path submissions
   std::uint64_t observations_ = 0;
   std::uint64_t probes_host_ = 0;
   std::uint64_t probes_device_ = 0;

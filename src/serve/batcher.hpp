@@ -1,9 +1,9 @@
 // Dynamic batch formation for the serving scheduler.
 //
 // Same-shape requests against the same stationary operand coalesce into one
-// sgemm_batched launch: the crossbar programs the shared weights once (or
-// not at all on a residency hit), the per-job setup and driver round trips
-// amortize across the batch, and the device sees one table-driven job
+// sgemm_batched_async launch: the crossbar programs the shared weights once
+// (or not at all on a residency hit), the per-job setup and driver round
+// trips amortize across the batch, and the device sees one table-driven job
 // instead of B separate ones. A batch closes when it reaches `max_batch`
 // requests or its oldest member has waited `max_wait` — the classic
 // dynamic-batching tradeoff between amortization and added queueing delay.
@@ -19,9 +19,9 @@
 namespace tdo::serve {
 
 /// Coalescing identity: requests batch together iff every field matches
-/// (sgemm_batched requires shared dims, leading dimensions and scalars; a
-/// shared `weights` pointer is what makes the stationary operand reusable
-/// inside the launch).
+/// (sgemm_batched_async requires shared dims, leading dimensions and
+/// scalars; a shared `weights` pointer is what makes the stationary operand
+/// reusable inside the launch).
 struct BatchKey {
   Op op = Op::kSgemm;
   std::uint64_t m = 0, n = 0, k = 0;

@@ -371,19 +371,16 @@ void Scheduler::maybe_shed() {
   const double spans =
       elapsed.picoseconds() / params_.shed.eval_window.picoseconds();
   const double alpha = 1.0 - std::pow(1.0 - params_.shed.ewma_alpha, spans);
-  arrival_rate_ = arrival_rate_seeded_
-                      ? (1.0 - alpha) * arrival_rate_ + alpha * rate
-                      : rate;
-  arrival_rate_seeded_ = true;
+  arrival_rate_.observe(rate, alpha);
   arrival_macs_window_ = 0.0;
   shed_window_start_ = t;
-  const double ps_per_mac = service_obs_ > 0
-                                ? service_ps_per_mac_
+  const double ps_per_mac = service_ps_per_mac_.seeded()
+                                ? service_ps_per_mac_.value
                                 : admission_.device_ps_per_mac();
   if (ps_per_mac <= 0.0) return;  // EWMAs not warmed up: stay open
   const double capacity =
       static_cast<double>(runtime_.stream().device_count()) / ps_per_mac;
-  if (arrival_rate_ <= capacity * params_.shed.headroom) {
+  if (arrival_rate_.value <= capacity * params_.shed.headroom) {
     shed_streak_ = 0;
     return;
   }
@@ -904,14 +901,9 @@ void Scheduler::finalize(InFlight inflight, sim::Tick done_tick) {
     std::uint64_t launch_macs = 0;
     for (const Request& r : inflight.requests) launch_macs += r.macs();
     if (launch_macs > 0) {
-      const double sample = (done - inflight.dispatch).picoseconds() /
-                            static_cast<double>(launch_macs);
-      service_ps_per_mac_ =
-          service_obs_ == 0
-              ? sample
-              : (1.0 - params_.shed.ewma_alpha) * service_ps_per_mac_ +
-                    params_.shed.ewma_alpha * sample;
-      service_obs_ += 1;
+      service_ps_per_mac_.observe((done - inflight.dispatch).picoseconds() /
+                                      static_cast<double>(launch_macs),
+                                  params_.shed.ewma_alpha);
     }
   }
 

@@ -20,7 +20,7 @@
 //     interactive — each drop surfacing a Completion with Outcome::kShed so
 //     closed-loop clients unblock;
 //   * dynamic batching (serve/batcher.hpp): same-shape, same-weight requests
-//     coalesce into one sgemm_batched launch, closed on max-size or max-wait;
+//     coalesce into one sgemm_batched_async launch, closed on max size/wait;
 //   * residency-aware placement: a batch routes to the accelerator whose
 //     crossbars already hold its weights (CimRuntime::weight_affinity),
 //     falling back to the shortest compute queue;
@@ -57,6 +57,7 @@
 #include "serve/admission.hpp"
 #include "serve/batcher.hpp"
 #include "serve/request.hpp"
+#include "support/ewma.hpp"
 #include "support/stats.hpp"
 #include "support/status.hpp"
 #include "support/threading.hpp"
@@ -452,8 +453,7 @@ class Scheduler {
   /// eval window, the window's start, and the cross-window rate EWMA.
   double arrival_macs_window_ = 0.0;
   support::Duration shed_window_start_;
-  double arrival_rate_ = 0.0;  ///< MACs per picosecond, EWMA
-  bool arrival_rate_seeded_ = false;
+  support::Ewma arrival_rate_;  ///< MACs per picosecond
   int shed_streak_ = 0;  ///< consecutive over-gate windows; shed needs two
   /// Capacity estimate for the shedder: dispatch-to-done picoseconds per MAC
   /// over every offloaded launch (batched launches included — admission only
@@ -461,8 +461,7 @@ class Scheduler {
   /// scheduler-side so shedding works with static admission knobs and an
   /// overloaded fleet cannot flip the admission threshold toward the
   /// synchronous host path.
-  double service_ps_per_mac_ = 0.0;
-  std::uint64_t service_obs_ = 0;
+  support::Ewma service_ps_per_mac_;
 
   /// Cross-thread submission path: per-shard rings plus per-shard simulated
   /// submitter clocks (each advanced by submit_cost per push, so N threads

@@ -123,8 +123,10 @@ TEST(EngineTest, TimelineSeparatesWeightAndStreamPhases) {
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(32 * 32);
   ASSERT_TRUE(p.runtime()
-                  .sgemm(32, 32, 32, 1.0f, va_a, 32, va_b, 32, 0.0f, va_c, 32)
+                  .sgemm_async(32, 32, 32, 1.0f, va_a, 32, va_b, 32, 0.0f, va_c,
+                               32, StationaryOperand::kB)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   const JobTimeline& timeline = p.accel().last_timeline();
   // Weight phase: 32 rows x 2.5 us = 80 us (plus DMA pipeline fill).
   EXPECT_NEAR(timeline.weight_phase().microseconds(), 80.0, 5.0);
@@ -146,8 +148,10 @@ TEST(EngineTest, SkipWeightLoadOnlyInsideBatch) {
   const auto va_c = p.device_zeros(16 * 16);
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(p.runtime()
-                    .sgemm(16, 16, 16, 1.0f, va_a, 16, va_b, 16, 0.0f, va_c, 16)
+                    .sgemm_async(16, 16, 16, 1.0f, va_a, 16, va_b, 16, 0.0f,
+                                 va_c, 16, StationaryOperand::kB)
                     .is_ok());
+    ASSERT_TRUE(p.runtime().synchronize().is_ok());
   }
   EXPECT_EQ(p.accel().report().weight_writes8, 2u * 16u * 16u);
 }
@@ -168,9 +172,10 @@ TEST(EngineTest, BatchedDistinctStationariesAllProgram) {
   const std::vector<rt::GemmBatchItem> items = {{va_a, va_b1, va_c1},
                                                 {va_a, va_b2, va_c2}};
   ASSERT_TRUE(p.runtime()
-                  .sgemm_batched(16, 16, 16, 1.0f, items, 16, 16, 0.0f, 16,
-                                 StationaryOperand::kB)
+                  .sgemm_batched_async(16, 16, 16, 1.0f, items, 16, 16, 0.0f,
+                                       16, StationaryOperand::kB)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(p.accel().report().weight_writes8, 2u * 16u * 16u);
 }
 
@@ -182,8 +187,10 @@ TEST(EngineTest, GemvIntensityIsOne) {
   const auto va_a = p.upload(a);
   const auto va_x = p.upload(x);
   const auto va_y = p.device_zeros(64);
-  ASSERT_TRUE(
-      p.runtime().sgemv(false, 64, 48, 1.0f, va_a, 48, va_x, 0.0f, va_y).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemv_async(false, 64, 48, 1.0f, va_a, 48, va_x, 0.0f, va_y)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   // Every written weight participates in exactly one MAC.
   EXPECT_DOUBLE_EQ(p.accel().report().macs_per_cim_write(), 1.0);
 }
@@ -201,12 +208,15 @@ TEST_P(GemmShapeSweep, ResultWithinQuantBoundAcrossShapes) {
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(static_cast<std::size_t>(m * n));
   ASSERT_TRUE(p.runtime()
-                  .sgemm(static_cast<std::uint64_t>(m), static_cast<std::uint64_t>(n),
-                         static_cast<std::uint64_t>(k), 1.0f, va_a,
-                         static_cast<std::uint64_t>(k), va_b,
-                         static_cast<std::uint64_t>(n), 0.0f, va_c,
-                         static_cast<std::uint64_t>(n))
+                  .sgemm_async(static_cast<std::uint64_t>(m),
+                               static_cast<std::uint64_t>(n),
+                               static_cast<std::uint64_t>(k), 1.0f, va_a,
+                               static_cast<std::uint64_t>(k), va_b,
+                               static_cast<std::uint64_t>(n), 0.0f, va_c,
+                               static_cast<std::uint64_t>(n),
+                               StationaryOperand::kB)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   std::vector<float> ref(static_cast<std::size_t>(m * n), 0.0f);
   testing::ref_gemm(static_cast<std::size_t>(m), static_cast<std::size_t>(n),
                     static_cast<std::size_t>(k), 1.0f, a,

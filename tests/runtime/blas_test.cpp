@@ -55,8 +55,10 @@ TEST(BlasTest, SmallGemmMatchesReferenceWithinQuantBound) {
 
   const float alpha = 1.5f, beta = 0.5f;
   ASSERT_TRUE(p.runtime()
-                  .sgemm(m, n, k, alpha, va_a, k, va_b, n, beta, va_c, n)
+                  .sgemm_async(m, n, k, alpha, va_a, k, va_b, n, beta, va_c, n,
+                               cim::StationaryOperand::kB)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   ref_gemm(m, n, k, alpha, a, k, b, n, beta, c, n);
   const auto got = p.read_floats(va_c, m * n);
@@ -79,9 +81,10 @@ TEST(BlasTest, GemmWithStationaryAMatchesReference) {
   const auto va_c = p.device_zeros(m * n);
 
   ASSERT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kA)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kA)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   ref_gemm(m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
   const auto got = p.read_floats(va_c, m * n);
@@ -104,8 +107,11 @@ TEST(BlasTest, OversizedGemmIsTiledAcrossCrossbar) {
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(m * n);
 
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   ref_gemm(m, n, k, 1.0f, a, k, b, n, 0.0f, c, n);
   const auto got = p.read_floats(va_c, m * n);
@@ -129,8 +135,10 @@ TEST(BlasTest, GemvNoTransposeMatchesReference) {
   const auto va_x = p.upload(x);
   const auto va_y = p.upload(y);
 
-  ASSERT_TRUE(
-      p.runtime().sgemv(false, m, n, 2.0f, va_a, n, va_x, 0.25f, va_y).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemv_async(false, m, n, 2.0f, va_a, n, va_x, 0.25f, va_y)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   ref_gemv(false, m, n, 2.0f, a, n, x, 0.25f, y);
   const auto got = p.read_floats(va_y, m);
@@ -150,8 +158,10 @@ TEST(BlasTest, GemvTransposeMatchesReference) {
   const auto va_x = p.upload(x);
   const auto va_y = p.device_zeros(n);
 
-  ASSERT_TRUE(
-      p.runtime().sgemv(true, m, n, 1.0f, va_a, n, va_x, 0.0f, va_y).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemv_async(true, m, n, 1.0f, va_a, n, va_x, 0.0f, va_y)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   ref_gemv(true, m, n, 1.0f, a, n, x, 0.0f, y);
   const auto got = p.read_floats(va_y, n);
@@ -177,9 +187,10 @@ TEST(BlasTest, BatchedGemmSharedStationarySkipsReprogramming) {
   const std::vector<GemmBatchItem> items = {{va_a, va_b, va_c},
                                             {va_a, va_e, va_d}};
   ASSERT_TRUE(p.runtime()
-                  .sgemm_batched(m, n, k, 1.0f, items, k, n, 0.0f, n,
-                                 cim::StationaryOperand::kA)
+                  .sgemm_batched_async(m, n, k, 1.0f, items, k, n, 0.0f, n,
+                                       cim::StationaryOperand::kA)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   // Weight writes: stationary A^T tile is k x m = 256 weights, written once.
   EXPECT_EQ(p.accel().report().weight_writes8, k * m);
@@ -210,10 +221,16 @@ TEST(BlasTest, NaiveSeparateGemmsWriteTwiceAsManyWeights) {
   const auto va_c = p.device_zeros(m * n);
   const auto va_d = p.device_zeros(m * n);
 
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n).is_ok());
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_e, n, 0.0f, va_d, n).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_e, n, 0.0f, va_d, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   // Naive mapping programs B then E: 2 * (k x n) weights.
   EXPECT_EQ(p.accel().report().weight_writes8, 2 * k * n);
@@ -245,9 +262,13 @@ TEST(BlasTest, ZeroDimensionIsRejected) {
   Platform p;
   ASSERT_TRUE(p.runtime().init(0).is_ok());
   const auto va = p.device_zeros(16);
-  EXPECT_FALSE(
-      p.runtime().sgemm(0, 4, 4, 1.0f, va, 4, va, 4, 0.0f, va, 4).is_ok());
-  EXPECT_FALSE(p.runtime().sgemv(false, 0, 4, 1.0f, va, 4, va, 0.0f, va).is_ok());
+  EXPECT_FALSE(p.runtime()
+                   .sgemm_async(0, 4, 4, 1.0f, va, 4, va, 4, 0.0f, va, 4,
+                                cim::StationaryOperand::kB)
+                   .is_ok());
+  EXPECT_FALSE(p.runtime()
+                   .sgemv_async(false, 0, 4, 1.0f, va, 4, va, 0.0f, va)
+                   .is_ok());
 }
 
 TEST(BlasTest, FreeUnknownBufferFails) {
@@ -265,8 +286,11 @@ TEST(BlasTest, AcceleratorTimeAdvancesWithJob) {
   const auto va_a = p.upload(a);
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(m * n);
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   // Weight phase: 8 rows x 2.5us = 20us; stream: 8 GEMVs x 1us = 8us.
   const auto total = p.system().global_time();
   EXPECT_GT(total.microseconds(), 28.0);
@@ -284,8 +308,11 @@ TEST(BlasTest, EnergyIsAttributedToAcceleratorCategories) {
   const auto va_a = p.upload(a);
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(m * n);
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   const auto snap = p.system().snapshot();
   // Write energy: k*n = 64 weights x 200 pJ = 12.8 nJ.

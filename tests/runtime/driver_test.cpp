@@ -145,8 +145,10 @@ TEST(AcceleratorTest, DoubleBufferingShortensJobs) {
     const auto va_b = p.upload(b);
     const auto va_c = p.device_zeros(64 * 64);
     EXPECT_TRUE(p.runtime()
-                    .sgemm(64, 64, 64, 1.0f, va_a, 64, va_b, 64, 0.0f, va_c, 64)
+                    .sgemm_async(64, 64, 64, 1.0f, va_a, 64, va_b, 64, 0.0f,
+                                 va_c, 64, cim::StationaryOperand::kB)
                     .is_ok());
+    EXPECT_TRUE(p.runtime().synchronize().is_ok());
     return p.accel().last_timeline().total();
   };
   EXPECT_LT(run(true).picoseconds(), run(false).picoseconds());

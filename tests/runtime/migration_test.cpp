@@ -62,10 +62,10 @@ std::vector<float> migrate_and_run(bool peer_to_peer, bool* adopted) {
   const auto va_c = p.device_zeros(m * n);
 
   EXPECT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kB,
-                                         /*cacheable=*/true)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
+  EXPECT_TRUE(p.runtime().synchronize().is_ok());
   const WeightKey key = tile_key(p, va_b, b, n, k);
   const auto placed = p.runtime().residency().peek(key);
   EXPECT_TRUE(placed.has_value());
@@ -85,9 +85,8 @@ std::vector<float> migrate_and_run(bool peer_to_peer, bool* adopted) {
   const std::uint64_t dest_jobs =
       p.accel(static_cast<std::size_t>(to_device)).jobs_completed();
   EXPECT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kB,
-                                         /*cacheable=*/true)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
   EXPECT_TRUE(p.runtime().synchronize().is_ok());
   const auto after = p.runtime().residency().report();
@@ -151,9 +150,8 @@ TEST(MigrationTest, MigrationToTheResidentDeviceIsANoOp) {
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(m * n);
   ASSERT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kB,
-                                         /*cacheable=*/true)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
   const WeightKey key = tile_key(p, va_b, b, n, k);
@@ -201,10 +199,10 @@ TEST(MigrationTest, HostUpdateAfterMigrationReprogramsWithFreshBytes) {
   const auto va_b = p.upload(b_old);
   const auto va_c = p.device_zeros(m * n);
   ASSERT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kB,
-                                         /*cacheable=*/true)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   const WeightKey key = tile_key(p, va_b, b_old, n, k);
   ASSERT_TRUE(p.runtime().migrate_residency(key, 1).is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
@@ -219,9 +217,8 @@ TEST(MigrationTest, HostUpdateAfterMigrationReprogramsWithFreshBytes) {
 
   const auto before = p.runtime().residency().report();
   ASSERT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kB,
-                                         /*cacheable=*/true)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(p.runtime().residency().report().misses, before.misses + 1)

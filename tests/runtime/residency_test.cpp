@@ -48,19 +48,19 @@ TEST(ResidencyTest, RepeatedGemmSkipsReprogramming) {
   const auto va_c = p.device_zeros(m * n);
 
   ASSERT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kB,
-                                         /*cacheable=*/true)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   const std::uint64_t writes_first = p.accel().report().weight_writes8;
   EXPECT_GT(writes_first, 0u);
   EXPECT_EQ(p.runtime().residency().report().misses, 1u);
 
   ASSERT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kB,
-                                         /*cacheable=*/true)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   const auto report = p.accel().report();
   EXPECT_EQ(report.weight_writes8, writes_first)
       << "second call reprogrammed a resident tile";
@@ -81,8 +81,10 @@ TEST(ResidencyTest, NonCacheableCallsDoNotPopulateTheCache) {
   const auto va_c = p.device_zeros(m * n);
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(p.runtime()
-                    .sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n)
+                    .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                                 cim::StationaryOperand::kB)
                     .is_ok());
+    ASSERT_TRUE(p.runtime().synchronize().is_ok());
   }
   const auto res = p.runtime().residency().report();
   EXPECT_EQ(res.hits, 0u);
@@ -116,10 +118,10 @@ TEST(ResidencyTest, HostUpdateOfCachedTileInvalidatesBeforeNextLaunch) {
       << "host update left a stale tile cached";
 
   ASSERT_TRUE(p.runtime()
-                  .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f,
-                                         va_c, n, cim::StationaryOperand::kB,
-                                         /*cacheable=*/true)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(p.runtime().residency().report().hits, 0u);
   EXPECT_EQ(p.accel().report().weight_writes_saved8, 0u)
       << "device reused a tile the host had overwritten";
@@ -144,10 +146,10 @@ TEST(ResidencyTest, EvictionOrderIsLru) {
   }
   auto call = [&](sim::VirtAddr b) {
     ASSERT_TRUE(p.runtime()
-                    .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, b, n, 0.0f,
-                                           va_c, n, cim::StationaryOperand::kB,
-                                           /*cacheable=*/true)
+                    .sgemm_async(m, n, k, 1.0f, va_a, k, b, n, 0.0f, va_c, n,
+                                 cim::StationaryOperand::kB, /*cacheable=*/true)
                     .is_ok());
+    ASSERT_TRUE(p.runtime().synchronize().is_ok());
   };
   call(bs[0]);  // miss, resident {B1}
   call(bs[1]);  // miss, resident {B1, B2}
@@ -177,10 +179,10 @@ TEST(ResidencyTest, AffinityRoutesToTheResidentAccelerator) {
   const auto va_c = p.device_zeros(m * n);
   auto call = [&](sim::VirtAddr b) {
     ASSERT_TRUE(p.runtime()
-                    .sgemm_with_stationary(m, n, k, 1.0f, va_a, k, b, n, 0.0f,
-                                           va_c, n, cim::StationaryOperand::kB,
-                                           /*cacheable=*/true)
+                    .sgemm_async(m, n, k, 1.0f, va_a, k, b, n, 0.0f, va_c, n,
+                                 cim::StationaryOperand::kB, /*cacheable=*/true)
                     .is_ok());
+    ASSERT_TRUE(p.runtime().synchronize().is_ok());
   };
   // Round-robin places B1 on accelerator 0 and B2 on accelerator 1.
   call(va_b1);
@@ -340,10 +342,9 @@ PrefetchResult run_prefetch_loop(bool prefetch_on_miss) {
     // Request-serial (one outstanding request, host thinks between them):
     // the window where prefetch-on-miss hides the successor's programming.
     EXPECT_TRUE(p.runtime()
-                    .sgemm_with_stationary(m, n, k, 1.0f, va_a[r % kSets], k,
-                                           va_b, n, 0.0f, va_c, n,
-                                           cim::StationaryOperand::kA,
-                                           /*cacheable=*/true)
+                    .sgemm_async(m, n, k, 1.0f, va_a[r % kSets], k, va_b, n,
+                                 0.0f, va_c, n, cim::StationaryOperand::kA,
+                                 /*cacheable=*/true)
                     .is_ok());
     EXPECT_TRUE(p.runtime().synchronize().is_ok());
   }

@@ -41,13 +41,15 @@ TEST(SplitTest, HostStripeJoinsAndMatchesReference) {
   const auto va_a = p.upload(a);
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(m * n);
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n)
-          .is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   // One call, one split: a quarter of the rows (rounded) ran on the pool,
-  // the MAC accounting is exact, and the blocking call's synchronize joined
-  // the stripe (completed == jobs).
+  // the MAC accounting is exact, and the synchronize joined the stripe
+  // (completed == jobs).
   const RuntimeStats& stats = p.runtime().stats();
   EXPECT_EQ(stats.split_calls, 1u);
   const std::uint64_t m_host = 4;  // round(16 * 0.25)
@@ -83,9 +85,11 @@ TEST(SplitTest, SmallJobsSkipTheSplit) {
   const auto va_a = p.upload(random_matrix(m * k, 1.0, 21));
   const auto va_b = p.upload(random_matrix(k * n, 1.0, 22));
   const auto va_c = p.device_zeros(m * n);
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n)
-          .is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(p.runtime().stats().split_calls, 0u);
   EXPECT_EQ(p.runtime().host_pool().report().jobs, 0u);
 }
@@ -104,9 +108,11 @@ TEST(SplitTest, ZeroFractionDisablesSplitAtRuntime) {
   const auto va_a = p.upload(random_matrix(m * k, 1.0, 31));
   const auto va_b = p.upload(random_matrix(k * n, 1.0, 32));
   const auto va_c = p.device_zeros(m * n);
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n)
-          .is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(p.runtime().stats().split_calls, 0u);
 }
 

@@ -111,8 +111,11 @@ TEST(StreamTest, IntensityThresholdRoutesThinJobsToCpu) {
   const auto va_a = p.upload(a);
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(m * n);
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   const auto report = p.runtime().stream().report();
   EXPECT_EQ(report.fallbacks_threshold, 1u);
@@ -133,8 +136,11 @@ TEST(StreamTest, HighIntensityJobsStayOnDevice) {
   const auto va_a = p.upload(a);
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(m * n);
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(p.runtime().stream().report().cpu_fallbacks, 0u);
   EXPECT_EQ(p.accel().report().jobs, 1u);
 }
@@ -160,9 +166,10 @@ TEST(StreamTest, BatchRoundRobinsAcrossAccelerators) {
       items.push_back(GemmBatchItem{va_a, va_b, va_c});
     }
     EXPECT_TRUE(p.runtime()
-                    .sgemm_batched(m, n, k, 1.0f, items, k, n, 0.0f, n,
-                                   cim::StationaryOperand::kB)
+                    .sgemm_batched_async(m, n, k, 1.0f, items, k, n, 0.0f, n,
+                                         cim::StationaryOperand::kB)
                     .is_ok());
+    EXPECT_TRUE(p.runtime().synchronize().is_ok());
     // Both accelerator instances executed a chunk of the batch.
     EXPECT_EQ(p.accel(0).report().jobs, 1u);
     EXPECT_EQ(p.accel(1).report().jobs, 1u);
@@ -195,8 +202,11 @@ TEST(StreamTest, TiledGemmSpreadsAcrossAccelerators) {
   const auto va_a = p.upload(a);
   const auto va_b = p.upload(b);
   const auto va_c = p.device_zeros(m * n);
-  ASSERT_TRUE(
-      p.runtime().sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n).is_ok());
+  ASSERT_TRUE(p.runtime()
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
+                  .is_ok());
+  ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(p.accel(0).report().jobs, 1u);
   EXPECT_EQ(p.accel(1).report().jobs, 1u);
   std::vector<float> want(m * n, 0.0f);
@@ -221,8 +231,10 @@ TEST(StreamTest, StreamDepthTwoBeatsSerializedSchedule) {
     const auto va_b = p.upload(b);
     const auto va_c = p.device_zeros(m * n);
     EXPECT_TRUE(p.runtime()
-                    .sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n)
+                    .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                                 cim::StationaryOperand::kB)
                     .is_ok());
+    EXPECT_TRUE(p.runtime().synchronize().is_ok());
     const auto snap = p.system().snapshot();
     *overlap_ticks = snap.counter_or("cim.overlap_ticks");
     return p.system().global_time();

@@ -387,11 +387,11 @@ std::vector<float> apply_migration_trial(const MigrationTrial& trial,
   const auto va_c = p.device_zeros(trial.m * trial.n);
   const auto gemm = [&] {
     EXPECT_TRUE(p.runtime()
-                    .sgemm_with_stationary(
-                        trial.m, trial.n, trial.k, 1.0f, va_a, trial.k, va_b,
-                        trial.n, 0.0f, va_c, trial.n,
-                        cim::StationaryOperand::kB, /*cacheable=*/true)
+                    .sgemm_async(trial.m, trial.n, trial.k, 1.0f, va_a, trial.k,
+                                 va_b, trial.n, 0.0f, va_c, trial.n,
+                                 cim::StationaryOperand::kB, /*cacheable=*/true)
                     .is_ok());
+    EXPECT_TRUE(p.runtime().synchronize().is_ok());
   };
   gemm();
   EXPECT_TRUE(p.runtime().synchronize().is_ok());

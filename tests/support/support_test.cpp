@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "support/ewma.hpp"
 #include "support/fixed_point.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -15,6 +16,29 @@ namespace tdo::support {
 namespace {
 
 using namespace tdo::support::literals;
+
+TEST(EwmaTest, FirstSampleSeedsThenBlendsWithTheExactExpression) {
+  Ewma ewma;
+  EXPECT_FALSE(ewma.seeded());
+  ewma.observe(0.1, 0.3);  // seeds: alpha is ignored
+  EXPECT_TRUE(ewma.seeded());
+  EXPECT_EQ(ewma.count, 1u);
+  EXPECT_EQ(ewma.value, 0.1);
+
+  // (1 - a) * v + a * x, bit for bit; v + a * (x - v) would give 0.28.
+  ewma.observe(0.7, 0.3);
+  EXPECT_EQ(ewma.count, 2u);
+  EXPECT_EQ(ewma.value, (1.0 - 0.3) * 0.1 + 0.3 * 0.7);
+  EXPECT_NE(ewma.value, 0.1 + 0.3 * (0.7 - 0.1));
+
+  // The smoothing factor may change per sample (span-weighted windows).
+  const double before = ewma.value;
+  ewma.observe(5.1, 0.51);
+  EXPECT_EQ(ewma.value, (1.0 - 0.51) * before + 0.51 * 5.1);
+  ewma.observe(2.0, 1.0);  // full weight replaces the value
+  EXPECT_EQ(ewma.value, 2.0);
+  EXPECT_EQ(ewma.count, 4u);
+}
 
 TEST(UnitsTest, EnergyConversionsRoundTrip) {
   const Energy e = Energy::from_nj(3.9);

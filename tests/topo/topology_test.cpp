@@ -91,7 +91,8 @@ sim::Tick observed_completion_tick(Link* link, std::uint64_t* withheld) {
   const auto va_b = p.upload(testing::random_matrix(k * n, 1.0, 4));
   const auto va_c = p.device_zeros(m * n);
   EXPECT_TRUE(p.runtime()
-                  .sgemm(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n)
+                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
+                               cim::StationaryOperand::kB)
                   .is_ok());
   EXPECT_TRUE(p.runtime().synchronize().is_ok());
   // The deferred response event may land past the last job event.
