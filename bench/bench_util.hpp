@@ -6,13 +6,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cim/accelerator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/cim_blas.hpp"
+#include "sim/system.hpp"
 #include "support/rng.hpp"
+#include "support/status.hpp"
+#include "topo/topology.hpp"
 
 namespace tdo::benchutil {
 
@@ -249,5 +256,94 @@ class ZipfSampler {
   }
   return out;
 }
+
+/// A simulated CIM fleet: device ids [0, near) form the near tier and
+/// [near, near + far) sit behind one shared far link. A far device sees its
+/// DMA derated by the link multiplier (bandwidth down, burst setup up), how
+/// pooled memory looks from a DMA engine's seat, and signals completions
+/// through the link's withhold-response path. Handing the topology to the
+/// runtime (set_topology) is left to the caller.
+struct Fabric {
+  sim::System system;
+  std::unique_ptr<topo::Link> far_link;  ///< null without a far tier
+  topo::Topology topology;
+  std::vector<std::unique_ptr<cim::Accelerator>> accels;
+  std::unique_ptr<rt::CimRuntime> runtime;
+
+  Fabric(const topo::TopologySpec& spec, const rt::RuntimeConfig& config) {
+    if (spec.far > 0) {
+      topo::LinkParams lp;
+      lp.latency_multiplier = spec.far_multiplier;
+      lp.name = "farlink";
+      far_link = std::make_unique<topo::Link>(lp);
+    }
+    const cim::AcceleratorParams base;
+    for (std::size_t d = 0; d < spec.device_count(); ++d) {
+      const bool is_far = d >= spec.near;
+      auto params = cim::instance_params(base, d);
+      if (is_far) {
+        params.dma.bandwidth_bytes_per_sec /= spec.far_multiplier;
+        params.dma.burst_setup = support::Duration::from_ps(
+            params.dma.burst_setup.picoseconds() * spec.far_multiplier);
+      }
+      accels.push_back(std::make_unique<cim::Accelerator>(params, system));
+      if (is_far) {
+        accels.back()->set_response_link(far_link.get());
+        topology.add_device(topo::Topology::kFarTier, far_link.get());
+      } else {
+        topology.add_device(topo::Topology::kNearTier);
+      }
+    }
+    runtime =
+        std::make_unique<rt::CimRuntime>(config, system, *accels.front());
+    for (std::size_t d = 1; d < accels.size(); ++d) {
+      runtime->add_accelerator(*accels[d]);
+    }
+  }
+  // The accelerators and the runtime hold references into `system`.
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
+
+  /// Copies `data` into a fresh device allocation.
+  [[nodiscard]] support::StatusOr<sim::VirtAddr> upload(
+      const std::vector<float>& data) {
+    auto va = runtime->malloc_device(data.size() * 4);
+    if (!va.is_ok()) return va.status();
+    auto pa = system.mmu().translate(*va);
+    if (!pa.is_ok()) return pa.status();
+    system.memory().write(
+        *pa, std::span(reinterpret_cast<const std::uint8_t*>(data.data()),
+                       data.size() * 4));
+    return *va;
+  }
+
+  /// Whether the packed row-major m x n result at `c` is within `tolerance`
+  /// of the host reference a (m x k) * b (k x n) in every element.
+  [[nodiscard]] support::StatusOr<bool> matches_gemm(
+      sim::VirtAddr c, const std::vector<float>& a,
+      const std::vector<float>& b, std::uint64_t m, std::uint64_t n,
+      std::uint64_t k, double tolerance) {
+    std::vector<float> got(m * n);
+    auto pa = system.mmu().translate(c);
+    if (!pa.is_ok()) return pa.status();
+    system.memory().read(
+        *pa, std::span(reinterpret_cast<std::uint8_t*>(got.data()),
+                       got.size() * 4));
+    for (std::uint64_t i = 0; i < m; ++i) {
+      for (std::uint64_t j = 0; j < n; ++j) {
+        double acc = 0.0;
+        for (std::uint64_t kk = 0; kk < k; ++kk) {
+          acc += static_cast<double>(a[i * k + kk]) *
+                 static_cast<double>(b[kk * n + j]);
+        }
+        if (std::fabs(acc - static_cast<double>(got[i * n + j])) >
+            tolerance) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+};
 
 }  // namespace tdo::benchutil

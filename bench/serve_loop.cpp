@@ -6,59 +6,69 @@
 // throughput, p50/p95/p99 tail latency per deadline class, residency hit
 // rate, CPU-fallback ratio, and batch coalescing.
 //
-// Three experiments:
-//   1. Closed loop, full scheduler (dynamic batching + residency-affinity
-//      placement + adaptive admission) vs the no-batching FIFO baseline.
-//      The bench FAILS unless the full scheduler strictly beats the
-//      baseline on both throughput and p99 latency.
-//   2. Open loop at a configured arrival rate (reporting only).
-//   3. Adaptive-admission convergence: a static sweep over the
-//      min_macs_per_write ladder on a mixed-intensity load finds the best
-//      static threshold; the bench FAILS unless the adaptive controller
-//      lands within one ladder rung of it.
+// The bench is two tables of named experiments (kServingSuite, and
+// kOverloadSuite under `--overload`). Each experiment prints its table and
+// declares its gates as data: what must hold, whether the gate applies
+// under `--smoke`, and the failure text. main() runs the suite in order,
+// checks every gate in one place, and exits nonzero if any failed. The
+// headline gates:
+//   - closed loop: the full scheduler (dynamic batching + residency-affinity
+//     placement) strictly beats the no-batching FIFO baseline on both
+//     throughput and p99 latency;
+//   - admission: the adaptive controller lands within one ladder rung of
+//     the best static min_macs_per_write threshold;
+//   - overload: shedding keeps the interactive tail bounded, weighted-DRR
+//     shares hold, and the per-request pump cost stays flat in the tenant
+//     count.
 //
-// `--overload` runs only the overload-hardening suite instead: calibrated
-// shed-vs-no-shed interactive tails, weighted-DRR shares, the tenant-scale
-// flat-cost table, and (with --threads) a cross-thread flood of the
-// pump-time per-tenant bound.
-//
-// `--smoke` shrinks everything for CI. See --help for the load knobs.
+// Every load runs on serve::drive (serve/load.hpp). `--smoke` shrinks
+// everything for CI. See --help for the load knobs.
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "cim/accelerator.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/energy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
+#include "serve/load.hpp"
 #include "serve/scheduler.hpp"
-#include "topo/topology.hpp"
 #include "sim/system.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
+#include "topo/topology.hpp"
 
 namespace {
 
+using tdo::benchutil::Json;
 using tdo::benchutil::ZipfSampler;
 using tdo::benchutil::random_matrix;
+using tdo::serve::ClosedSource;
+using tdo::serve::DeadlineClass;
+using tdo::serve::OpenSource;
+using tdo::serve::sgemm_request;
 using tdo::support::Duration;
+using tdo::support::TextTable;
 
 struct Options {
   bool smoke = false;
@@ -88,103 +98,10 @@ struct Options {
   /// Non-empty: run the SLO burn-rate experiment and write the overloaded
   /// point's sampled metrics JSON here (--metrics out.json).
   std::string metrics_path;
-};
 
-/// A fully wired platform plus the serving state one load run needs. With a
-/// TopologySpec the fleet splits into a near tier plus a far pool behind one
-/// shared link: far devices see their DMA derated by the link multiplier
-/// (bandwidth down, burst setup up) and signal completions through the link's
-/// withhold-response path, and the runtime gets the topology for
-/// placement-cost routing.
-struct Platform {
-  tdo::sim::System system;
-  std::unique_ptr<tdo::topo::Link> far_link;
-  tdo::topo::Topology topology;
-  std::vector<std::unique_ptr<tdo::cim::Accelerator>> accels;
-  std::unique_ptr<tdo::rt::CimRuntime> runtime;
-
-  explicit Platform(std::size_t accelerators,
-                    tdo::rt::RuntimeConfig config = {},
-                    const std::optional<tdo::topo::TopologySpec>& spec = {}) {
-    tdo::cim::AcceleratorParams accel_params;
-    const std::size_t count =
-        spec.has_value() ? spec->device_count() : accelerators;
-    if (spec.has_value() && spec->far > 0) {
-      tdo::topo::LinkParams lp;
-      lp.latency_multiplier = spec->far_multiplier;
-      lp.name = "farlink";
-      far_link = std::make_unique<tdo::topo::Link>(lp);
-      // The link's counters and energy sink join the registry so metrics
-      // samples carry them and the traced run's span-vs-accumulator energy
-      // reconciliation sees every charged joule.
-      far_link->register_stats(system.stats());
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const bool is_far = spec.has_value() && i >= spec->near;
-      auto params = tdo::cim::instance_params(accel_params, i);
-      if (is_far) {
-        params.dma.bandwidth_bytes_per_sec /= spec->far_multiplier;
-        params.dma.burst_setup = Duration::from_ps(
-            params.dma.burst_setup.picoseconds() * spec->far_multiplier);
-      }
-      accels.push_back(
-          std::make_unique<tdo::cim::Accelerator>(params, system));
-      if (is_far) {
-        accels.back()->set_response_link(far_link.get());
-        topology.add_device(tdo::topo::Topology::kFarTier, far_link.get());
-      } else {
-        topology.add_device(tdo::topo::Topology::kNearTier);
-      }
-    }
-    config.stream.depth = 2;
-    runtime = std::make_unique<tdo::rt::CimRuntime>(config, system,
-                                                    *accels.front());
-    for (std::size_t i = 1; i < count; ++i) {
-      runtime->add_accelerator(*accels[i]);
-    }
-    if (spec.has_value()) runtime->set_topology(&topology);
+  [[nodiscard]] std::uint64_t total_requests() const {
+    return tenants * clients_per_tenant * requests_per_client;
   }
-
-  [[nodiscard]] tdo::support::StatusOr<tdo::sim::VirtAddr> upload(
-      const std::vector<float>& data) {
-    auto va = runtime->malloc_device(data.size() * 4);
-    if (!va.is_ok()) return va.status();
-    auto pa = system.mmu().translate(*va);
-    if (!pa.is_ok()) return pa.status();
-    system.memory().write(
-        *pa, std::span(reinterpret_cast<const std::uint8_t*>(data.data()),
-                       data.size() * 4));
-    return *va;
-  }
-};
-
-struct LoadResult {
-  double throughput_rps = 0.0;
-  Duration p50, p95, p99;
-  double hit_rate = 0.0;
-  double fallback_ratio = 0.0;
-  double mean_batch = 1.0;
-  tdo::serve::ServeReport serve;
-  std::vector<tdo::serve::Completion> completions;  // --dump diagnostics
-  /// Per-device load split, captured so --dump can print per-tier queue and
-  /// occupancy columns after the Platform itself is gone.
-  struct DeviceLoad {
-    int tier = 0;
-    std::uint64_t jobs = 0;  ///< device-side jobs completed (lifetime)
-  };
-  std::vector<DeviceLoad> devices;
-  std::uint64_t link_contended_ticks = 0;
-  std::uint64_t link_responses = 0;
-  /// Per-deadline-class tails (BENCH_*.json wants class-resolved latency,
-  /// not just the merged histogram the table shows).
-  struct ClassLatency {
-    std::string cls;
-    std::uint64_t count = 0;
-    Duration p50, p95, p99;
-  };
-  std::vector<ClassLatency> classes;
-  double energy_uj = 0.0;  ///< modeled energy over the ROI, all sinks
-  double edp_uj_s = 0.0;   ///< energy-delay product: energy_uj * elapsed s
 };
 
 #define BENCH_CHECK(expr)                                        \
@@ -196,6 +113,72 @@ struct LoadResult {
     }                                                            \
   } while (0)
 
+/// printf into a std::string (table cells and gate failure texts).
+[[nodiscard]] __attribute__((format(printf, 1, 2))) std::string strprintf(
+    const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  return buf;
+}
+
+/// One self-check an experiment declares. It must hold in full runs, and
+/// under --smoke too when `smoke` is set (smoke shrinks some loads below
+/// the margins a gate assumes); otherwise the bench prints `failure` and
+/// exits nonzero.
+struct Gate {
+  bool holds = true;
+  bool smoke = true;
+  std::string failure;
+};
+
+/// What the experiments of one run accumulate, in table order: their gates
+/// and the members of the run's BENCH_*.json. Only simulated-clock
+/// quantities go into the JSON: wall-clock measurements (thread scaling,
+/// tenant-scale ns/request) would make the committed baseline diff flaky.
+struct Report {
+  std::vector<Gate> gates;
+  Json json = Json::object();
+};
+
+/// A named experiment: whether this command line runs it, and the run that
+/// prints its table and declares its gates.
+struct Experiment {
+  const char* name;
+  bool (*applies)(const Options&);
+  void (*run)(const Options&, Report&);
+};
+
+/// The bench's fleet: a flat fleet of `accelerators` identical devices, or
+/// the two-tier shape of `spec` with the topology handed to the runtime
+/// for placement-cost routing. Streams run two deep.
+struct Platform : tdo::benchutil::Fabric {
+  explicit Platform(std::size_t accelerators,
+                    tdo::rt::RuntimeConfig config = {},
+                    const std::optional<tdo::topo::TopologySpec>& spec = {})
+      : Fabric{spec.value_or(tdo::topo::TopologySpec{accelerators, 0, 1.0}),
+               [&] {
+                 config.stream.depth = 2;
+                 return config;
+               }()} {
+    // The link's counters and energy sink join the registry so metrics
+    // samples carry them and the traced run's span-vs-accumulator energy
+    // reconciliation sees every charged joule.
+    if (far_link) far_link->register_stats(system.stats());
+    if (spec.has_value()) runtime->set_topology(&topology);
+    BENCH_CHECK(runtime->init(0));
+  }
+
+  [[nodiscard]] tdo::sim::VirtAddr upload_or_die(
+      const std::vector<float>& data) {
+    auto va = upload(data);
+    BENCH_CHECK(va.status());
+    return *va;
+  }
+};
+
 /// Shared serving state: weight universe + per-client activation/output
 /// buffer pools (rotating so back-to-back requests of one client do not
 /// collide on C while the stream pipelines).
@@ -203,12 +186,9 @@ struct ServingState {
   std::vector<tdo::sim::VirtAddr> weights;
   struct Client {
     std::uint32_t tenant = 0;
-    tdo::serve::DeadlineClass deadline = tdo::serve::DeadlineClass::kStandard;
+    DeadlineClass deadline = DeadlineClass::kStandard;
     std::vector<tdo::sim::VirtAddr> va_a, va_c;
-    std::vector<float> host_a;  ///< payload re-uploaded per request
     std::size_t submitted = 0;
-    std::size_t completed = 0;
-    bool busy = false;
   };
   std::vector<Client> clients;
   ZipfSampler zipf;
@@ -217,26 +197,21 @@ struct ServingState {
       : zipf{opts.weight_sets, opts.zipf_alpha, opts.seed} {
     constexpr std::size_t kPool = 6;
     for (std::size_t w = 0; w < opts.weight_sets; ++w) {
-      auto va = platform.upload(
-          random_matrix(opts.k * opts.n, 1.0, opts.seed + 100 + w));
-      BENCH_CHECK(va.status());
-      weights.push_back(*va);
+      weights.push_back(platform.upload_or_die(
+          random_matrix(opts.k * opts.n, 1.0, opts.seed + 100 + w)));
     }
     for (std::size_t t = 0; t < opts.tenants; ++t) {
       for (std::size_t c = 0; c < opts.clients_per_tenant; ++c) {
         Client client;
         client.tenant = static_cast<std::uint32_t>(t);
-        client.deadline =
-            static_cast<tdo::serve::DeadlineClass>(t % tdo::serve::kDeadlineClasses);
-        client.host_a =
+        client.deadline = static_cast<DeadlineClass>(
+            t % tdo::serve::kDeadlineClasses);
+        const std::vector<float> host_a =
             random_matrix(opts.m * opts.k, 1.0, opts.seed + 7 + t * 31 + c);
         for (std::size_t p = 0; p < kPool; ++p) {
-          auto a = platform.upload(client.host_a);
-          BENCH_CHECK(a.status());
-          auto out = platform.upload(std::vector<float>(opts.m * opts.n, 0.0f));
-          BENCH_CHECK(out.status());
-          client.va_a.push_back(*a);
-          client.va_c.push_back(*out);
+          client.va_a.push_back(platform.upload_or_die(host_a));
+          client.va_c.push_back(platform.upload_or_die(
+              std::vector<float>(opts.m * opts.n, 0.0f)));
         }
         clients.push_back(std::move(client));
       }
@@ -248,286 +223,240 @@ struct ServingState {
     Client& client = clients[client_index];
     const std::size_t w = zipf.next();
     const std::size_t pool = client.submitted % client.va_a.size();
-    tdo::serve::Request request;
-    request.tenant = client.tenant;
-    request.deadline = client.deadline;
-    request.op = tdo::serve::Op::kSgemm;
-    request.m = opts.m;
-    request.n = opts.n;
-    request.k = opts.k;
-    request.a = client.va_a[pool];
-    request.b = weights[w];
-    request.c = client.va_c[pool];
-    request.lda = opts.k;
-    request.ldb = opts.n;
-    request.ldc = opts.n;
-    request.cacheable = true;
     client.submitted += 1;
-    client.busy = true;
-    return request;
+    return sgemm_request(client.tenant, client.deadline, opts.m, opts.n,
+                         opts.k, client.va_a[pool], weights[w],
+                         client.va_c[pool]);
+  }
+
+  /// Every client in a closed loop of opts.requests_per_client requests.
+  [[nodiscard]] ClosedSource closed(const Options& opts,
+                                    std::uint64_t upload_bytes = 0) {
+    return ClosedSource{clients.size(), opts.requests_per_client,
+                        [this, &opts](std::size_t client, std::size_t) {
+                          return next_request(opts, client);
+                        },
+                        upload_bytes};
   }
 };
 
-/// Counter baseline captured at the warm-up ROI marker so the reported
-/// rates describe steady state, not the cold start (the same
-/// snapshot-around-ROI discipline the latency histograms use).
-struct RoiBase {
-  std::uint64_t residency_hits = 0, residency_misses = 0;
-  std::uint64_t stream_enqueued = 0, stream_fallbacks = 0;
-  std::uint64_t serve_launches = 0, serve_completed = 0;
-  double energy_pj = 0.0;  ///< every registered sink, for ROI energy deltas
+[[nodiscard]] tdo::serve::SchedulerParams serving_params(const Options& opts) {
+  tdo::serve::SchedulerParams params;
+  params.batcher.max_batch = opts.batch_max;
+  params.batcher.max_wait = Duration::from_us(opts.max_wait_us);
+  params.admission.probe_period = 0;  // bootstrap probes only (steady load)
+  return params;
+}
 
-  static RoiBase capture(Platform& platform,
-                         tdo::serve::Scheduler& scheduler) {
-    RoiBase base;
-    for (const auto& [name, pj] :
-         platform.system.stats().snapshot().energies_pj) {
-      base.energy_pj += pj;
-    }
-    const auto residency = platform.runtime->residency().report();
-    base.residency_hits = residency.hits;
-    base.residency_misses = residency.misses;
-    const auto stream = platform.runtime->stream().report();
-    base.stream_enqueued = stream.enqueued;
-    base.stream_fallbacks = stream.cpu_fallbacks;
-    const auto serve = scheduler.report();
-    base.serve_launches = serve.launches;
-    base.serve_completed = serve.completed;
-    return base;
-  }
-};
-
-[[nodiscard]] LoadResult finish_result(Platform& platform,
-                                       tdo::serve::Scheduler& scheduler,
-                                       const RoiBase& roi,
-                                       std::uint64_t completed,
-                                       Duration elapsed) {
-  LoadResult result;
-  result.throughput_rps =
-      static_cast<double>(completed) / std::max(elapsed.seconds(), 1e-12);
+[[nodiscard]] tdo::support::LatencyHistogram merged_latency(
+    const tdo::serve::Scheduler& scheduler) {
   tdo::support::LatencyHistogram all;
   for (std::size_t c = 0; c < tdo::serve::kDeadlineClasses; ++c) {
-    const auto hist =
-        scheduler.class_latency(static_cast<tdo::serve::DeadlineClass>(c));
-    all.merge(hist);
-    if (hist.count() > 0) {
-      result.classes.push_back(LoadResult::ClassLatency{
-          tdo::serve::to_string(static_cast<tdo::serve::DeadlineClass>(c)),
-          hist.count(), hist.quantile(0.50), hist.quantile(0.95),
-          hist.quantile(0.99)});
+    all.merge(scheduler.class_latency(static_cast<DeadlineClass>(c)));
+  }
+  return all;
+}
+
+[[nodiscard]] double total_energy_pj(
+    const tdo::support::StatsSnapshot& snapshot) {
+  double pj = 0.0;
+  for (const auto& [name, sink_pj] : snapshot.energies_pj) pj += sink_pj;
+  return pj;
+}
+
+/// --dump: every closed-loop completion plus the per-device and per-tier
+/// load split of one run.
+[[nodiscard]] std::string dump_text(
+    const char* label, Platform& platform,
+    const std::vector<tdo::serve::Completion>& completions,
+    std::uint64_t far_routed) {
+  std::string out = strprintf("\n-- completions (%s) --\n", label);
+  for (const auto& c : completions) {
+    const int tier =
+        c.device < 0 ? 0 : platform.topology.tier(std::size_t(c.device));
+    out += strprintf(
+        "  id %3llu tenant %u cls %-11s arr %9.1f disp %9.1f done %9.1f "
+        "lat %8.1f us batch %u dev %d tier %d %s\n",
+        static_cast<unsigned long long>(c.id), c.tenant,
+        tdo::serve::to_string(c.deadline), c.arrival.microseconds(),
+        c.dispatch.microseconds(), c.done.microseconds(),
+        c.latency().microseconds(), c.batch_size, c.device, tier,
+        c.offloaded ? "dev" : "host");
+  }
+  // Per-tier queue/occupancy split: scheduler-side routed requests
+  // ("queue") vs device-side jobs actually retired ("jobs"; batching
+  // and runtime-internal launches make the two differ).
+  out += strprintf("-- per-device load (%s) --\n", label);
+  std::vector<std::uint64_t> routed(platform.accels.size(), 0);
+  for (const auto& c : completions) {
+    if (c.device >= 0 && static_cast<std::size_t>(c.device) < routed.size()) {
+      ++routed[static_cast<std::size_t>(c.device)];
     }
   }
-  result.p50 = all.quantile(0.50);
-  result.p95 = all.quantile(0.95);
-  result.p99 = all.quantile(0.99);
-  double energy_pj = 0.0;
-  for (const auto& [name, pj] :
-       platform.system.stats().snapshot().energies_pj) {
-    energy_pj += pj;
-  }
-  result.energy_uj = (energy_pj - roi.energy_pj) * 1e-6;
-  result.edp_uj_s = result.energy_uj * elapsed.seconds();
-  const auto residency = platform.runtime->residency().report();
-  const std::uint64_t hits = residency.hits - roi.residency_hits;
-  const std::uint64_t lookups =
-      hits + residency.misses - roi.residency_misses;
-  result.hit_rate = lookups == 0 ? 0.0
-                                 : static_cast<double>(hits) /
-                                       static_cast<double>(lookups);
-  const auto stream = platform.runtime->stream().report();
-  const std::uint64_t enqueued = stream.enqueued - roi.stream_enqueued;
-  result.fallback_ratio =
-      enqueued == 0
-          ? 0.0
-          : static_cast<double>(stream.cpu_fallbacks - roi.stream_fallbacks) /
-                static_cast<double>(enqueued);
-  result.serve = scheduler.report();
-  const std::uint64_t launches = result.serve.launches - roi.serve_launches;
-  result.mean_batch =
-      launches == 0
-          ? 1.0
-          : static_cast<double>(result.serve.completed - roi.serve_completed) /
-                static_cast<double>(launches);
-  for (std::size_t d = 0; d < platform.accels.size(); ++d) {
-    result.devices.push_back(LoadResult::DeviceLoad{
-        platform.topology.tier(d), platform.accels[d]->jobs_completed()});
+  for (std::size_t d = 0; d < routed.size(); ++d) {
+    out += strprintf("  dev %zu tier %-4s queue %4llu jobs %4llu\n", d,
+                     platform.topology.tier(d) == 1 ? "far" : "near",
+                     static_cast<unsigned long long>(routed[d]),
+                     static_cast<unsigned long long>(
+                         platform.accels[d]->jobs_completed()));
   }
   if (platform.far_link) {
-    result.link_contended_ticks = platform.far_link->contended_ticks();
-    result.link_responses = platform.far_link->responses();
+    out += strprintf(
+        "  far link: contended ticks %llu, responses %llu, far-routed %llu\n",
+        static_cast<unsigned long long>(platform.far_link->contended_ticks()),
+        static_cast<unsigned long long>(platform.far_link->responses()),
+        static_cast<unsigned long long>(far_routed));
   }
-  return result;
+  return out;
 }
 
-/// Closed loop: every client keeps exactly one request in flight.
-[[nodiscard]] LoadResult run_closed_loop(const Options& opts, bool batching,
-                                         bool affinity, bool adaptive) {
-  Platform platform{opts.accelerators, {}, opts.topology};
-  BENCH_CHECK(platform.runtime->init(0));
-  ServingState state{platform, opts};
-
-  tdo::serve::SchedulerParams params;
-  params.batching = batching;
-  params.residency_affinity = affinity;
-  params.placement = opts.placement;
-  params.admission.adaptive = adaptive;
-  params.admission.probe_period = 0;  // bootstrap probes only (steady load)
-  params.batcher.max_batch = opts.batch_max;
-  params.batcher.max_wait = Duration::from_us(opts.max_wait_us);
-  tdo::serve::Scheduler scheduler{params, *platform.runtime};
-
-  std::map<std::uint64_t, std::size_t> owner;  // request id -> client
-  std::vector<tdo::serve::Completion> all_completions;
-  std::uint64_t completed = 0;
-  const std::uint64_t target =
-      opts.tenants * opts.clients_per_tenant * opts.requests_per_client;
-  // Steady-state ROI: the first quarter warms the residency cache and the
-  // admission EWMAs; stats and timing restart at the ROI marker.
-  const std::uint64_t warmup = std::max<std::uint64_t>(
-      state.clients.size(), target / 4);
-  bool roi_open = false;
-  std::uint64_t roi_completed = 0;
-  RoiBase roi = RoiBase::capture(platform, scheduler);
-  Duration t0 = platform.system.global_time();
-
-  while (completed < target) {
-    if (!roi_open && completed >= warmup) {
-      scheduler.reset_latency_stats();
-      roi = RoiBase::capture(platform, scheduler);
-      t0 = platform.system.global_time();
-      roi_open = true;
-    }
-    bool progressed = false;
-    for (std::size_t i = 0; i < state.clients.size(); ++i) {
-      auto& client = state.clients[i];
-      if (client.busy || client.submitted >= opts.requests_per_client) continue;
-      const auto request = state.next_request(opts, i);
-      auto id = scheduler.submit(request);
-      BENCH_CHECK(id.status());
-      owner[*id] = i;
-      progressed = true;
-    }
-    BENCH_CHECK(scheduler.pump());
-    for (const auto& completion : scheduler.take_completions()) {
-      auto it = owner.find(completion.id);
-      if (it != owner.end()) {
-        state.clients[it->second].busy = false;
-        state.clients[it->second].completed += 1;
-        owner.erase(it);
-      }
-      all_completions.push_back(completion);
-      completed += 1;
-      if (roi_open) roi_completed += 1;
-      progressed = true;
-    }
-    if (progressed || completed >= target) continue;
-    if (!scheduler.advance_to_next_event()) BENCH_CHECK(scheduler.drain());
-  }
-  BENCH_CHECK(scheduler.drain());
-  for (const auto& completion : scheduler.take_completions()) {
-    all_completions.push_back(completion);
-    completed += 1;
-    if (roi_open) roi_completed += 1;
-  }
-  const Duration elapsed = platform.system.global_time() - t0;
-  LoadResult result =
-      finish_result(platform, scheduler, roi, roi_completed, elapsed);
-  result.completions = std::move(all_completions);
-  return result;
-}
-
-/// Open loop: requests arrive on a fixed-rate jittered schedule regardless
-/// of completion progress (arrival stamps predate submission when the
-/// scheduler falls behind, so latency includes front-end backlog).
-[[nodiscard]] LoadResult run_open_loop(const Options& opts) {
-  Platform platform{opts.accelerators, {}, opts.topology};
-  BENCH_CHECK(platform.runtime->init(0));
-  ServingState state{platform, opts};
-
-  tdo::serve::SchedulerParams params;
-  params.batcher.max_batch = opts.batch_max;
-  params.batcher.max_wait = Duration::from_us(opts.max_wait_us);
-  params.admission.probe_period = 0;
-  tdo::serve::Scheduler scheduler{params, *platform.runtime};
-
-  const std::uint64_t total =
-      opts.tenants * opts.clients_per_tenant * opts.requests_per_client;
-  // Deterministic jittered arrivals around the configured rate; client
-  // round-robin keeps per-client request ordering sane.
-  tdo::support::Rng jitter{opts.seed ^ 0x5eedull};
-  const double gap_us = 1e6 / opts.open_rate_rps;
-  std::vector<std::pair<Duration, std::size_t>> arrivals;
-  double at_us = 1.0;
-  for (std::uint64_t r = 0; r < total; ++r) {
-    arrivals.emplace_back(Duration::from_us(at_us),
-                          static_cast<std::size_t>(r % state.clients.size()));
-    at_us += gap_us * jitter.uniform(0.5, 1.5);
-  }
-
-  std::uint64_t completed = 0;
-  std::uint64_t roi_completed = 0;
-  const std::uint64_t warmup = std::max<std::uint64_t>(
-      state.clients.size(), total / 4);
-  bool roi_open = false;
-  std::size_t next_arrival = 0;
-  RoiBase roi = RoiBase::capture(platform, scheduler);
-  Duration t0 = platform.system.global_time();
-  while (completed < total) {
-    if (!roi_open && completed >= warmup) {
-      scheduler.reset_latency_stats();
-      roi = RoiBase::capture(platform, scheduler);
-      t0 = platform.system.global_time();
-      roi_open = true;
-    }
-    const Duration now = platform.system.global_time();
-    bool progressed = false;
-    while (next_arrival < arrivals.size() &&
-           arrivals[next_arrival].first <= now) {
-      auto request = state.next_request(opts, arrivals[next_arrival].second);
-      request.arrival = arrivals[next_arrival].first;
-      auto id = scheduler.submit(request);
-      BENCH_CHECK(id.status());
-      next_arrival += 1;
-      progressed = true;
-    }
-    BENCH_CHECK(scheduler.pump());
-    const auto done = scheduler.take_completions();
-    completed += done.size();
-    if (roi_open) roi_completed += done.size();
-    progressed = progressed || !done.empty();
-    if (progressed || completed >= total) continue;
-
-    std::optional<tdo::sim::Tick> arrival_wake;
-    if (next_arrival < arrivals.size()) {
-      arrival_wake = arrivals[next_arrival].first.ticks();
-    }
-    if (!scheduler.advance_to_next_event(arrival_wake)) {
-      BENCH_CHECK(scheduler.drain());
-    }
-  }
-  BENCH_CHECK(scheduler.drain());
-  roi_completed += scheduler.take_completions().size();
-  const Duration elapsed = platform.system.global_time() - t0;
-  return finish_result(platform, scheduler, roi, roi_completed, elapsed);
-}
-
-/// Adaptive-admission convergence experiment: mixed-intensity sequential
-/// load, static threshold sweep vs the adaptive controller.
-struct AdmissionOutcome {
-  int best_static_rung = 0;
-  double best_static = 0.0;
-  int adaptive_rung = 0;
-  double adaptive = 0.0;
-  bool converged = false;
+/// What one serving load reports: its table row, its BENCH_*.json member,
+/// its --dump text, and the two numbers the serving gate compares.
+struct LoadResult {
+  double throughput_rps = 0.0;
+  Duration p99;
+  std::vector<std::string> row;
+  Json json = Json::object();
+  std::string dump;
 };
 
-[[nodiscard]] Duration run_admission_load(const Options& opts, bool adaptive,
-                                          double static_threshold,
-                                          double* adaptive_knob) {
+/// One serving load on a fresh platform: closed loop (every client keeps
+/// exactly one request in flight) or open loop (requests arrive on a
+/// fixed-rate jittered schedule regardless of completion progress; arrival
+/// stamps predate submission when the scheduler falls behind, so latency
+/// includes front-end backlog). Steady-state ROI: the first quarter warms
+/// the residency cache and the admission EWMAs; counters, latency
+/// histograms and timing restart at the warm-up marker. A closed run with a
+/// `dump_label` keeps its --dump text.
+[[nodiscard]] LoadResult run_load(const Options& opts, const char* name,
+                                  const tdo::serve::SchedulerParams& params,
+                                  bool open,
+                                  const char* dump_label = nullptr) {
+  Platform platform{opts.accelerators, {}, opts.topology};
+  ServingState state{platform, opts};
+  tdo::serve::Scheduler scheduler{params, *platform.runtime};
+  const std::uint64_t target = opts.total_requests();
+
+  // Deterministic jittered arrivals around the configured rate; client
+  // round-robin keeps per-client request ordering sane.
+  std::vector<Duration> arrivals;
+  if (open) {
+    tdo::support::Rng jitter{opts.seed ^ 0x5eedull};
+    const double gap_us = 1e6 / opts.open_rate_rps;
+    double at_us = 1.0;
+    for (std::uint64_t r = 0; r < target; ++r) {
+      arrivals.push_back(Duration::from_us(at_us));
+      at_us += gap_us * jitter.uniform(0.5, 1.5);
+    }
+  }
+  OpenSource open_source{arrivals, [&](std::size_t r) {
+                           auto request = state.next_request(
+                               opts, r % state.clients.size());
+                           request.arrival = arrivals[r];
+                           return request;
+                         }};
+  ClosedSource closed_source = state.closed(opts);
+  tdo::serve::Source& source =
+      open ? static_cast<tdo::serve::Source&>(open_source) : closed_source;
+
+  tdo::support::StatsSnapshot roi = platform.system.snapshot();
+  Duration t0 = platform.system.global_time();
+  std::optional<std::uint64_t> roi_at;
+  const tdo::serve::Warmup warmup{
+      std::max<std::uint64_t>(state.clients.size(), target / 4),
+      [&](std::uint64_t completed) {
+        scheduler.reset_latency_stats();
+        roi = platform.system.snapshot();
+        t0 = platform.system.global_time();
+        roi_at = completed;
+      }};
+  const auto finished = drive(scheduler, source, target,
+                              tdo::serve::Advance::kWhenIdle, warmup);
+  BENCH_CHECK(finished.status());
+  const std::uint64_t roi_completed =
+      roi_at ? finished->size() - *roi_at : 0;
+  const Duration elapsed = platform.system.global_time() - t0;
+
+  LoadResult result;
+  result.throughput_rps = static_cast<double>(roi_completed) /
+                          std::max(elapsed.seconds(), 1e-12);
+  // Per-deadline-class tails: BENCH_*.json wants class-resolved latency,
+  // not just the merged histogram the table shows.
+  Json classes = Json::object();
+  for (std::size_t c = 0; c < tdo::serve::kDeadlineClasses; ++c) {
+    const auto cls = static_cast<DeadlineClass>(c);
+    const auto hist = scheduler.class_latency(cls);
+    if (hist.count() == 0) continue;
+    Json cj = Json::object();
+    cj.set("count", Json::number(hist.count()));
+    cj.set("p50_us", Json::number(hist.quantile(0.50).microseconds()));
+    cj.set("p95_us", Json::number(hist.quantile(0.95).microseconds()));
+    cj.set("p99_us", Json::number(hist.quantile(0.99).microseconds()));
+    classes.set(tdo::serve::to_string(cls), std::move(cj));
+  }
+  const auto all = merged_latency(scheduler);
+  const Duration p50 = all.quantile(0.50);
+  const Duration p95 = all.quantile(0.95);
+  result.p99 = all.quantile(0.99);
+  // Modeled energy over the ROI, all sinks.
+  const tdo::support::StatsSnapshot end = platform.system.snapshot();
+  const double energy_uj =
+      (total_energy_pj(end) - total_energy_pj(roi)) * 1e-6;
+  const auto delta = end.delta_since(roi);
+  const auto ratio = [](std::uint64_t part, std::uint64_t whole,
+                        double fallback) {
+    return whole == 0 ? fallback
+                      : static_cast<double>(part) / static_cast<double>(whole);
+  };
+  const std::uint64_t hits = delta.counter_or("residency.hits");
+  const double hit_rate =
+      ratio(hits, hits + delta.counter_or("residency.misses"), 0.0);
+  const double fallback_ratio = ratio(delta.counter_or("stream.cpu_fallbacks"),
+                                      delta.counter_or("stream.enqueued"), 0.0);
+  const double mean_batch = ratio(delta.counter_or("serve.completed"),
+                                  delta.counter_or("serve.launches"), 1.0);
+  const std::uint64_t rejected = end.counter_or("serve.rejected");
+  const std::uint64_t affinity = end.counter_or("serve.affinity_routed");
+
+  result.row = {name,
+                strprintf("%.0f", result.throughput_rps),
+                strprintf("%.1f", p50.microseconds()),
+                strprintf("%.1f", p95.microseconds()),
+                strprintf("%.1f", result.p99.microseconds()),
+                strprintf("%.1f%%", hit_rate * 100.0),
+                strprintf("%.1f%%", fallback_ratio * 100.0),
+                strprintf("%.2f", mean_batch),
+                std::to_string(affinity),
+                std::to_string(rejected)};
+  Json& j = result.json;
+  j.set("throughput_rps", Json::number(result.throughput_rps));
+  j.set("p50_us", Json::number(p50.microseconds()));
+  j.set("p95_us", Json::number(p95.microseconds()));
+  j.set("p99_us", Json::number(result.p99.microseconds()));
+  j.set("classes", std::move(classes));
+  j.set("hit_rate", Json::number(hit_rate));
+  j.set("fallback_ratio", Json::number(fallback_ratio));
+  j.set("mean_batch", Json::number(mean_batch));
+  j.set("energy_uj", Json::number(energy_uj));
+  j.set("edp_uj_s", Json::number(energy_uj * elapsed.seconds()));
+  j.set("completed", Json::number(end.counter_or("serve.completed")));
+  j.set("rejected", Json::number(rejected));
+  j.set("affinity_routed", Json::number(affinity));
+  if (opts.dump && dump_label != nullptr) {
+    result.dump = dump_text(dump_label, platform, *finished,
+                            end.counter_or("serve.far_routed"));
+  }
+  return result;
+}
+
+/// Adaptive-admission convergence load: mixed-intensity sequential
+/// requests, either at one static threshold or under the adaptive
+/// controller. Returns the elapsed time and the final min_macs_per_write.
+[[nodiscard]] std::pair<Duration, double> run_admission_load(
+    const Options& opts, bool adaptive, double static_threshold) {
   tdo::rt::RuntimeConfig config;
   config.stream.min_macs_per_write = adaptive ? 0.0 : static_threshold;
   Platform platform{1, config};
-  BENCH_CHECK(platform.runtime->init(0));
 
   tdo::serve::SchedulerParams params;
   params.batching = false;  // per-request launches: the threshold's domain
@@ -545,15 +474,11 @@ struct AdmissionOutcome {
 
   std::vector<tdo::sim::VirtAddr> va_a, va_b, va_c;
   for (const std::uint64_t m : ms) {
-    auto a = platform.upload(random_matrix(m * k, 1.0, opts.seed + m));
-    auto b = platform.upload(random_matrix(k * n, 1.0, opts.seed + 200 + m));
-    auto c = platform.upload(std::vector<float>(m * n, 0.0f));
-    BENCH_CHECK(a.status());
-    BENCH_CHECK(b.status());
-    BENCH_CHECK(c.status());
-    va_a.push_back(*a);
-    va_b.push_back(*b);
-    va_c.push_back(*c);
+    va_a.push_back(
+        platform.upload_or_die(random_matrix(m * k, 1.0, opts.seed + m)));
+    va_b.push_back(platform.upload_or_die(
+        random_matrix(k * n, 1.0, opts.seed + 200 + m)));
+    va_c.push_back(platform.upload_or_die(std::vector<float>(m * n, 0.0f)));
   }
 
   const Duration t0 = platform.system.global_time();
@@ -562,60 +487,15 @@ struct AdmissionOutcome {
       // Fresh activations ride the scheduler's measured upload path, feeding
       // the adaptive min_async_bytes break-even estimate.
       BENCH_CHECK(scheduler.upload(va_a[s], va_a[s], ms[s] * k * 4));
-      tdo::serve::Request request;
-      request.tenant = 0;
-      request.op = tdo::serve::Op::kSgemm;
-      request.m = ms[s];
-      request.n = n;
-      request.k = k;
-      request.a = va_a[s];
-      request.b = va_b[s];
-      request.c = va_c[s];
-      request.lda = k;
-      request.ldb = n;
-      request.ldc = n;
+      auto request = sgemm_request(0, DeadlineClass::kStandard, ms[s], n, k,
+                                   va_a[s], va_b[s], va_c[s]);
       request.cacheable = false;
       BENCH_CHECK(scheduler.submit(request).status());
       BENCH_CHECK(scheduler.drain());  // sequential: isolate per-site costs
     }
   }
-  if (adaptive_knob != nullptr) {
-    *adaptive_knob = scheduler.admission().report().min_macs_per_write;
-  }
-  return platform.system.global_time() - t0;
-}
-
-[[nodiscard]] AdmissionOutcome run_admission_experiment(const Options& opts) {
-  // The sweep and the controller share one ladder, so "within one rung" is
-  // well defined.
-  tdo::serve::AdmissionController ladder{{}, 0.0, 0};
-  AdmissionOutcome outcome;
-  Duration best = Duration::from_sec(1e18);
-  const int rungs = opts.smoke ? 8 : 10;
-  for (int i = 0; i < rungs; ++i) {
-    const double threshold = ladder.rung(i);
-    const Duration elapsed =
-        run_admission_load(opts, /*adaptive=*/false, threshold, nullptr);
-    std::printf("  static min_macs_per_write %-8.0f -> %s\n", threshold,
-                elapsed.to_string().c_str());
-    if (elapsed < best) {
-      best = elapsed;
-      outcome.best_static = threshold;
-      outcome.best_static_rung = i;
-    }
-  }
-  double knob = 0.0;
-  const Duration adaptive_time =
-      run_admission_load(opts, /*adaptive=*/true, 0.0, &knob);
-  outcome.adaptive = knob;
-  outcome.adaptive_rung = ladder.rung_index(knob);
-  outcome.converged =
-      std::abs(outcome.adaptive_rung - outcome.best_static_rung) <= 1;
-  std::printf("  adaptive                      -> %s (knob %.0f, rung %d; "
-              "best static %.0f, rung %d)\n",
-              adaptive_time.to_string().c_str(), knob, outcome.adaptive_rung,
-              outcome.best_static, outcome.best_static_rung);
-  return outcome;
+  return {platform.system.global_time() - t0,
+          scheduler.admission().report().min_macs_per_write};
 }
 
 // --- thread-parallel submission experiments ---
@@ -632,7 +512,6 @@ struct AdmissionOutcome {
 /// count over the widest shard clock — deterministic regardless of OS
 /// interleaving (end-to-end completion rate can wiggle with dispatch order).
 struct SubmitScale {
-  std::size_t threads = 0;
   double submit_rps = 0.0;
   double e2e_rps = 0.0;
   std::uint64_t ring_contended = 0;
@@ -644,18 +523,13 @@ struct SubmitScale {
 [[nodiscard]] SubmitScale run_submit_scaling(const Options& opts,
                                              std::size_t threads) {
   Platform platform{opts.accelerators, {}, opts.topology};
-  BENCH_CHECK(platform.runtime->init(0));
   ServingState state{platform, opts};
 
-  tdo::serve::SchedulerParams params;
-  params.batcher.max_batch = opts.batch_max;
-  params.batcher.max_wait = Duration::from_us(opts.max_wait_us);
-  params.admission.probe_period = 0;
+  tdo::serve::SchedulerParams params = serving_params(opts);
   params.submit_cost = Duration::from_us(2.0).ticks();
   tdo::serve::Scheduler scheduler{params, *platform.runtime};
 
-  const std::uint64_t total =
-      opts.tenants * opts.clients_per_tenant * opts.requests_per_client;
+  const std::uint64_t total = opts.total_requests();
   std::vector<tdo::serve::Request> requests;
   requests.reserve(total);
   for (std::uint64_t r = 0; r < total; ++r) {
@@ -686,28 +560,17 @@ struct SubmitScale {
   // last submission, then the driver pumps the backlog to completion.
   platform.system.events().advance_to(scheduler.max_submit_clock());
   const std::uint64_t accepted = total - rejected.load();
-  std::uint64_t completed = 0;
-  while (completed < accepted) {
-    BENCH_CHECK(scheduler.pump());
-    completed += scheduler.take_completions().size();
-    if (completed >= accepted) break;
-    if (!scheduler.advance_to_next_event()) BENCH_CHECK(scheduler.drain());
-  }
-  BENCH_CHECK(scheduler.drain());
-  completed += scheduler.take_completions().size();
+  OpenSource backlog{{}, nullptr};
+  const auto finished = drive(scheduler, backlog, accepted,
+                              tdo::serve::Advance::kEveryRound);
+  BENCH_CHECK(finished.status());
 
-  SubmitScale result;
-  result.threads = threads;
-  result.submit_rps = static_cast<double>(accepted) /
-                      std::max(tdo::sim::from_ticks(span).seconds(), 1e-12);
-  result.e2e_rps =
-      static_cast<double>(completed) /
-      std::max(platform.system.global_time().seconds(), 1e-12);
-  result.ring_contended = scheduler.ring_lock_contended();
-  result.latency_contended = scheduler.latency_lock_contended();
-  result.stream_ring_contended = platform.runtime->stream().ring_lock_contended();
-  result.rejected = rejected.load();
-  return result;
+  return {static_cast<double>(accepted) /
+              std::max(tdo::sim::from_ticks(span).seconds(), 1e-12),
+          static_cast<double>(finished->size()) /
+              std::max(platform.system.global_time().seconds(), 1e-12),
+          scheduler.ring_lock_contended(), scheduler.latency_lock_contended(),
+          platform.runtime->stream().ring_lock_contended(), rejected.load()};
 }
 
 /// Matched-arrival contended run: one external arrival schedule shared by
@@ -717,7 +580,6 @@ struct SubmitScale {
 /// and extra submitter threads remove it. Single-threaded simulated
 /// replay: fully deterministic.
 struct ContendedLoad {
-  std::size_t threads = 0;
   Duration p50, p99;
   Duration worst_wait;  ///< max submission-pipeline delay vs external arrival
 };
@@ -725,77 +587,41 @@ struct ContendedLoad {
 [[nodiscard]] ContendedLoad run_contended_loop(const Options& opts,
                                                std::size_t threads) {
   Platform platform{opts.accelerators, {}, opts.topology};
-  BENCH_CHECK(platform.runtime->init(0));
   ServingState state{platform, opts};
+  tdo::serve::Scheduler scheduler{serving_params(opts), *platform.runtime};
 
-  tdo::serve::SchedulerParams params;
-  params.batcher.max_batch = opts.batch_max;
-  params.batcher.max_wait = Duration::from_us(opts.max_wait_us);
-  params.admission.probe_period = 0;
-  tdo::serve::Scheduler scheduler{params, *platform.runtime};
-
-  const std::uint64_t total =
-      opts.tenants * opts.clients_per_tenant * opts.requests_per_client;
+  const std::uint64_t total = opts.total_requests();
   // Demand every 40 us; each submission pipelines 120 us of front-end work.
   // One thread falls behind (3x oversubscribed), four keep up with margin.
   const Duration gap = Duration::from_us(40.0);
   const Duration submit_cost = Duration::from_us(120.0);
-  struct Slot {
-    Duration arrival, ready;
-    std::size_t client = 0;
-  };
-  std::vector<Slot> schedule;
-  schedule.reserve(total);
+  std::vector<Duration> arrival, ready;
   std::vector<Duration> clocks(threads, platform.system.global_time());
   Duration at = platform.system.global_time() + Duration::from_us(1.0);
   Duration worst_wait = Duration::zero();
   for (std::uint64_t r = 0; r < total; ++r) {
     Duration& clock = clocks[r % threads];
     clock = std::max(clock, at) + submit_cost;
-    schedule.push_back(Slot{at, clock, r % state.clients.size()});
+    arrival.push_back(at);
+    ready.push_back(clock);
     worst_wait = std::max(worst_wait, clock - at);
     at += gap;
   }
+  OpenSource source{ready, [&](std::size_t r) {
+                      auto request =
+                          state.next_request(opts, r % state.clients.size());
+                      request.arrival = arrival[r];
+                      return request;
+                    }};
+  BENCH_CHECK(drive(scheduler, source, total).status());
 
-  std::uint64_t completed = 0;
-  std::size_t next = 0;
-  while (completed < total) {
-    const Duration now = platform.system.global_time();
-    bool progressed = false;
-    while (next < schedule.size() && schedule[next].ready <= now) {
-      auto request = state.next_request(opts, schedule[next].client);
-      request.arrival = schedule[next].arrival;
-      BENCH_CHECK(scheduler.submit(request).status());
-      next += 1;
-      progressed = true;
-    }
-    BENCH_CHECK(scheduler.pump());
-    const auto done = scheduler.take_completions();
-    completed += done.size();
-    progressed = progressed || !done.empty();
-    if (progressed || completed >= total) continue;
-    std::optional<tdo::sim::Tick> wake;
-    if (next < schedule.size()) wake = schedule[next].ready.ticks();
-    if (!scheduler.advance_to_next_event(wake)) BENCH_CHECK(scheduler.drain());
-  }
-  BENCH_CHECK(scheduler.drain());
-  (void)scheduler.take_completions();
-
-  ContendedLoad result;
-  result.threads = threads;
-  tdo::support::LatencyHistogram all;
-  for (std::size_t c = 0; c < tdo::serve::kDeadlineClasses; ++c) {
-    all.merge(scheduler.class_latency(static_cast<tdo::serve::DeadlineClass>(c)));
-  }
-  result.p50 = all.quantile(0.50);
-  result.p99 = all.quantile(0.99);
-  result.worst_wait = worst_wait;
-  return result;
+  const auto all = merged_latency(scheduler);
+  return {all.quantile(0.50), all.quantile(0.99), worst_wait};
 }
 
 // --- overload-hardening experiments (--overload) ---
 //
-// The suite that gates this PR's serving-layer hardening: calibrated
+// The suite that gates the serving layer's overload hardening: calibrated
 // overload points (shed vs no-shed vs uncontended interactive p99), the
 // weighted-DRR share table, the tenant-scale flat-cost table, and — with
 // --threads — a cross-thread flood that exercises the pump-time per-tenant
@@ -813,7 +639,6 @@ struct OverloadPoint {
   Duration interactive_p50, interactive_p99;
   std::uint64_t interactive_done = 0;
   std::uint64_t shed = 0;
-  Duration heavy_service;
 };
 
 /// What one metrics-sampled overload point recorded (--metrics): the SLO
@@ -829,26 +654,21 @@ struct MetricsCapture {
     const Options& opts, bool shed_enabled, double load_factor,
     MetricsCapture* metrics = nullptr) {
   Platform platform{1};
-  BENCH_CHECK(platform.runtime->init(0));
 
   constexpr std::uint64_t kHeavyM = 64, kLightM = 8, kN = 64, kK = 64;
   constexpr std::size_t kPool = 8;
-  auto va_b = platform.upload(random_matrix(kK * kN, 1.0, opts.seed + 500));
-  auto heavy_a =
-      platform.upload(random_matrix(kHeavyM * kK, 1.0, opts.seed + 501));
-  auto light_a =
-      platform.upload(random_matrix(kLightM * kK, 1.0, opts.seed + 502));
-  BENCH_CHECK(va_b.status());
-  BENCH_CHECK(heavy_a.status());
-  BENCH_CHECK(light_a.status());
+  const auto va_b =
+      platform.upload_or_die(random_matrix(kK * kN, 1.0, opts.seed + 500));
+  const auto heavy_a = platform.upload_or_die(
+      random_matrix(kHeavyM * kK, 1.0, opts.seed + 501));
+  const auto light_a = platform.upload_or_die(
+      random_matrix(kLightM * kK, 1.0, opts.seed + 502));
   std::vector<tdo::sim::VirtAddr> heavy_c, light_c;
   for (std::size_t p = 0; p < kPool; ++p) {
-    auto hc = platform.upload(std::vector<float>(kHeavyM * kN, 0.0f));
-    auto lc = platform.upload(std::vector<float>(kLightM * kN, 0.0f));
-    BENCH_CHECK(hc.status());
-    BENCH_CHECK(lc.status());
-    heavy_c.push_back(*hc);
-    light_c.push_back(*lc);
+    heavy_c.push_back(
+        platform.upload_or_die(std::vector<float>(kHeavyM * kN, 0.0f)));
+    light_c.push_back(
+        platform.upload_or_die(std::vector<float>(kLightM * kN, 0.0f)));
   }
 
   tdo::serve::SchedulerParams params;
@@ -862,35 +682,23 @@ struct MetricsCapture {
   tdo::serve::Scheduler scheduler{params, *platform.runtime};
 
   const auto make = [&](bool heavy, std::size_t index) {
-    tdo::serve::Request request;
-    request.tenant = heavy ? 0 : 1;
-    request.deadline = heavy ? tdo::serve::DeadlineClass::kBatch
-                             : tdo::serve::DeadlineClass::kInteractive;
-    request.op = tdo::serve::Op::kSgemm;
-    request.m = heavy ? kHeavyM : kLightM;
-    request.n = kN;
-    request.k = kK;
-    request.a = heavy ? *heavy_a : *light_a;
-    request.b = *va_b;
-    request.c = heavy ? heavy_c[index % kPool] : light_c[index % kPool];
-    request.lda = kK;
-    request.ldb = kN;
-    request.ldc = kN;
-    request.cacheable = true;
-    return request;
+    return heavy ? sgemm_request(0, DeadlineClass::kBatch, kHeavyM, kN, kK,
+                                 heavy_a, va_b, heavy_c[index % kPool])
+                 : sgemm_request(1, DeadlineClass::kInteractive, kLightM, kN,
+                                 kK, light_a, va_b, light_c[index % kPool]);
   };
 
   // Warm the service EWMA and measure the uncontended heavy service time
   // that calibrates the offered load.
   auto& events = platform.system.events();
-  for (int i = 0; i < 12; ++i) {
+  for (std::size_t i = 0; i < 12; ++i) {
     BENCH_CHECK(scheduler.submit(make(true, i)).status());
     BENCH_CHECK(scheduler.drain());
     BENCH_CHECK(scheduler.submit(make(false, i)).status());
     BENCH_CHECK(scheduler.drain());
   }
   const tdo::sim::Tick measure_start = events.now();
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 8; ++i) {
     BENCH_CHECK(scheduler.submit(make(true, i)).status());
     BENCH_CHECK(scheduler.drain());
   }
@@ -940,43 +748,33 @@ struct MetricsCapture {
                                   load_factor),
       1);
   std::vector<Arrival> schedule;
-  schedule.reserve(kHeavy + kLight);
-  for (int i = 0; i < kHeavy; ++i) {
-    const auto jitter = static_cast<tdo::sim::Tick>(
-        rng.uniform_int(0, static_cast<std::int64_t>(heavy_gap / 4) + 1));
-    schedule.push_back(Arrival{
-        start + static_cast<tdo::sim::Tick>(i) * heavy_gap + jitter, true});
-  }
-  const tdo::sim::Tick light_gap =
-      std::max<tdo::sim::Tick>(
-          static_cast<tdo::sim::Tick>(kHeavy) * heavy_gap * 85 /
-              (100 * kLight),
-          1);
-  for (int i = 0; i < kLight; ++i) {
-    const auto jitter = static_cast<tdo::sim::Tick>(
-        rng.uniform_int(0, static_cast<std::int64_t>(light_gap / 4) + 1));
-    schedule.push_back(Arrival{
-        start + static_cast<tdo::sim::Tick>(i) * light_gap + jitter, false});
-  }
+  const auto add_stream = [&](int count, tdo::sim::Tick gap, bool heavy) {
+    for (int i = 0; i < count; ++i) {
+      const auto jitter = static_cast<tdo::sim::Tick>(
+          rng.uniform_int(0, static_cast<std::int64_t>(gap / 4) + 1));
+      schedule.push_back(Arrival{
+          start + static_cast<tdo::sim::Tick>(i) * gap + jitter, heavy});
+    }
+  };
+  add_stream(kHeavy, heavy_gap, true);
+  add_stream(kLight,
+             std::max<tdo::sim::Tick>(static_cast<tdo::sim::Tick>(kHeavy) *
+                                          heavy_gap * 85 / (100 * kLight),
+                                      1),
+             false);
   std::sort(schedule.begin(), schedule.end(),
             [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
 
-  std::size_t next = 0;
-  std::size_t sequence = 0;
-  while (next < schedule.size()) {
-    if (events.now() >= schedule[next].at) {
-      BENCH_CHECK(
-          scheduler.submit(make(schedule[next].heavy, sequence)).status());
-      sequence += 1;
-      next += 1;
-      continue;
-    }
-    BENCH_CHECK(scheduler.pump());
-    (void)scheduler.take_completions();
-    scheduler.advance_to_next_event(schedule[next].at);
+  std::vector<Duration> due;
+  for (const Arrival& arrival : schedule) {
+    due.push_back(tdo::sim::from_ticks(arrival.at));
   }
-  BENCH_CHECK(scheduler.drain());
-  (void)scheduler.take_completions();
+  OpenSource source{std::move(due), [&](std::size_t i) {
+                      return make(schedule[i].heavy, i);
+                    }};
+  BENCH_CHECK(drive(scheduler, source, schedule.size(),
+                    tdo::serve::Advance::kEveryRound)
+                  .status());
 
   if (metrics != nullptr) {
     auto& registry = tdo::obs::MetricsRegistry::instance();
@@ -992,139 +790,48 @@ struct MetricsCapture {
     slo->detach(platform.system.stats());
   }
 
-  OverloadPoint point;
-  point.load_factor = load_factor;
   const auto interactive =
-      scheduler.class_latency(tdo::serve::DeadlineClass::kInteractive);
-  point.interactive_p50 = interactive.quantile(0.50);
-  point.interactive_p99 = interactive.quantile(0.99);
-  point.interactive_done = interactive.count();
-  point.shed = scheduler.report().shed;
-  point.heavy_service = tdo::sim::from_ticks(heavy_service);
-  return point;
+      scheduler.class_latency(DeadlineClass::kInteractive);
+  return {load_factor, interactive.quantile(0.50), interactive.quantile(0.99),
+          interactive.count(), scheduler.report().shed};
 }
 
-/// Weighted-DRR share measurement: three tenants with 3:2:1 weights, all
-/// backlogged on one device with batching off (completion order is pull
-/// order), shares counted over a window cut before the heaviest tenant's
-/// queue can run dry.
-struct DrrShares {
-  struct Tenant {
-    std::uint32_t weight = 0;
-    double share = 0.0;
-    double expected = 0.0;
-  };
-  std::vector<Tenant> tenants;
-  bool within_tolerance = true;
-};
+/// One fixed small-GEMM working set on a single-accelerator platform: one
+/// weight and one activation matrix, `pool` rotating outputs.
+struct SmallGemm {
+  std::uint64_t m, n, k;
+  tdo::sim::VirtAddr a = 0, b = 0;
+  std::vector<tdo::sim::VirtAddr> c;
 
-[[nodiscard]] DrrShares run_drr_shares(const Options& opts) {
-  Platform platform{1};
-  BENCH_CHECK(platform.runtime->init(0));
-
-  constexpr std::uint64_t kM = 8, kN = 32, kK = 32;
-  constexpr std::size_t kPool = 8;
-  auto va_b = platform.upload(random_matrix(kK * kN, 1.0, opts.seed + 510));
-  auto va_a = platform.upload(random_matrix(kM * kK, 1.0, opts.seed + 511));
-  BENCH_CHECK(va_b.status());
-  BENCH_CHECK(va_a.status());
-  std::vector<tdo::sim::VirtAddr> va_c;
-  for (std::size_t p = 0; p < kPool; ++p) {
-    auto c = platform.upload(std::vector<float>(kM * kN, 0.0f));
-    BENCH_CHECK(c.status());
-    va_c.push_back(*c);
-  }
-
-  const std::vector<std::uint32_t> weights{3, 2, 1};
-  const std::size_t per_tenant = opts.smoke ? 48 : 120;
-  tdo::serve::SchedulerParams params;
-  params.batching = false;  // completion order == DRR pull order
-  params.admission.adaptive = false;
-  params.max_queue_per_tenant = per_tenant;
-  tdo::serve::Scheduler scheduler{params, *platform.runtime};
-  for (std::size_t t = 0; t < weights.size(); ++t) {
-    scheduler.set_tenant_weight(static_cast<std::uint32_t>(t), weights[t]);
-  }
-
-  for (std::size_t r = 0; r < per_tenant; ++r) {
-    for (std::size_t t = 0; t < weights.size(); ++t) {
-      tdo::serve::Request request;
-      request.tenant = static_cast<std::uint32_t>(t);
-      request.deadline = tdo::serve::DeadlineClass::kStandard;
-      request.op = tdo::serve::Op::kSgemm;
-      request.m = kM;
-      request.n = kN;
-      request.k = kK;
-      request.a = *va_a;
-      request.b = *va_b;
-      request.c = va_c[(r * weights.size() + t) % kPool];
-      request.lda = kK;
-      request.ldb = kN;
-      request.ldc = kN;
-      BENCH_CHECK(scheduler.submit(request).status());
+  SmallGemm(Platform& platform, std::uint64_t m_, std::uint64_t n_,
+            std::uint64_t k_, std::uint64_t seed, std::size_t pool)
+      : m{m_}, n{n_}, k{k_} {
+    b = platform.upload_or_die(random_matrix(k * n, 1.0, seed));
+    a = platform.upload_or_die(random_matrix(m * k, 1.0, seed + 1));
+    for (std::size_t p = 0; p < pool; ++p) {
+      c.push_back(platform.upload_or_die(std::vector<float>(m * n, 0.0f)));
     }
   }
-  BENCH_CHECK(scheduler.drain());
-  const auto completions = scheduler.take_completions();
 
-  // While every tenant is backlogged each DRR round serves 3+2+1; the
-  // heaviest tenant runs dry first, after per_tenant * (sum/max) total
-  // completions — cut the window 10% short of that.
-  std::uint32_t sum_w = 0, max_w = 0;
-  for (const std::uint32_t w : weights) {
-    sum_w += w;
-    max_w = std::max(max_w, w);
+  [[nodiscard]] tdo::serve::Request request(std::uint32_t tenant,
+                                            std::size_t index) const {
+    return sgemm_request(tenant, DeadlineClass::kStandard, m, n, k, a, b,
+                         c[index % c.size()]);
   }
-  const std::size_t window =
-      per_tenant * sum_w / max_w * 9 / 10;
-  std::vector<std::size_t> counts(weights.size(), 0);
-  for (std::size_t i = 0; i < window && i < completions.size(); ++i) {
-    counts[completions[i].tenant] += 1;
-  }
-  DrrShares shares;
-  for (std::size_t t = 0; t < weights.size(); ++t) {
-    DrrShares::Tenant row;
-    row.weight = weights[t];
-    row.share = static_cast<double>(counts[t]) / static_cast<double>(window);
-    row.expected =
-        static_cast<double>(weights[t]) / static_cast<double>(sum_w);
-    shares.within_tolerance =
-        shares.within_tolerance &&
-        std::abs(row.share / row.expected - 1.0) <= 0.15;
-    shares.tenants.push_back(row);
-  }
-  return shares;
-}
+};
 
 /// One row of the tenant-scale table: host nanoseconds of scheduling work
 /// per served request with the per-tenant maps holding `tenants` entries.
 /// The maps are pre-populated through set_tenant_weight (registration is the
-/// cheap part); the timed region drives a fixed request count through the
-/// full submit -> pump -> complete path, so the measured cost is the DRR
-/// active-list churn plus map lookups — flat when pop_next_request is O(1),
-/// linear in `tenants` if a full-scan scheduler ever regresses.
-struct ScalePoint {
-  std::size_t tenants = 0;
-  double ns_per_request = 0.0;
-};
-
-[[nodiscard]] ScalePoint run_scale_point(const Options& opts,
-                                         std::size_t tenants) {
+/// cheap part); the timed region drives a fixed request count, at most 64
+/// in flight, through the full submit -> pump -> complete path, so the
+/// measured cost is the DRR active-list churn plus map lookups — flat when
+/// pop_next_request is O(1), linear in `tenants` if a full-scan scheduler
+/// ever regresses.
+[[nodiscard]] double run_scale_point(const Options& opts,
+                                     std::size_t tenants) {
   Platform platform{1};
-  BENCH_CHECK(platform.runtime->init(0));
-
-  constexpr std::uint64_t kM = 4, kN = 32, kK = 32;
-  constexpr std::size_t kPool = 16;
-  auto va_b = platform.upload(random_matrix(kK * kN, 1.0, opts.seed + 520));
-  auto va_a = platform.upload(random_matrix(kM * kK, 1.0, opts.seed + 521));
-  BENCH_CHECK(va_b.status());
-  BENCH_CHECK(va_a.status());
-  std::vector<tdo::sim::VirtAddr> va_c;
-  for (std::size_t p = 0; p < kPool; ++p) {
-    auto c = platform.upload(std::vector<float>(kM * kN, 0.0f));
-    BENCH_CHECK(c.status());
-    va_c.push_back(*c);
-  }
+  const SmallGemm gemm{platform, 4, 32, 32, opts.seed + 520, 16};
 
   tdo::serve::SchedulerParams params;
   params.admission.adaptive = false;
@@ -1134,37 +841,21 @@ struct ScalePoint {
     scheduler.set_tenant_weight(static_cast<std::uint32_t>(t), 1);
   }
 
+  constexpr std::size_t kInFlight = 64;
   const std::size_t requests = opts.smoke ? 1024 : 4096;
   const std::size_t stride = std::max<std::size_t>(tenants / requests, 1);
   const auto run_trial = [&]() -> double {
-    std::size_t submitted = 0, completed = 0;
+    std::size_t submitted = 0;
+    ClosedSource source{
+        kInFlight, requests / kInFlight, [&](std::size_t, std::size_t) {
+          const std::size_t r = submitted++;
+          return gemm.request(
+              static_cast<std::uint32_t>((r * stride) % tenants), r);
+        }};
     const auto t0 = std::chrono::steady_clock::now();
-    while (completed < requests) {
-      while (submitted < requests && submitted - completed < 64) {
-        tdo::serve::Request request;
-        request.tenant =
-            static_cast<std::uint32_t>((submitted * stride) % tenants);
-        request.deadline = tdo::serve::DeadlineClass::kStandard;
-        request.op = tdo::serve::Op::kSgemm;
-        request.m = kM;
-        request.n = kN;
-        request.k = kK;
-        request.a = *va_a;
-        request.b = *va_b;
-        request.c = va_c[submitted % kPool];
-        request.lda = kK;
-        request.ldb = kN;
-        request.ldc = kN;
-        BENCH_CHECK(scheduler.submit(request).status());
-        submitted += 1;
-      }
-      BENCH_CHECK(scheduler.pump());
-      completed += scheduler.take_completions().size();
-      if (completed < requests && !scheduler.advance_to_next_event()) {
-        BENCH_CHECK(scheduler.drain());
-        completed += scheduler.take_completions().size();
-      }
-    }
+    BENCH_CHECK(drive(scheduler, source, source.target(),
+                      tdo::serve::Advance::kEveryRound)
+                    .status());
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::nano>(t1 - t0).count() /
            static_cast<double>(requests);
@@ -1172,391 +863,66 @@ struct ScalePoint {
   // Two trials, keep the faster: the first also warms allocator and caches.
   const double first = run_trial();
   const double second = run_trial();
-  ScalePoint point;
-  point.tenants = tenants;
-  point.ns_per_request = std::min(first, second);
-  return point;
-}
-
-/// Cross-thread flood for the pump-time tenant bound: N submitter threads
-/// push well past max_queue_per_tenant through the sharded ring while the
-/// driver is idle, then the driver drains. Every ring-accepted request must
-/// come back exactly once — as a completion or a pump-time rejection.
-struct FloodOutcome {
-  std::uint64_t accepted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;  ///< pump-time per-tenant bound drops
-  bool accounted = false;
-};
-
-[[nodiscard]] FloodOutcome run_overload_flood(const Options& opts) {
-  Platform platform{1};
-  BENCH_CHECK(platform.runtime->init(0));
-
-  constexpr std::uint64_t kM = 4, kN = 32, kK = 32;
-  auto va_b = platform.upload(random_matrix(kK * kN, 1.0, opts.seed + 530));
-  auto va_a = platform.upload(random_matrix(kM * kK, 1.0, opts.seed + 531));
-  auto va_c = platform.upload(std::vector<float>(kM * kN, 0.0f));
-  BENCH_CHECK(va_b.status());
-  BENCH_CHECK(va_a.status());
-  BENCH_CHECK(va_c.status());
-
-  tdo::serve::SchedulerParams params;
-  params.admission.adaptive = false;
-  params.max_queue_per_tenant = 32;
-  tdo::serve::Scheduler scheduler{params, *platform.runtime};
-
-  constexpr std::uint32_t kTenants = 4;
-  const std::size_t per_thread = 256;
-  std::atomic<std::uint64_t> ring_rejected{0};
-  std::vector<std::thread> submitters;
-  submitters.reserve(opts.threads);
-  for (std::size_t t = 0; t < opts.threads; ++t) {
-    submitters.emplace_back([&, t] {
-      for (std::size_t r = 0; r < per_thread; ++r) {
-        tdo::serve::Request request;
-        request.tenant = static_cast<std::uint32_t>((t + r) % kTenants);
-        request.deadline = tdo::serve::DeadlineClass::kStandard;
-        request.op = tdo::serve::Op::kSgemm;
-        request.m = kM;
-        request.n = kN;
-        request.k = kK;
-        request.a = *va_a;
-        request.b = *va_b;
-        request.c = *va_c;
-        request.lda = kK;
-        request.ldb = kN;
-        request.ldc = kN;
-        if (!scheduler.submit_from_thread(request).is_ok()) {
-          ring_rejected.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& submitter : submitters) submitter.join();
-  BENCH_CHECK(scheduler.drain());
-  (void)scheduler.take_completions();
-
-  FloodOutcome outcome;
-  outcome.accepted =
-      opts.threads * per_thread - ring_rejected.load();
-  const auto report = scheduler.report();
-  outcome.completed = report.completed;
-  outcome.rejected = report.rejected;
-  outcome.accounted =
-      outcome.completed + outcome.rejected == outcome.accepted;
-  return outcome;
-}
-
-[[nodiscard]] int run_overload_suite(const Options& opts) {
-  using tdo::support::TextTable;
-  bool ok = true;
-
-  constexpr double kOverloadFactor = 3.0;  // offered load vs capacity
-  const OverloadPoint uncontended =
-      run_overload_point(opts, /*shed_enabled=*/true, 0.5);
-  const OverloadPoint shed =
-      run_overload_point(opts, /*shed_enabled=*/true, kOverloadFactor);
-  const OverloadPoint no_shed =
-      run_overload_point(opts, /*shed_enabled=*/false, kOverloadFactor);
-
-  TextTable points("Overload shedding - interactive tail (1 accelerator, "
-                   "batch-class flood)");
-  points.set_header({"Config", "Load", "Intr p50 us", "Intr p99 us",
-                     "Intr done", "Shed"});
-  const auto add_point = [&](const std::string& name,
-                             const OverloadPoint& p) {
-    char load[32], p50[32], p99[32];
-    std::snprintf(load, sizeof load, "%.1fx", p.load_factor);
-    std::snprintf(p50, sizeof p50, "%.1f", p.interactive_p50.microseconds());
-    std::snprintf(p99, sizeof p99, "%.1f", p.interactive_p99.microseconds());
-    points.add_row({name, load, p50, p99,
-                    std::to_string(p.interactive_done),
-                    std::to_string(p.shed)});
-  };
-  add_point("shed uncontended", uncontended);
-  add_point("shed overloaded", shed);
-  add_point("no-shed overloaded", no_shed);
-  points.print(std::cout);
-
-  if (shed.shed == 0) {
-    std::fprintf(stderr,
-                 "FAILED: shedding never fired at %.1fx offered load\n",
-                 kOverloadFactor);
-    ok = false;
-  }
-  if (uncontended.shed != 0) {
-    std::fprintf(stderr,
-                 "FAILED: shedding fired %llu times at 0.5x offered load\n",
-                 static_cast<unsigned long long>(uncontended.shed));
-    ok = false;
-  }
-  if (!(shed.interactive_p99 < no_shed.interactive_p99)) {
-    std::fprintf(stderr,
-                 "FAILED: shed interactive p99 %.1f us does not strictly "
-                 "beat the no-shed reference %.1f us\n",
-                 shed.interactive_p99.microseconds(),
-                 no_shed.interactive_p99.microseconds());
-    ok = false;
-  }
-  if (!(shed.interactive_p99.picoseconds() <=
-        3.0 * uncontended.interactive_p99.picoseconds())) {
-    std::fprintf(stderr,
-                 "FAILED: shed interactive p99 %.1f us exceeds 3x the "
-                 "uncontended value %.1f us\n",
-                 shed.interactive_p99.microseconds(),
-                 uncontended.interactive_p99.microseconds());
-    ok = false;
-  }
-
-  const DrrShares shares = run_drr_shares(opts);
-  TextTable drr("Weighted DRR shares (backlogged, batching off)");
-  drr.set_header({"Tenant", "Weight", "Share", "Expected", "Error"});
-  for (std::size_t t = 0; t < shares.tenants.size(); ++t) {
-    const auto& row = shares.tenants[t];
-    char share[32], expected[32], error[32];
-    std::snprintf(share, sizeof share, "%.1f%%", row.share * 100.0);
-    std::snprintf(expected, sizeof expected, "%.1f%%", row.expected * 100.0);
-    std::snprintf(error, sizeof error, "%+.1f%%",
-                  (row.share / row.expected - 1.0) * 100.0);
-    drr.add_row({std::to_string(t), std::to_string(row.weight), share,
-                 expected, error});
-  }
-  std::printf("\n");
-  drr.print(std::cout);
-  if (!shares.within_tolerance) {
-    std::fprintf(stderr,
-                 "FAILED: a weighted-DRR share is more than 15%% off its "
-                 "configured weight\n");
-    ok = false;
-  }
-
-  std::vector<std::size_t> scales{100, 1000, 10000};
-  if (!opts.smoke) scales.push_back(100000);
-  TextTable scale("Tenant-scale pump cost (fixed request count, "
-                  "pre-registered tenants)");
-  scale.set_header({"Tenants", "ns/request", "vs 10^2"});
-  std::vector<ScalePoint> scale_points;
-  for (const std::size_t tenants : scales) {
-    scale_points.push_back(run_scale_point(opts, tenants));
-    const ScalePoint& p = scale_points.back();
-    char ns[32], ratio[32];
-    std::snprintf(ns, sizeof ns, "%.0f", p.ns_per_request);
-    std::snprintf(ratio, sizeof ratio, "%.2fx",
-                  p.ns_per_request / scale_points.front().ns_per_request);
-    scale.add_row({std::to_string(tenants), ns, ratio});
-  }
-  std::printf("\n");
-  scale.print(std::cout);
-  const double worst_ratio =
-      scale_points.back().ns_per_request /
-      scale_points.front().ns_per_request;
-  if (worst_ratio > 1.25) {
-    std::fprintf(stderr,
-                 "FAILED: per-request pump cost grows %.2fx from %zu to %zu "
-                 "tenants (flat-cost gate is 1.25x)\n",
-                 worst_ratio, scales.front(), scales.back());
-    ok = false;
-  }
-
-  if (opts.threads > 0) {
-    const FloodOutcome flood = run_overload_flood(opts);
-    std::printf("\nCross-thread flood (%zu threads, tenant bound 32): "
-                "%llu accepted -> %llu completed + %llu rejected at pump\n",
-                opts.threads,
-                static_cast<unsigned long long>(flood.accepted),
-                static_cast<unsigned long long>(flood.completed),
-                static_cast<unsigned long long>(flood.rejected));
-    if (!flood.accounted) {
-      std::fprintf(stderr,
-                   "FAILED: flood accounting mismatch (accepted != "
-                   "completed + rejected)\n");
-      ok = false;
-    }
-    if (flood.rejected == 0) {
-      std::fprintf(stderr,
-                   "FAILED: the pump-time per-tenant bound never rejected "
-                   "during the flood\n");
-      ok = false;
-    }
-  }
-
-  // Machine-readable results (simulated-clock quantities only — the
-  // wall-clock scale/flood sections would make the baseline diff flaky).
-  {
-    using tdo::benchutil::Json;
-    const auto point_json = [](const OverloadPoint& p) {
-      Json j = Json::object();
-      j.set("load_factor", Json::number(p.load_factor));
-      j.set("interactive_p50_us",
-            Json::number(p.interactive_p50.microseconds()));
-      j.set("interactive_p99_us",
-            Json::number(p.interactive_p99.microseconds()));
-      j.set("interactive_done", Json::number(p.interactive_done));
-      j.set("shed", Json::number(p.shed));
-      return j;
-    };
-    Json results = Json::object();
-    results.set("shed_uncontended", point_json(uncontended));
-    results.set("shed_overloaded", point_json(shed));
-    results.set("no_shed_overloaded", point_json(no_shed));
-    Json drr_json = Json::array();
-    for (const auto& tenant : shares.tenants) {
-      Json t = Json::object();
-      t.set("weight", Json::number(static_cast<std::uint64_t>(tenant.weight)));
-      t.set("share", Json::number(tenant.share));
-      t.set("expected", Json::number(tenant.expected));
-      drr_json.push(std::move(t));
-    }
-    results.set("drr_shares", std::move(drr_json));
-    results.set("ok", Json::boolean(ok));
-    tdo::benchutil::write_bench_json("serve_loop_overload",
-                                     std::move(results));
-  }
-
-  return ok ? 0 : 1;
+  return std::min(first, second);
 }
 
 // --- pseudo-asynchronous host/device split experiment ---
 
-/// One measured point of the split sweep (or the auto-tuned run).
-struct SplitPoint {
-  double fraction = 0.0;
-  Duration elapsed;
-  std::uint64_t split_calls = 0;
-  std::uint64_t host_macs = 0;
-  std::uint64_t device_macs = 0;
-  Duration stripe_mean;  ///< mean host-stripe span (join latency per stripe)
-};
-
-[[nodiscard]] SplitPoint run_split_load(const Options& opts, double fraction,
-                                        std::size_t reps) {
-  tdo::rt::RuntimeConfig config;
-  config.split.enabled = true;
-  config.split.cpu_fraction = fraction;
-  config.split.pool.workers = 4;
-  config.stream.min_macs_per_write = 0.0;  // isolate the split effect
-  Platform platform{1, config};
-  BENCH_CHECK(platform.runtime->init(0));
-
-  const std::uint64_t d = opts.smoke ? 128 : 256;
-  auto va_a = platform.upload(random_matrix(d * d, 1.0, opts.seed + 301));
-  auto va_b = platform.upload(random_matrix(d * d, 1.0, opts.seed + 302));
-  auto va_c = platform.upload(std::vector<float>(d * d, 0.0f));
-  BENCH_CHECK(va_a.status());
-  BENCH_CHECK(va_b.status());
-  BENCH_CHECK(va_c.status());
-
-  const Duration t0 = platform.system.global_time();
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    BENCH_CHECK(platform.runtime->sgemm_async(
-        d, d, d, 1.0f, *va_a, d, *va_b, d, 0.0f, *va_c, d,
-        tdo::cim::StationaryOperand::kB));
-    BENCH_CHECK(platform.runtime->synchronize());  // the stripe join point
-  }
-  SplitPoint point;
-  point.fraction = fraction;
-  point.elapsed = platform.system.global_time() - t0;
-  const auto& stats = platform.runtime->stats();
-  point.split_calls = stats.split_calls;
-  point.host_macs = stats.split_host_macs;
-  point.device_macs = stats.split_device_macs;
-  const auto pool = platform.runtime->host_pool().report();
-  if (pool.jobs > 0) {
-    point.stripe_mean = tdo::sim::from_ticks(pool.busy_ticks / pool.jobs);
-  }
-  return point;
-}
-
-struct SplitOutcome {
-  std::vector<SplitPoint> sweep;  ///< index = ladder rung (0 = device only)
-  int best_rung = 0;
-  double adaptive_fraction = 0.0;
-  int adaptive_rung = 0;
-  bool split_wins = false;
-  bool converged = false;
-};
-
-[[nodiscard]] SplitOutcome run_split_experiment(const Options& opts) {
-  tdo::serve::AdmissionController ladder{{}, 0.0, 0};
-  SplitOutcome outcome;
-  const std::size_t reps = opts.smoke ? 2 : 3;
-  const int rungs = 10;
-  Duration best = Duration::from_sec(1e18);
-  for (int i = 0; i <= rungs; ++i) {
-    SplitPoint point = run_split_load(opts, ladder.split_rung(i), reps);
-    if (opts.dump) {
-      std::printf(
-          "  static split %-7.4f -> %-12s (stripes %llu, host/dev MACs "
-          "%llu/%llu, stripe mean %s)\n",
-          point.fraction, point.elapsed.to_string().c_str(),
-          static_cast<unsigned long long>(point.split_calls),
-          static_cast<unsigned long long>(point.host_macs),
-          static_cast<unsigned long long>(point.device_macs),
-          point.stripe_mean.to_string().c_str());
-    }
-    if (point.elapsed < best) {
-      best = point.elapsed;
-      outcome.best_rung = i;
-    }
-    outcome.sweep.push_back(std::move(point));
-  }
-  outcome.split_wins =
-      outcome.best_rung > 0 && best < outcome.sweep.front().elapsed;
-
-  // Auto-tune: the scheduler feeds the admission controller's device and
-  // host EWMAs (device jobs + pool stripes + host probes) and pushes the
-  // quantized ideal fraction into the runtime at each dispatch.
+/// Runtime knobs of the split experiment: a four-worker host pool and no
+/// admission threshold, isolating the split effect.
+[[nodiscard]] tdo::rt::RuntimeConfig split_config() {
   tdo::rt::RuntimeConfig config;
   config.split.enabled = true;
   config.split.pool.workers = 4;
   config.stream.min_macs_per_write = 0.0;
+  return config;
+}
+
+/// A d x d x d sgemm's operands on `platform` (seeds seed, seed+1).
+struct SquareGemm {
+  tdo::sim::VirtAddr a = 0, b = 0, c = 0;
+
+  SquareGemm(Platform& platform, std::uint64_t d, std::uint64_t seed)
+      : a{platform.upload_or_die(random_matrix(d * d, 1.0, seed))},
+        b{platform.upload_or_die(random_matrix(d * d, 1.0, seed + 1))},
+        c{platform.upload_or_die(std::vector<float>(d * d, 0.0f))} {}
+};
+
+/// One static point of the split sweep: `reps` back-to-back d^3 GEMMs at
+/// a fixed host fraction. --dump prints the point's stripe accounting.
+[[nodiscard]] Duration run_split_load(const Options& opts, double fraction,
+                                      std::size_t reps) {
+  tdo::rt::RuntimeConfig config = split_config();
+  config.split.cpu_fraction = fraction;
   Platform platform{1, config};
-  BENCH_CHECK(platform.runtime->init(0));
-  tdo::serve::SchedulerParams params;
-  params.batching = false;
-  params.residency_affinity = false;
-  params.admission.adaptive = true;
-  params.admission.probe_period = 4;
-  tdo::serve::Scheduler scheduler{params, *platform.runtime};
 
   const std::uint64_t d = opts.smoke ? 128 : 256;
-  auto va_a = platform.upload(random_matrix(d * d, 1.0, opts.seed + 311));
-  auto va_b = platform.upload(random_matrix(d * d, 1.0, opts.seed + 312));
-  auto va_c = platform.upload(std::vector<float>(d * d, 0.0f));
-  BENCH_CHECK(va_a.status());
-  BENCH_CHECK(va_b.status());
-  BENCH_CHECK(va_c.status());
-  const std::size_t adaptive_reps = opts.smoke ? 6 : 14;
-  for (std::size_t rep = 0; rep < adaptive_reps; ++rep) {
-    tdo::serve::Request request;
-    request.tenant = 0;
-    request.op = tdo::serve::Op::kSgemm;
-    request.m = d;
-    request.n = d;
-    request.k = d;
-    request.a = *va_a;
-    request.b = *va_b;
-    request.c = *va_c;
-    request.lda = d;
-    request.ldb = d;
-    request.ldc = d;
-    request.cacheable = false;
-    BENCH_CHECK(scheduler.submit(request).status());
-    BENCH_CHECK(scheduler.drain());
+  const SquareGemm gemm{platform, d, opts.seed + 301};
+  const Duration t0 = platform.system.global_time();
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    BENCH_CHECK(platform.runtime->sgemm_async(
+        d, d, d, 1.0f, gemm.a, d, gemm.b, d, 0.0f, gemm.c, d,
+        tdo::cim::StationaryOperand::kB));
+    BENCH_CHECK(platform.runtime->synchronize());  // the stripe join point
   }
-  outcome.adaptive_fraction = platform.runtime->split_fraction();
-  outcome.adaptive_rung = ladder.split_rung_index(outcome.adaptive_fraction);
-  outcome.converged =
-      std::abs(outcome.adaptive_rung - outcome.best_rung) <= 1;
-  std::printf(
-      "  device-only %s; best static split %.4f (rung %d) -> %s; auto-tuned "
-      "%.4f (rung %d)\n",
-      outcome.sweep.front().elapsed.to_string().c_str(),
-      outcome.sweep[static_cast<std::size_t>(outcome.best_rung)].fraction,
-      outcome.best_rung, best.to_string().c_str(), outcome.adaptive_fraction,
-      outcome.adaptive_rung);
-  return outcome;
+  const Duration elapsed = platform.system.global_time() - t0;
+  if (opts.dump) {
+    const auto& stats = platform.runtime->stats();
+    const auto pool = platform.runtime->host_pool().report();
+    // Mean host-stripe span: the join latency per stripe.
+    const Duration stripe_mean =
+        pool.jobs > 0 ? tdo::sim::from_ticks(pool.busy_ticks / pool.jobs)
+                      : Duration{};
+    std::printf(
+        "  static split %-7.4f -> %-12s (stripes %llu, host/dev MACs "
+        "%llu/%llu, stripe mean %s)\n",
+        fraction, elapsed.to_string().c_str(),
+        static_cast<unsigned long long>(stats.split_calls),
+        static_cast<unsigned long long>(stats.split_host_macs),
+        static_cast<unsigned long long>(stats.split_device_macs),
+        stripe_mean.to_string().c_str());
+  }
+  return elapsed;
 }
 
 // --- SLO burn-rate experiment (--metrics) ---
@@ -1565,285 +931,85 @@ struct SplitOutcome {
 /// 0.5x point and must page (>= 1 interactive latency breach) on a 3x
 /// batch-class flood with shedding disabled. The overloaded point's sampled
 /// series is exported to the --metrics path.
-struct MetricsOutcome {
+void metrics_experiment(const Options& opts, Report& report) {
+  std::printf("\n");
   MetricsCapture low, high;
-  std::uint64_t high_interactive_latency = 0;
-  bool ok = true;
-};
-
-[[nodiscard]] MetricsOutcome run_metrics_experiment(const Options& opts) {
-  MetricsOutcome outcome;
   const OverloadPoint low_point =
-      run_overload_point(opts, /*shed_enabled=*/true, 0.5, &outcome.low);
+      run_overload_point(opts, /*shed_enabled=*/true, 0.5, &low);
   const OverloadPoint high_point =
-      run_overload_point(opts, /*shed_enabled=*/false, 3.0, &outcome.high);
+      run_overload_point(opts, /*shed_enabled=*/false, 3.0, &high);
 
-  tdo::support::TextTable table(
+  TextTable table(
       "SLO burn-rate monitor (interactive: latency 2x heavy svc, shed 2%)");
   table.set_header({"Config", "Load", "Samples", "Breaches", "First breach"});
   const auto add = [&](const std::string& name, const OverloadPoint& p,
                        const MetricsCapture& m) {
-    char load[32];
-    std::snprintf(load, sizeof load, "%.1fx", p.load_factor);
     std::string first = "-";
     if (!m.breaches.empty()) {
       const auto& b = m.breaches.front();
-      char at[64];
-      std::snprintf(at, sizeof at, "%s.%s @ %.0f us", b.cls.c_str(),
-                    b.kind.c_str(), static_cast<double>(b.tick) / 1e6);
-      first = at;
+      first = strprintf("%s.%s @ %.0f us", b.cls.c_str(), b.kind.c_str(),
+                        static_cast<double>(b.tick) / 1e6);
     }
-    table.add_row({name, load, std::to_string(m.samples),
+    table.add_row({name, strprintf("%.1fx", p.load_factor),
+                   std::to_string(m.samples),
                    std::to_string(m.breaches.size()), first});
   };
-  add("shed 0.5x", low_point, outcome.low);
-  add("no-shed 3.0x", high_point, outcome.high);
+  add("shed 0.5x", low_point, low);
+  add("no-shed 3.0x", high_point, high);
   table.print(std::cout);
 
-  for (const auto& breach : outcome.high.breaches) {
+  std::uint64_t high_interactive_latency = 0;
+  for (const auto& breach : high.breaches) {
     if (breach.cls == "interactive" && breach.kind == "latency") {
-      outcome.high_interactive_latency += 1;
+      high_interactive_latency += 1;
     }
   }
-  if (!outcome.low.breaches.empty()) {
-    std::fprintf(stderr,
-                 "FAILED: SLO monitor fired %zu breach(es) at 0.5x offered "
-                 "load\n",
-                 outcome.low.breaches.size());
-    outcome.ok = false;
-  }
-  if (outcome.high_interactive_latency == 0) {
-    std::fprintf(stderr,
-                 "FAILED: no interactive latency breach at 3.0x offered "
-                 "load with shedding disabled\n");
-    outcome.ok = false;
-  }
+  report.gates.push_back(
+      {low.breaches.empty(), true,
+       strprintf("SLO monitor fired %zu breach(es) at 0.5x offered load",
+                 low.breaches.size())});
+  report.gates.push_back({high_interactive_latency > 0, true,
+                          "no interactive latency breach at 3.0x offered "
+                          "load with shedding disabled"});
 
   std::ofstream out(opts.metrics_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open --metrics path %s\n",
-                 opts.metrics_path.c_str());
-    outcome.ok = false;
-  } else {
-    out << outcome.high.json;
+  report.gates.push_back(
+      {static_cast<bool>(out), true,
+       "cannot open --metrics path " + opts.metrics_path});
+  if (out) {
+    out << high.json;
     std::printf("metrics: %llu samples (%llu evicted) -> %s\n",
-                static_cast<unsigned long long>(outcome.high.samples),
-                static_cast<unsigned long long>(outcome.high.evicted),
+                static_cast<unsigned long long>(high.samples),
+                static_cast<unsigned long long>(high.evicted),
                 opts.metrics_path.c_str());
   }
-  return outcome;
+
+  Json slo = Json::object();
+  slo.set("low_breaches",
+          Json::number(static_cast<std::uint64_t>(low.breaches.size())));
+  slo.set("high_breaches",
+          Json::number(static_cast<std::uint64_t>(high.breaches.size())));
+  slo.set("high_interactive_latency_breaches",
+          Json::number(high_interactive_latency));
+  slo.set("high_samples", Json::number(high.samples));
+  report.json.set("slo", std::move(slo));
 }
 
 // --- simulation-time tracing experiment (--trace) ---
 
-/// What the traced run proved, for the bench's self-gates.
-struct TraceOutcome {
-  std::vector<tdo::obs::RequestPath> paths;
-  std::size_t span_track_kinds = 0;  ///< of {engine, dma, link, sched, pool}
-  std::size_t events = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t completed = 0;
-  bool reconciled = true;  ///< every path: segment sum == e2e exactly
-  bool joined_any = false;  ///< at least one request joined an engine job
-  /// Per-segment energy attribution over the trace's span population.
-  tdo::obs::EnergyBreakdown energy;
-  bool energy_reconciled = false;  ///< segment sum == span total, exactly
-  /// Span-derived total matches the live accumulators (tiny fJ-vs-double
-  /// rounding tolerance) — proves the spans saw every charged joule.
-  bool energy_matches_accumulators = false;
-  std::uint64_t metrics_samples = 0;  ///< samples riding the trace run
-};
-
-/// Dedicated traced serving run (the headline experiments above deliberately
-/// run untraced so their numbers stay bit-identical with tracing off). The
-/// fleet is forced two-tier and the pseudo-async split is enabled so every
-/// span family — engine jobs, DMA copy windows, far-link responses,
-/// host-pool stripes, per-class request spans — appears in one trace.
-[[nodiscard]] TraceOutcome run_traced(const Options& opts) {
-  tdo::obs::Tracer::instance().start({});
-
-  tdo::rt::RuntimeConfig config;
-  config.split.enabled = true;
-  config.split.cpu_fraction = 1.0 / 16.0;
-  config.split.min_macs = 1;  // serve-sized GEMMs sit below the default gate
-  config.split.pool.workers = 2;
-  // Serve-sized activation uploads (m*k floats) ride the async DMA path so
-  // the trace carries dma/<accel>.ch<k> copy-window spans.
-  config.xfer.min_async_bytes = 256;
-  std::optional<tdo::topo::TopologySpec> spec = opts.topology;
-  if (!spec.has_value()) {
-    tdo::topo::TopologySpec two_tier;
-    two_tier.near = 1;
-    two_tier.far = 2;
-    two_tier.far_multiplier = 2.0;
-    spec = two_tier;
-  }
-  Platform platform{spec->device_count(), config, spec};
-  BENCH_CHECK(platform.runtime->init(0));
-  ServingState state{platform, opts};
-
-  // Metrics ride the traced run so the counter trajectories land as
-  // Perfetto counter tracks under the same spans (50 us sample grid).
-  auto& metrics_registry = tdo::obs::MetricsRegistry::instance();
-  tdo::obs::MetricsParams metrics_params;
-  metrics_params.sample_every = 50'000'000;
-  metrics_registry.start(&platform.system.stats(), metrics_params);
-
-  tdo::serve::SchedulerParams params;
-  // Caller-centric by default: near fills to depth first and the overflow
-  // spills to the far pool, so far-link response spans are guaranteed under
-  // closed-loop pressure. An explicit --placement wins.
-  params.placement = opts.placement_set
-                         ? opts.placement
-                         : tdo::topo::Placement::kCallerCentric;
-  params.batcher.max_batch = opts.batch_max;
-  params.batcher.max_wait = Duration::from_us(opts.max_wait_us);
-  // Static knobs: adaptive admission would override the forced split
-  // fraction with its cold EWMA and starve the host-pool track.
-  params.admission.adaptive = false;
-  params.admission.probe_period = 0;
-  tdo::serve::Scheduler scheduler{params, *platform.runtime};
-
-  auto& tracer = tdo::obs::Tracer::instance();
-  TraceOutcome outcome;
-  const std::uint64_t target =
-      opts.tenants * opts.clients_per_tenant * opts.requests_per_client;
-  std::map<std::uint64_t, std::size_t> owner;
-  while (outcome.completed < target) {
-    bool progressed = false;
-    for (std::size_t i = 0; i < state.clients.size(); ++i) {
-      auto& client = state.clients[i];
-      if (client.busy || client.submitted >= opts.requests_per_client) {
-        continue;
-      }
-      const tdo::serve::Request request = state.next_request(opts, i);
-      // Fresh activations arrive through the measured upload path — the
-      // copy's DMA window (and any contention stall) lands in the trace.
-      BENCH_CHECK(scheduler.upload(request.a, request.a,
-                                   opts.m * opts.k * sizeof(float)));
-      auto id = scheduler.submit(request);
-      BENCH_CHECK(id.status());
-      owner[*id] = i;
-      progressed = true;
-    }
-    BENCH_CHECK(scheduler.pump());
-    tracer.pump();  // keep the driver shard bounded on long runs
-    for (const auto& completion : scheduler.take_completions()) {
-      const auto it = owner.find(completion.id);
-      if (it != owner.end()) {
-        state.clients[it->second].busy = false;
-        owner.erase(it);
-      }
-      outcome.completed += 1;
-      progressed = true;
-    }
-    if (progressed || outcome.completed >= target) continue;
-    if (!scheduler.advance_to_next_event()) BENCH_CHECK(scheduler.drain());
-  }
-  BENCH_CHECK(scheduler.drain());
-  outcome.completed += scheduler.take_completions().size();
-
-  tracer.pump();
-  metrics_registry.force_sample(platform.system.events().now());
-  outcome.metrics_samples = metrics_registry.samples().size();
-  metrics_registry.append_counter_tracks();
-  metrics_registry.stop();
-  tracer.pump();
-  const std::vector<tdo::obs::TraceEvent> events = tracer.sorted_events();
-  outcome.events = events.size();
-  outcome.dropped = tracer.dropped();
-  outcome.paths = tdo::obs::decompose(events);
-  for (const auto& path : outcome.paths) {
-    outcome.reconciled =
-        outcome.reconciled && path.segment_sum() == path.e2e();
-    outcome.joined_any = outcome.joined_any || path.device_joined;
-  }
-  bool engine = false, dma = false, link = false, sched = false, pool = false;
-  for (const auto& event : events) {
-    if (event.phase != tdo::obs::Phase::kSpan) continue;
-    engine = engine || event.track.rfind("engine/", 0) == 0;
-    dma = dma || event.track.rfind("dma/", 0) == 0;
-    link = link || event.track.rfind("link/", 0) == 0;
-    sched = sched || event.track.rfind("sched/", 0) == 0;
-    pool = pool || event.track.rfind("host_pool/", 0) == 0;
-  }
-  outcome.span_track_kinds = static_cast<std::size_t>(engine) + dma + link +
-                             sched + pool;
-
-  // Per-segment energy attribution over the same span population, checked
-  // two ways: the integer-femtojoule segment buckets must sum exactly to
-  // the span-derived total (no joule double-counted or lost in the
-  // segment mapping), and that total must match the live accumulators the
-  // cost model charged (no charged joule missing a span).
-  outcome.energy =
-      tdo::obs::attribute_energy(events, tdo::obs::default_energy_params());
-  outcome.energy_reconciled =
-      outcome.energy.segment_sum() == outcome.energy.total_fj &&
-      outcome.energy.total_fj > 0 && outcome.energy.host_pool_fj > 0;
-  double accumulated_pj = 0.0;
-  for (const auto& [name, pj] :
-       platform.system.stats().snapshot().energies_pj) {
-    // The attributable sinks: the six per-accelerator engine buckets
-    // ("<accel>.energy.<sink>"), the host worker pool, and the far link.
-    // "host.energy" (synchronous host-CPU fallback) has no spans and is
-    // deliberately outside the attribution.
-    if (name.find(".energy.") != std::string::npos ||
-        name == "host_pool.energy" || name == "farlink.energy") {
-      accumulated_pj += pj;
-    }
-  }
-  const double span_pj = static_cast<double>(outcome.energy.total_fj) * 1e-3;
-  outcome.energy_matches_accumulators =
-      std::abs(span_pj - accumulated_pj) <=
-      1e-6 * std::max(1.0, accumulated_pj);
-  if (!outcome.energy_matches_accumulators) {
-    std::fprintf(stderr,
-                 "energy mismatch: spans %.3f pJ vs accumulators %.3f pJ "
-                 "(write %llu stream %llu engine-dma %llu copy-dma %llu "
-                 "link %llu pool %llu fJ)\n",
-                 span_pj, accumulated_pj,
-                 static_cast<unsigned long long>(outcome.energy.engine_write_fj),
-                 static_cast<unsigned long long>(outcome.energy.engine_stream_fj),
-                 static_cast<unsigned long long>(outcome.energy.engine_dma_fj),
-                 static_cast<unsigned long long>(outcome.energy.copy_dma_fj),
-                 static_cast<unsigned long long>(outcome.energy.link_fj),
-                 static_cast<unsigned long long>(outcome.energy.host_pool_fj));
-    for (const auto& [name, pj] :
-         platform.system.stats().snapshot().energies_pj) {
-      std::fprintf(stderr, "  sink %-32s %.3f pJ\n", name.c_str(), pj);
-    }
-  }
-
-  std::ofstream out(opts.trace_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open --trace path %s\n",
-                 opts.trace_path.c_str());
-    std::exit(1);
-  }
-  tracer.export_json(out);
-  tracer.stop();
-  return outcome;
-}
-
 /// Tail-decomposition table: per deadline class, the mean and the p99
 /// request's latency split into the seven critical-path segments.
 void print_decomposition(const std::vector<tdo::obs::RequestPath>& paths) {
-  tdo::support::TextTable table(
-      "Critical-path decomposition (per class, us)");
+  TextTable table("Critical-path decomposition (per class, us)");
   std::vector<std::string> header{"Class", "Metric", "n", "e2e"};
   for (std::size_t s = 0; s < tdo::obs::kSegmentCount; ++s) {
     header.emplace_back(tdo::obs::segment_name(s));
   }
   table.set_header(header);
 
-  const auto us = [](double ticks) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.1f", ticks / 1e6);
-    return std::string(buf);
-  };
+  const auto us = [](double ticks) { return strprintf("%.1f", ticks / 1e6); };
   for (std::size_t c = 0; c < tdo::serve::kDeadlineClasses; ++c) {
-    const char* cls =
-        tdo::serve::to_string(static_cast<tdo::serve::DeadlineClass>(c));
+    const char* cls = tdo::serve::to_string(static_cast<DeadlineClass>(c));
     std::vector<const tdo::obs::RequestPath*> in_class;
     for (const auto& path : paths) {
       if (path.cls == cls) in_class.push_back(&path);
@@ -1886,18 +1052,13 @@ void print_energy_table(const std::vector<tdo::obs::RequestPath>& paths,
                         const tdo::obs::EnergyBreakdown& breakdown) {
   const tdo::obs::PerClassEnergy per_class =
       tdo::obs::per_class_energy(paths, breakdown);
-  tdo::support::TextTable table(
-      "Per-class energy attribution (per segment, nJ)");
+  TextTable table("Per-class energy attribution (per segment, nJ)");
   std::vector<std::string> header{"Class", "total"};
   for (std::size_t s = 0; s < tdo::obs::kSegmentCount; ++s) {
     header.emplace_back(tdo::obs::segment_name(s));
   }
   table.set_header(header);
-  const auto nj = [](double fj) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", fj * 1e-6);
-    return std::string(buf);
-  };
+  const auto nj = [](double fj) { return strprintf("%.2f", fj * 1e-6); };
   for (const auto& [cls, seg_fj] : per_class) {
     double total = 0.0;
     for (const double fj : seg_fj) total += fj;
@@ -1914,477 +1075,807 @@ void print_energy_table(const std::vector<tdo::obs::RequestPath>& paths,
   table.print(std::cout);
 }
 
-void add_result_row(tdo::support::TextTable& table, const std::string& name,
-                    const LoadResult& r) {
-  char throughput[32], p50[32], p95[32], p99[32], hit[32], fb[32], batch[32];
-  std::snprintf(throughput, sizeof throughput, "%.0f", r.throughput_rps);
-  std::snprintf(p50, sizeof p50, "%.1f", r.p50.microseconds());
-  std::snprintf(p95, sizeof p95, "%.1f", r.p95.microseconds());
-  std::snprintf(p99, sizeof p99, "%.1f", r.p99.microseconds());
-  std::snprintf(hit, sizeof hit, "%.1f%%", r.hit_rate * 100.0);
-  std::snprintf(fb, sizeof fb, "%.1f%%", r.fallback_ratio * 100.0);
-  std::snprintf(batch, sizeof batch, "%.2f", r.mean_batch);
-  table.add_row({name, throughput, p50, p95, p99, hit, fb, batch,
-                 std::to_string(r.serve.affinity_routed),
-                 std::to_string(r.serve.rejected)});
+/// Dedicated traced serving run (the headline experiments deliberately run
+/// untraced so their numbers stay bit-identical with tracing off). The
+/// fleet is forced two-tier and the pseudo-async split is enabled so every
+/// span family — engine jobs, DMA copy windows, far-link responses,
+/// host-pool stripes, per-class request spans — appears in one trace.
+void trace_experiment(const Options& opts, Report& report) {
+  auto& tracer = tdo::obs::Tracer::instance();
+  tracer.start({});
+
+  tdo::rt::RuntimeConfig config;
+  config.split.enabled = true;
+  config.split.cpu_fraction = 1.0 / 16.0;
+  config.split.min_macs = 1;  // serve-sized GEMMs sit below the default gate
+  config.split.pool.workers = 2;
+  // Serve-sized activation uploads (m*k floats) ride the async DMA path so
+  // the trace carries dma/<accel>.ch<k> copy-window spans.
+  config.xfer.min_async_bytes = 256;
+  std::optional<tdo::topo::TopologySpec> spec = opts.topology;
+  if (!spec.has_value()) spec = tdo::topo::TopologySpec{1, 2, 2.0};
+  Platform platform{spec->device_count(), config, spec};
+  ServingState state{platform, opts};
+
+  // Metrics ride the traced run so the counter trajectories land as
+  // Perfetto counter tracks under the same spans (50 us sample grid).
+  auto& metrics_registry = tdo::obs::MetricsRegistry::instance();
+  tdo::obs::MetricsParams metrics_params;
+  metrics_params.sample_every = 50'000'000;
+  metrics_registry.start(&platform.system.stats(), metrics_params);
+
+  tdo::serve::SchedulerParams params = serving_params(opts);
+  // Caller-centric by default: near fills to depth first and the overflow
+  // spills to the far pool, so far-link response spans are guaranteed under
+  // closed-loop pressure. An explicit --placement wins.
+  params.placement = opts.placement_set
+                         ? opts.placement
+                         : tdo::topo::Placement::kCallerCentric;
+  // Static knobs: adaptive admission would override the forced split
+  // fraction with its cold EWMA and starve the host-pool track.
+  params.admission.adaptive = false;
+  tdo::serve::Scheduler scheduler{params, *platform.runtime};
+
+  // Fresh activations arrive through the measured upload path — the copy's
+  // DMA window (and any contention stall) lands in the trace.
+  ClosedSource source = state.closed(opts, opts.m * opts.k * sizeof(float));
+  const auto finished = drive(scheduler, source, source.target());
+  BENCH_CHECK(finished.status());
+
+  tracer.pump();
+  metrics_registry.force_sample(platform.system.events().now());
+  const std::uint64_t metrics_samples = metrics_registry.samples().size();
+  metrics_registry.append_counter_tracks();
+  metrics_registry.stop();
+  tracer.pump();
+  const std::vector<tdo::obs::TraceEvent> events = tracer.sorted_events();
+  const std::uint64_t dropped = tracer.dropped();
+  const std::vector<tdo::obs::RequestPath> paths =
+      tdo::obs::decompose(events);
+  bool reconciled = true;  // every path: segment sum == e2e exactly
+  std::size_t joined = 0;  // request spans that joined their engine job
+  for (const auto& path : paths) {
+    reconciled = reconciled && path.segment_sum() == path.e2e();
+    joined += path.device_joined ? 1 : 0;
+  }
+  std::size_t span_track_kinds = 0;
+  for (const char* kind :
+       {"engine/", "dma/", "link/", "sched/", "host_pool/"}) {
+    span_track_kinds += std::any_of(
+        events.begin(), events.end(), [&](const tdo::obs::TraceEvent& e) {
+          return e.phase == tdo::obs::Phase::kSpan &&
+                 e.track.rfind(kind, 0) == 0;
+        });
+  }
+
+  // Per-segment energy attribution over the same span population, checked
+  // two ways: the integer-femtojoule segment buckets must sum exactly to
+  // the span-derived total (no joule double-counted or lost in the
+  // segment mapping), and that total must match the live accumulators the
+  // cost model charged (no charged joule missing a span).
+  const tdo::obs::EnergyBreakdown energy =
+      tdo::obs::attribute_energy(events, tdo::obs::default_energy_params());
+  double accumulated_pj = 0.0;
+  for (const auto& [name, pj] : platform.system.snapshot().energies_pj) {
+    // The attributable sinks: the six per-accelerator engine buckets
+    // ("<accel>.energy.<sink>"), the host worker pool, and the far link.
+    // "host.energy" (synchronous host-CPU fallback) has no spans and is
+    // deliberately outside the attribution.
+    if (name.find(".energy.") != std::string::npos ||
+        name == "host_pool.energy" || name == "farlink.energy") {
+      accumulated_pj += pj;
+    }
+  }
+  const double span_pj = static_cast<double>(energy.total_fj) * 1e-3;
+  // Tiny fJ-vs-double rounding tolerance.
+  const bool energy_matches_accumulators =
+      std::abs(span_pj - accumulated_pj) <=
+      1e-6 * std::max(1.0, accumulated_pj);
+  std::ofstream out(opts.trace_path, std::ios::binary);
+  if (!out) {
+    std::fprintf(stderr, "cannot open --trace path %s\n",
+                 opts.trace_path.c_str());
+    std::exit(1);
+  }
+  tracer.export_json(out);
+  tracer.stop();
+
+  std::printf(
+      "\nTrace: %zu events -> %s (%llu dropped); %zu/%zu request spans "
+      "device-joined; %zu/5 span track kinds\n",
+      events.size(), opts.trace_path.c_str(),
+      static_cast<unsigned long long>(dropped), joined, paths.size(),
+      span_track_kinds);
+  const auto share = [&](std::size_t s) {
+    return energy.total_fj == 0
+               ? 0.0
+               : 100.0 * static_cast<double>(energy.seg_fj[s]) /
+                     static_cast<double>(energy.total_fj);
+  };
+  std::printf(
+      "Energy attribution: %.3f uJ over %llu spans (weights %.1f%%, "
+      "stream %.1f%%, dma %.1f%%, link %.1f%%); %llu metrics samples\n",
+      static_cast<double>(energy.total_fj) * 1e-9,
+      static_cast<unsigned long long>(energy.spans_counted),
+      share(tdo::obs::kSegWeights), share(tdo::obs::kSegStream),
+      share(tdo::obs::kSegDmaWait), share(tdo::obs::kSegLink),
+      static_cast<unsigned long long>(metrics_samples));
+  if (opts.dump) {
+    print_decomposition(paths);
+    print_energy_table(paths, energy);
+  }
+
+  auto& gates = report.gates;
+  gates.push_back({reconciled, true,
+                   "critical-path segments do not sum to the end-to-end "
+                   "latency on every request span"});
+  gates.push_back({paths.size() == finished->size(), true,
+                   strprintf("%zu request spans for %zu completions",
+                             paths.size(), finished->size())});
+  gates.push_back({span_track_kinds >= 5, true,
+                   strprintf("only %zu of the 5 span track kinds (engine, "
+                             "dma, link, sched, host_pool) appear in the "
+                             "trace",
+                             span_track_kinds)});
+  gates.push_back(
+      {joined > 0, true, "no request span joined its engine job span"});
+  gates.push_back({dropped == 0, true,
+                   strprintf("%llu trace events dropped (shard overflow)",
+                             static_cast<unsigned long long>(dropped))});
+  gates.push_back(
+      {energy.segment_sum() == energy.total_fj && energy.total_fj > 0 &&
+           energy.host_pool_fj > 0,
+       true,
+       strprintf("per-segment energy does not reconcile exactly (segment sum "
+                 "%llu fJ vs span total %llu fJ, host-pool %llu fJ)",
+                 static_cast<unsigned long long>(energy.segment_sum()),
+                 static_cast<unsigned long long>(energy.total_fj),
+                 static_cast<unsigned long long>(energy.host_pool_fj))});
+  gates.push_back({energy_matches_accumulators, true,
+                   strprintf("span-derived energy %.3f pJ diverges from the "
+                             "live accumulators %.3f pJ (some charged joule "
+                             "has no span)",
+                             span_pj, accumulated_pj)});
+  gates.push_back({metrics_samples > 0, true,
+                   "metrics sampler took no samples during the traced run"});
+
+  Json t = Json::object();
+  t.set("events", Json::number(static_cast<std::uint64_t>(events.size())));
+  t.set("request_spans",
+        Json::number(static_cast<std::uint64_t>(paths.size())));
+  t.set("metrics_samples", Json::number(metrics_samples));
+  Json energy_json = Json::object();
+  energy_json.set("total_fj", Json::number(energy.total_fj));
+  energy_json.set("host_pool_fj", Json::number(energy.host_pool_fj));
+  energy_json.set("link_fj", Json::number(energy.link_fj));
+  Json segments = Json::object();
+  for (std::size_t s = 0; s < tdo::obs::kSegmentCount; ++s) {
+    segments.set(tdo::obs::segment_name(s), Json::number(energy.seg_fj[s]));
+  }
+  energy_json.set("segments_fj", std::move(segments));
+  t.set("energy", std::move(energy_json));
+  report.json.set("trace", std::move(t));
+}
+
+// --- the experiments ---
+
+/// Closed loop, full scheduler (dynamic batching + residency-affinity
+/// placement, then also adaptive admission) vs the no-batching FIFO
+/// baseline, plus an open loop at the configured arrival rate (reporting
+/// only).
+void serving_experiment(const Options& opts, Report& report) {
+  const auto closed = [&](const char* name, bool batching, bool adaptive,
+                          const char* dump_label) {
+    tdo::serve::SchedulerParams params = serving_params(opts);
+    params.batching = batching;
+    params.residency_affinity = batching;
+    params.placement = opts.placement;
+    params.admission.adaptive = adaptive;
+    return run_load(opts, name, params, /*open=*/false, dump_label);
+  };
+  LoadResult baseline =
+      closed("closed FIFO baseline", false, false, "baseline");
+  LoadResult full = closed("closed batch+affinity", true, false,
+                           "batch+affinity");
+  LoadResult adaptive = closed("closed +adaptive", true, true, nullptr);
+  LoadResult open = run_load(opts, "open full scheduler",
+                             serving_params(opts), /*open=*/true);
+
+  TextTable table("Serving scheduler - Zipf(" +
+                  std::to_string(opts.zipf_alpha) + ") tenants, " +
+                  std::to_string(opts.accelerators) + " accelerator(s)");
+  table.set_header({"Config", "Req/s", "p50 us", "p95 us", "p99 us",
+                    "Hit rate", "Fallback", "Batch", "Affinity", "Rejected"});
+  for (const LoadResult* run : {&baseline, &full, &adaptive, &open}) {
+    table.add_row(run->row);
+  }
+  table.print(std::cout);
+  std::printf("%s%s", baseline.dump.c_str(), full.dump.c_str());
+
+  report.gates.push_back(
+      {full.throughput_rps > baseline.throughput_rps && full.p99 < baseline.p99,
+       true,
+       strprintf("full scheduler does not strictly beat the no-batching FIFO "
+                 "baseline (throughput %.0f vs %.0f rps, p99 %.1f vs %.1f us)",
+                 full.throughput_rps, baseline.throughput_rps,
+                 full.p99.microseconds(), baseline.p99.microseconds())});
+  report.json.set("closed_fifo", std::move(baseline.json));
+  report.json.set("closed_batch_affinity", std::move(full.json));
+  report.json.set("closed_adaptive", std::move(adaptive.json));
+  report.json.set("open_loop", std::move(open.json));
+}
+
+/// Adaptive-admission convergence: a static sweep over the
+/// min_macs_per_write ladder on a mixed-intensity load finds the best
+/// static threshold; the adaptive controller must land within one rung.
+void admission_experiment(const Options& opts, Report& report) {
+  std::printf("\nAdmission convergence (static sweep vs adaptive EWMA):\n");
+  // The sweep and the controller share one ladder, so "within one rung" is
+  // well defined.
+  const tdo::serve::AdmissionController ladder{{}, 0.0, 0};
+  Duration best = Duration::from_sec(1e18);
+  double best_static = 0.0;
+  int best_rung = 0;
+  const int rungs = opts.smoke ? 8 : 10;
+  for (int i = 0; i < rungs; ++i) {
+    const double threshold = ladder.rung(i);
+    const Duration elapsed =
+        run_admission_load(opts, /*adaptive=*/false, threshold).first;
+    std::printf("  static min_macs_per_write %-8.0f -> %s\n", threshold,
+                elapsed.to_string().c_str());
+    if (elapsed < best) {
+      best = elapsed;
+      best_static = threshold;
+      best_rung = i;
+    }
+  }
+  const auto [adaptive_time, knob] =
+      run_admission_load(opts, /*adaptive=*/true, 0.0);
+  const int adaptive_rung = ladder.rung_index(knob);
+  std::printf("  adaptive                      -> %s (knob %.0f, rung %d; "
+              "best static %.0f, rung %d)\n",
+              adaptive_time.to_string().c_str(), knob, adaptive_rung,
+              best_static, best_rung);
+  report.gates.push_back(
+      {std::abs(adaptive_rung - best_rung) <= 1, true,
+       strprintf("adaptive admission (rung %d) not within one ladder step of "
+                 "the best static threshold (rung %d)",
+                 adaptive_rung, best_rung)});
+}
+
+/// Pseudo-async host/device split: a static sweep over the split-fraction
+/// ladder, then the scheduler's auto-tuner on the same GEMM. Full runs gate
+/// that some split beats device-only and that the auto-tuned fraction lands
+/// within one rung of the swept optimum.
+void split_experiment(const Options& opts, Report& report) {
+  std::printf("\nPseudo-async host/device split (%s GEMM, static sweep vs "
+              "auto-tune):\n",
+              opts.smoke ? "128^3" : "256^3");
+  const tdo::serve::AdmissionController ladder{{}, 0.0, 0};
+  const std::size_t reps = opts.smoke ? 2 : 3;
+  const int rungs = 10;
+  Duration device_only, best = Duration::from_sec(1e18);
+  int best_rung = 0;
+  for (int i = 0; i <= rungs; ++i) {
+    const Duration elapsed = run_split_load(opts, ladder.split_rung(i), reps);
+    if (i == 0) device_only = elapsed;  // rung 0 splits nothing off
+    if (elapsed < best) {
+      best = elapsed;
+      best_rung = i;
+    }
+  }
+
+  // Auto-tune: the scheduler feeds the admission controller's device and
+  // host EWMAs (device jobs + pool stripes + host probes) and pushes the
+  // quantized ideal fraction into the runtime at each dispatch.
+  Platform platform{1, split_config()};
+  tdo::serve::SchedulerParams params;
+  params.batching = false;
+  params.residency_affinity = false;
+  params.admission.adaptive = true;
+  params.admission.probe_period = 4;
+  tdo::serve::Scheduler scheduler{params, *platform.runtime};
+  const std::uint64_t d = opts.smoke ? 128 : 256;
+  const SquareGemm gemm{platform, d, opts.seed + 311};
+  const std::size_t adaptive_reps = opts.smoke ? 6 : 14;
+  for (std::size_t rep = 0; rep < adaptive_reps; ++rep) {
+    auto request = sgemm_request(0, DeadlineClass::kStandard, d, d, d, gemm.a,
+                                 gemm.b, gemm.c);
+    request.cacheable = false;
+    BENCH_CHECK(scheduler.submit(request).status());
+    BENCH_CHECK(scheduler.drain());
+  }
+  const double adaptive_fraction = platform.runtime->split_fraction();
+  const int adaptive_rung = ladder.split_rung_index(adaptive_fraction);
+  std::printf(
+      "  device-only %s; best static split %.4f (rung %d) -> %s; auto-tuned "
+      "%.4f (rung %d)\n",
+      device_only.to_string().c_str(), ladder.split_rung(best_rung),
+      best_rung, best.to_string().c_str(), adaptive_fraction, adaptive_rung);
+
+  // Simulated-deterministic, but smoke shrinks the GEMM below the margins
+  // these gates assume — report-only there.
+  report.gates.push_back(
+      {best_rung > 0 && best < device_only, false,
+       strprintf("no static split fraction beats device-only (best rung %d)",
+                 best_rung)});
+  report.gates.push_back(
+      {std::abs(adaptive_rung - best_rung) <= 1, false,
+       strprintf("auto-tuned split fraction %.4f (rung %d) not within one "
+                 "ladder rung of the swept optimum (rung %d)",
+                 adaptive_fraction, adaptive_rung, best_rung)});
+}
+
+/// Thread-parallel submission (--threads): submit scaling over a thread
+/// ladder, then the matched-arrival tail. Full runs with >= 2 threads gate
+/// near-linear submit scaling and a p99 that beats the lone submitter's.
+void threads_experiment(const Options& opts, Report& report) {
+  std::vector<std::size_t> ladder{1, 2, 4, 8};
+  if (std::find(ladder.begin(), ladder.end(), opts.threads) == ladder.end()) {
+    ladder.push_back(opts.threads);
+    std::sort(ladder.begin(), ladder.end());
+  }
+  const auto rung_of_threads = static_cast<std::size_t>(
+      std::find(ladder.begin(), ladder.end(), opts.threads) - ladder.begin());
+
+  TextTable submit_table("Thread-parallel submission (simulated clocks, "
+                         "submit cost 2 us)");
+  std::vector<std::string> header{"Threads", "Submit req/s", "Scaling",
+                                  "E2E req/s"};
+  if (opts.dump) {
+    header.insert(header.end(), {"Ring lock", "Latency lock", "Stream lock"});
+  }
+  header.push_back("Rejected");
+  submit_table.set_header(header);
+  std::vector<SubmitScale> scaling;
+  for (const std::size_t threads : ladder) {
+    scaling.push_back(run_submit_scaling(opts, threads));
+    const SubmitScale& s = scaling.back();
+    std::vector<std::string> row{
+        std::to_string(threads), strprintf("%.0f", s.submit_rps),
+        strprintf("%.2fx", s.submit_rps / scaling.front().submit_rps),
+        strprintf("%.0f", s.e2e_rps)};
+    if (opts.dump) {
+      row.push_back(std::to_string(s.ring_contended));
+      row.push_back(std::to_string(s.latency_contended));
+      row.push_back(std::to_string(s.stream_ring_contended));
+    }
+    row.push_back(std::to_string(s.rejected));
+    submit_table.add_row(row);
+  }
+  std::printf("\n");
+  submit_table.print(std::cout);
+
+  TextTable tail_table("Matched-arrival tail latency (demand 25k req/s, "
+                       "submit cost 120 us)");
+  tail_table.set_header(
+      {"Threads", "p50 us", "p99 us", "Worst front-end wait us"});
+  std::vector<ContendedLoad> contended;
+  for (const std::size_t threads : ladder) {
+    contended.push_back(run_contended_loop(opts, threads));
+    const ContendedLoad& c = contended.back();
+    tail_table.add_row({std::to_string(threads),
+                        strprintf("%.1f", c.p50.microseconds()),
+                        strprintf("%.1f", c.p99.microseconds()),
+                        strprintf("%.1f", c.worst_wait.microseconds())});
+  }
+  std::printf("\n");
+  tail_table.print(std::cout);
+
+  if (opts.threads < 2) return;
+  // Simulated-deterministic, but smoke shrinks the load below the margins
+  // these gates assume — report-only there.
+  const double ratio =
+      scaling[rung_of_threads].submit_rps / scaling.front().submit_rps;
+  const double need = 0.75 * static_cast<double>(opts.threads);
+  report.gates.push_back(
+      {ratio >= need, false,
+       strprintf("%zu-thread submitted-request throughput only %.2fx the "
+                 "1-thread rate (need >= %.2fx)",
+                 opts.threads, ratio, need)});
+  const ContendedLoad& tail = contended[rung_of_threads];
+  report.gates.push_back(
+      {tail.p99 < contended.front().p99, false,
+       strprintf("%zu-thread p99 %.1f us does not strictly beat the 1-thread "
+                 "p99 %.1f us",
+                 opts.threads, tail.p99.microseconds(),
+                 contended.front().p99.microseconds())});
+}
+
+void summary(const Options&, Report&) {
+  std::printf(
+      "\nDynamic batching coalesces the Zipf head into shared-weight "
+      "launches,\nresidency affinity pins them to the accelerator already "
+      "holding the\nweights, and the admission EWMA re-derives the offload "
+      "knee at runtime.\n");
+}
+
+/// Calibrated overload points: shedding must fire at 3x offered load and
+/// never at 0.5x, and the shed run's interactive p99 must strictly beat the
+/// no-shed reference while staying within 3x of the uncontended tail.
+void shedding_experiment(const Options& opts, Report& report) {
+  constexpr double kOverloadFactor = 3.0;  // offered load vs capacity
+  const OverloadPoint uncontended =
+      run_overload_point(opts, /*shed_enabled=*/true, 0.5);
+  const OverloadPoint shed =
+      run_overload_point(opts, /*shed_enabled=*/true, kOverloadFactor);
+  const OverloadPoint no_shed =
+      run_overload_point(opts, /*shed_enabled=*/false, kOverloadFactor);
+
+  TextTable points("Overload shedding - interactive tail (1 accelerator, "
+                   "batch-class flood)");
+  points.set_header({"Config", "Load", "Intr p50 us", "Intr p99 us",
+                     "Intr done", "Shed"});
+  const auto add_point = [&](const char* name, const OverloadPoint& p) {
+    points.add_row({name, strprintf("%.1fx", p.load_factor),
+                    strprintf("%.1f", p.interactive_p50.microseconds()),
+                    strprintf("%.1f", p.interactive_p99.microseconds()),
+                    std::to_string(p.interactive_done),
+                    std::to_string(p.shed)});
+  };
+  add_point("shed uncontended", uncontended);
+  add_point("shed overloaded", shed);
+  add_point("no-shed overloaded", no_shed);
+  points.print(std::cout);
+
+  auto& gates = report.gates;
+  gates.push_back({shed.shed > 0, true,
+                   strprintf("shedding never fired at %.1fx offered load",
+                             kOverloadFactor)});
+  gates.push_back(
+      {uncontended.shed == 0, true,
+       strprintf("shedding fired %llu times at 0.5x offered load",
+                 static_cast<unsigned long long>(uncontended.shed))});
+  gates.push_back({shed.interactive_p99 < no_shed.interactive_p99, true,
+                   strprintf("shed interactive p99 %.1f us does not strictly "
+                             "beat the no-shed reference %.1f us",
+                             shed.interactive_p99.microseconds(),
+                             no_shed.interactive_p99.microseconds())});
+  gates.push_back({shed.interactive_p99.picoseconds() <=
+                       3.0 * uncontended.interactive_p99.picoseconds(),
+                   true,
+                   strprintf("shed interactive p99 %.1f us exceeds 3x the "
+                             "uncontended value %.1f us",
+                             shed.interactive_p99.microseconds(),
+                             uncontended.interactive_p99.microseconds())});
+
+  const auto point_json = [](const OverloadPoint& p) {
+    Json j = Json::object();
+    j.set("load_factor", Json::number(p.load_factor));
+    j.set("interactive_p50_us",
+          Json::number(p.interactive_p50.microseconds()));
+    j.set("interactive_p99_us",
+          Json::number(p.interactive_p99.microseconds()));
+    j.set("interactive_done", Json::number(p.interactive_done));
+    j.set("shed", Json::number(p.shed));
+    return j;
+  };
+  report.json.set("shed_uncontended", point_json(uncontended));
+  report.json.set("shed_overloaded", point_json(shed));
+  report.json.set("no_shed_overloaded", point_json(no_shed));
+}
+
+/// Weighted-DRR share measurement: three tenants with 3:2:1 weights, all
+/// backlogged on one device with batching off (completion order is pull
+/// order), shares counted over a window cut before the heaviest tenant's
+/// queue can run dry. Each share must land within 15% of its weight.
+void drr_experiment(const Options& opts, Report& report) {
+  Platform platform{1};
+  const SmallGemm gemm{platform, 8, 32, 32, opts.seed + 510, 8};
+
+  const std::vector<std::uint32_t> weights{3, 2, 1};
+  const std::size_t per_tenant = opts.smoke ? 48 : 120;
+  tdo::serve::SchedulerParams params;
+  params.batching = false;  // completion order == DRR pull order
+  params.admission.adaptive = false;
+  params.max_queue_per_tenant = per_tenant;
+  tdo::serve::Scheduler scheduler{params, *platform.runtime};
+  for (std::size_t t = 0; t < weights.size(); ++t) {
+    scheduler.set_tenant_weight(static_cast<std::uint32_t>(t), weights[t]);
+  }
+  for (std::size_t r = 0; r < per_tenant; ++r) {
+    for (std::size_t t = 0; t < weights.size(); ++t) {
+      BENCH_CHECK(scheduler
+                      .submit(gemm.request(static_cast<std::uint32_t>(t),
+                                           r * weights.size() + t))
+                      .status());
+    }
+  }
+  BENCH_CHECK(scheduler.drain());
+  const auto completions = scheduler.take_completions();
+
+  // While every tenant is backlogged each DRR round serves 3+2+1; the
+  // heaviest tenant runs dry first, after per_tenant * (sum/max) total
+  // completions — cut the window 10% short of that.
+  const std::uint32_t sum_w =
+      std::accumulate(weights.begin(), weights.end(), 0u);
+  const std::uint32_t max_w = *std::max_element(weights.begin(), weights.end());
+  const std::size_t window = per_tenant * sum_w / max_w * 9 / 10;
+  std::vector<std::size_t> counts(weights.size(), 0);
+  for (std::size_t i = 0; i < window && i < completions.size(); ++i) {
+    counts[completions[i].tenant] += 1;
+  }
+
+  TextTable drr("Weighted DRR shares (backlogged, batching off)");
+  drr.set_header({"Tenant", "Weight", "Share", "Expected", "Error"});
+  Json drr_json = Json::array();
+  bool within_tolerance = true;
+  for (std::size_t t = 0; t < weights.size(); ++t) {
+    const double share =
+        static_cast<double>(counts[t]) / static_cast<double>(window);
+    const double expected =
+        static_cast<double>(weights[t]) / static_cast<double>(sum_w);
+    const double error = share / expected - 1.0;
+    within_tolerance = within_tolerance && std::abs(error) <= 0.15;
+    drr.add_row({std::to_string(t), std::to_string(weights[t]),
+                 strprintf("%.1f%%", share * 100.0),
+                 strprintf("%.1f%%", expected * 100.0),
+                 strprintf("%+.1f%%", error * 100.0)});
+    Json j = Json::object();
+    j.set("weight", Json::number(static_cast<std::uint64_t>(weights[t])));
+    j.set("share", Json::number(share));
+    j.set("expected", Json::number(expected));
+    drr_json.push(std::move(j));
+  }
+  std::printf("\n");
+  drr.print(std::cout);
+  report.gates.push_back({within_tolerance, true,
+                          "a weighted-DRR share is more than 15% off its "
+                          "configured weight"});
+  report.json.set("drr_shares", std::move(drr_json));
+}
+
+void scale_experiment(const Options& opts, Report& report) {
+  std::vector<std::size_t> scales{100, 1000, 10000};
+  if (!opts.smoke) scales.push_back(100000);
+  TextTable scale("Tenant-scale pump cost (fixed request count, "
+                  "pre-registered tenants)");
+  scale.set_header({"Tenants", "ns/request", "vs 10^2"});
+  std::vector<double> ns;
+  for (const std::size_t tenants : scales) {
+    ns.push_back(run_scale_point(opts, tenants));
+    scale.add_row({std::to_string(tenants), strprintf("%.0f", ns.back()),
+                   strprintf("%.2fx", ns.back() / ns.front())});
+  }
+  std::printf("\n");
+  scale.print(std::cout);
+  const double worst_ratio = ns.back() / ns.front();
+  report.gates.push_back(
+      {worst_ratio <= 1.25, true,
+       strprintf("per-request pump cost grows %.2fx from %zu to %zu tenants "
+                 "(flat-cost gate is 1.25x)",
+                 worst_ratio, scales.front(), scales.back())});
+}
+
+/// Cross-thread flood for the pump-time tenant bound (--threads): N
+/// submitter threads push well past max_queue_per_tenant through the
+/// sharded ring while the driver is idle, then the driver drains. Every
+/// ring-accepted request must come back exactly once — as a completion or a
+/// pump-time rejection — and the bound must actually reject.
+void flood_experiment(const Options& opts, Report& report) {
+  Platform platform{1};
+  const SmallGemm gemm{platform, 4, 32, 32, opts.seed + 530, 1};
+
+  tdo::serve::SchedulerParams params;
+  params.admission.adaptive = false;
+  params.max_queue_per_tenant = 32;
+  tdo::serve::Scheduler scheduler{params, *platform.runtime};
+
+  constexpr std::uint32_t kTenants = 4;
+  const std::size_t per_thread = 256;
+  std::atomic<std::uint64_t> ring_rejected{0};
+  std::vector<std::thread> submitters;
+  submitters.reserve(opts.threads);
+  for (std::size_t t = 0; t < opts.threads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t r = 0; r < per_thread; ++r) {
+        const auto tenant = static_cast<std::uint32_t>((t + r) % kTenants);
+        if (!scheduler.submit_from_thread(gemm.request(tenant, 0)).is_ok()) {
+          ring_rejected.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& submitter : submitters) submitter.join();
+  BENCH_CHECK(scheduler.drain());
+  (void)scheduler.take_completions();
+
+  const std::uint64_t accepted =
+      opts.threads * per_thread - ring_rejected.load();
+  const auto serve = scheduler.report();  // rejected: pump-time bound drops
+  std::printf("\nCross-thread flood (%zu threads, tenant bound 32): "
+              "%llu accepted -> %llu completed + %llu rejected at pump\n",
+              opts.threads, static_cast<unsigned long long>(accepted),
+              static_cast<unsigned long long>(serve.completed),
+              static_cast<unsigned long long>(serve.rejected));
+  report.gates.push_back(
+      {serve.completed + serve.rejected == accepted, true,
+       "flood accounting mismatch (accepted != completed + rejected)"});
+  report.gates.push_back(
+      {serve.rejected > 0, true,
+       "the pump-time per-tenant bound never rejected during the flood"});
+}
+
+[[nodiscard]] bool always(const Options&) { return true; }
+
+/// The headline suite, in print order.
+constexpr Experiment kServingSuite[] = {
+    {"serving", always, serving_experiment},
+    {"trace", [](const Options& o) { return !o.trace_path.empty(); },
+     trace_experiment},
+    {"metrics", [](const Options& o) { return !o.metrics_path.empty(); },
+     metrics_experiment},
+    {"admission", always, admission_experiment},
+    {"split", always, split_experiment},
+    {"threads", [](const Options& o) { return o.threads > 0; },
+     threads_experiment},
+    {"summary", always, summary},
+};
+
+/// `--overload`: only the overload-hardening suite, so CI can gate it
+/// separately from the headline experiments.
+constexpr Experiment kOverloadSuite[] = {
+    {"shedding", always, shedding_experiment},
+    {"drr", always, drr_experiment},
+    {"tenant-scale", always, scale_experiment},
+    {"flood", [](const Options& o) { return o.threads > 0; },
+     flood_experiment},
+};
+
+// --- command line ---
+
+/// Parses a whole decimal integer in [min, max].
+[[nodiscard]] std::optional<std::uint64_t> parse_count(const char* text,
+                                                       std::uint64_t min,
+                                                       std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+enum class Parsed { kRun, kHelp, kBad };
+
+[[nodiscard]] Parsed parse_options(int argc, char** argv, Options& opts) {
+  // --smoke shrinks the load first, so explicit load flags override it
+  // wherever they appear on the line.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      opts.smoke = true;
+      opts.tenants = 2;
+      opts.clients_per_tenant = 3;
+      opts.requests_per_client = 6;
+      opts.weight_sets = 4;
+    }
+  }
+  constexpr std::uint64_t kMaxCount = 1u << 20;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") continue;
+    if (arg == "--overload") {
+      opts.overload = true;
+      continue;
+    }
+    if (arg == "--dump") {
+      opts.dump = true;
+      continue;
+    }
+    if (arg == "--help" || i + 1 >= argc) {
+      return arg == "--help" ? Parsed::kHelp : Parsed::kBad;
+    }
+    const char* value = argv[++i];
+    // A whole number in [min, max]; a finite real >= 0 (> 0 when
+    // `positive`, for values a zero would divide by).
+    const auto count = [&](auto& out, std::uint64_t min, std::uint64_t max) {
+      const auto parsed = parse_count(value, min, max);
+      if (parsed) out = *parsed;
+      return parsed.has_value();
+    };
+    const auto real = [&](double& out, bool positive) {
+      char* end = nullptr;
+      const double parsed = std::strtod(value, &end);
+      const bool ok = end != value && *end == '\0' && std::isfinite(parsed) &&
+                      (positive ? parsed > 0.0 : parsed >= 0.0);
+      if (ok) out = parsed;
+      return ok;
+    };
+    bool ok = true;
+    if (arg == "--tenants") {
+      ok = count(opts.tenants, 1, kMaxCount);
+    } else if (arg == "--clients") {
+      ok = count(opts.clients_per_tenant, 1, kMaxCount);
+    } else if (arg == "--requests") {
+      ok = count(opts.requests_per_client, 1, kMaxCount);
+    } else if (arg == "--weights") {
+      ok = count(opts.weight_sets, 1, kMaxCount);
+    } else if (arg == "--accels") {
+      ok = count(opts.accelerators, 1, kMaxCount);
+    } else if (arg == "--batch-max") {
+      ok = count(opts.batch_max, 1, kMaxCount);
+    } else if (arg == "--threads") {
+      ok = count(opts.threads, 0, 1024);
+    } else if (arg == "--seed") {
+      ok = count(opts.seed, 0, UINT64_MAX);
+    } else if (arg == "--alpha") {
+      ok = real(opts.zipf_alpha, false);
+    } else if (arg == "--max-wait-us") {
+      ok = real(opts.max_wait_us, false);
+    } else if (arg == "--rate-rps") {
+      ok = real(opts.open_rate_rps, true);
+    } else if (arg == "--trace") {
+      opts.trace_path = value;
+    } else if (arg == "--metrics") {
+      opts.metrics_path = value;
+    } else if (arg == "--placement") {
+      const std::string policy = value;
+      opts.placement_set = true;
+      if (policy == "blind") {
+        opts.placement = tdo::topo::Placement::kBlind;
+      } else if (policy == "caller") {
+        opts.placement = tdo::topo::Placement::kCallerCentric;
+      } else {
+        ok = policy == "buffer";
+        opts.placement = tdo::topo::Placement::kBufferCentric;
+      }
+    } else if (arg == "--topology") {
+      const auto spec = tdo::topo::parse_topology_spec(value);
+      ok = spec.has_value() && spec->device_count() > 0;
+      if (ok) {
+        opts.topology = *spec;
+        opts.accelerators = spec->device_count();
+      }
+    } else {
+      return Parsed::kBad;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), value);
+      return Parsed::kBad;
+    }
+  }
+  return Parsed::kRun;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> double { return std::atof(argv[++i]); };
-    if (arg == "--smoke") {
-      opts.smoke = true;
-    } else if (arg == "--overload") {
-      opts.overload = true;
-    } else if (arg == "--dump") {
-      opts.dump = true;
-    } else if (arg == "--tenants" && i + 1 < argc) {
-      opts.tenants = static_cast<std::size_t>(value());
-    } else if (arg == "--clients" && i + 1 < argc) {
-      opts.clients_per_tenant = static_cast<std::size_t>(value());
-    } else if (arg == "--requests" && i + 1 < argc) {
-      opts.requests_per_client = static_cast<std::size_t>(value());
-    } else if (arg == "--weights" && i + 1 < argc) {
-      opts.weight_sets = static_cast<std::size_t>(value());
-    } else if (arg == "--alpha" && i + 1 < argc) {
-      opts.zipf_alpha = value();
-    } else if (arg == "--accels" && i + 1 < argc) {
-      opts.accelerators = static_cast<std::size_t>(value());
-    } else if (arg == "--batch-max" && i + 1 < argc) {
-      opts.batch_max = static_cast<std::size_t>(value());
-    } else if (arg == "--max-wait-us" && i + 1 < argc) {
-      opts.max_wait_us = value();
-    } else if (arg == "--rate-rps" && i + 1 < argc) {
-      opts.open_rate_rps = value();
-    } else if (arg == "--seed" && i + 1 < argc) {
-      opts.seed = static_cast<std::uint64_t>(value());
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opts.threads = static_cast<std::size_t>(value());
-    } else if (arg == "--trace" && i + 1 < argc) {
-      opts.trace_path = argv[++i];
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      opts.metrics_path = argv[++i];
-    } else if (arg == "--placement" && i + 1 < argc) {
-      const std::string policy = argv[++i];
-      opts.placement_set = true;
-      if (policy == "blind") {
-        opts.placement = tdo::topo::Placement::kBlind;
-      } else if (policy == "caller") {
-        opts.placement = tdo::topo::Placement::kCallerCentric;
-      } else if (policy == "buffer") {
-        opts.placement = tdo::topo::Placement::kBufferCentric;
-      } else {
-        std::fprintf(stderr,
-                     "bad --placement (want blind|caller|buffer): %s\n",
-                     policy.c_str());
-        return 1;
-      }
-    } else if (arg == "--topology" && i + 1 < argc) {
-      const auto spec = tdo::topo::parse_topology_spec(argv[++i]);
-      if (!spec.has_value()) {
-        std::fprintf(stderr, "bad --topology (want near:N,far:M[xL]): %s\n",
-                     argv[i]);
-        return 1;
-      }
-      opts.topology = *spec;
-      opts.accelerators = spec->device_count();
-    } else {
-      std::printf(
-          "usage: bench_serve_loop [--smoke] [--overload] [--tenants N]\n"
-          "       [--clients C] [--requests R] [--weights W] [--alpha Z]\n"
-          "       [--accels A] [--batch-max B] [--max-wait-us U]\n"
-          "       [--rate-rps X] [--seed S] [--threads T]\n"
-          "       [--topology near:N,far:M[xL]] [--trace out.json]\n"
-          "       [--metrics out.json] [--placement blind|caller|buffer]\n");
-      return arg == "--help" ? 0 : 1;
-    }
-  }
-  if (opts.smoke) {
-    opts.tenants = 2;
-    opts.clients_per_tenant = 3;
-    opts.requests_per_client = 6;
-    opts.weight_sets = 4;
-  }
-  if (opts.overload) return run_overload_suite(opts);
-
-  using tdo::support::TextTable;
-  TextTable table("Serving scheduler - Zipf(" +
-                  std::to_string(opts.zipf_alpha) + ") tenants, " +
-                  std::to_string(opts.accelerators) + " accelerator(s)");
-  table.set_header({"Config", "Req/s", "p50 us", "p95 us", "p99 us",
-                    "Hit rate", "Fallback", "Batch", "Affinity", "Rejected"});
-
-  const LoadResult baseline = run_closed_loop(opts, /*batching=*/false,
-                                              /*affinity=*/false,
-                                              /*adaptive=*/false);
-  const LoadResult full = run_closed_loop(opts, /*batching=*/true,
-                                          /*affinity=*/true,
-                                          /*adaptive=*/false);
-  const LoadResult adaptive = run_closed_loop(opts, /*batching=*/true,
-                                              /*affinity=*/true,
-                                              /*adaptive=*/true);
-  const LoadResult open = run_open_loop(opts);
-  add_result_row(table, "closed FIFO baseline", baseline);
-  add_result_row(table, "closed batch+affinity", full);
-  add_result_row(table, "closed +adaptive", adaptive);
-  add_result_row(table, "open full scheduler", open);
-  table.print(std::cout);
-
-  if (opts.dump) {
-    const auto tier_of = [&](int device) {
-      if (!opts.topology.has_value() || device < 0) return 0;
-      return device >= static_cast<int>(opts.topology->near) ? 1 : 0;
-    };
-    for (const auto* run : {&baseline, &full}) {
-      std::printf("\n-- completions (%s) --\n",
-                  run == &baseline ? "baseline" : "batch+affinity");
-      for (const auto& c : run->completions) {
-        std::printf(
-            "  id %3llu tenant %u cls %-11s arr %9.1f disp %9.1f done %9.1f "
-            "lat %8.1f us batch %u dev %d tier %d %s\n",
-            static_cast<unsigned long long>(c.id), c.tenant,
-            tdo::serve::to_string(c.deadline), c.arrival.microseconds(),
-            c.dispatch.microseconds(), c.done.microseconds(),
-            c.latency().microseconds(), c.batch_size, c.device,
-            tier_of(c.device), c.offloaded ? "dev" : "host");
-      }
-      // Per-tier queue/occupancy split: scheduler-side routed requests
-      // ("queue") vs device-side jobs actually retired ("jobs"; batching
-      // and runtime-internal launches make the two differ).
-      std::printf("-- per-device load (%s) --\n",
-                  run == &baseline ? "baseline" : "batch+affinity");
-      std::vector<std::uint64_t> routed(run->devices.size(), 0);
-      for (const auto& c : run->completions) {
-        if (c.device >= 0 && static_cast<std::size_t>(c.device) < routed.size()) {
-          ++routed[static_cast<std::size_t>(c.device)];
-        }
-      }
-      for (std::size_t d = 0; d < run->devices.size(); ++d) {
-        std::printf("  dev %zu tier %-4s queue %4llu jobs %4llu\n", d,
-                    run->devices[d].tier == 1 ? "far" : "near",
-                    static_cast<unsigned long long>(routed[d]),
-                    static_cast<unsigned long long>(run->devices[d].jobs));
-      }
-      if (opts.topology.has_value() && opts.topology->far > 0) {
-        std::printf("  far link: contended ticks %llu, responses %llu, "
-                    "far-routed %llu\n",
-                    static_cast<unsigned long long>(run->link_contended_ticks),
-                    static_cast<unsigned long long>(run->link_responses),
-                    static_cast<unsigned long long>(run->serve.far_routed));
-      }
-    }
-  }
-
-  std::optional<TraceOutcome> trace;
-  if (!opts.trace_path.empty()) {
-    trace = run_traced(opts);
+  const Parsed parsed = parse_options(argc, argv, opts);
+  if (parsed != Parsed::kRun) {
     std::printf(
-        "\nTrace: %zu events -> %s (%llu dropped); %zu/%zu request spans "
-        "device-joined; %zu/5 span track kinds\n",
-        trace->events, opts.trace_path.c_str(),
-        static_cast<unsigned long long>(trace->dropped),
-        [&] {
-          std::size_t joined = 0;
-          for (const auto& p : trace->paths) joined += p.device_joined ? 1 : 0;
-          return joined;
-        }(),
-        trace->paths.size(), trace->span_track_kinds);
-    const auto share = [&](std::size_t s) {
-      return trace->energy.total_fj == 0
-                 ? 0.0
-                 : 100.0 * static_cast<double>(trace->energy.seg_fj[s]) /
-                       static_cast<double>(trace->energy.total_fj);
-    };
-    std::printf(
-        "Energy attribution: %.3f uJ over %llu spans (weights %.1f%%, "
-        "stream %.1f%%, dma %.1f%%, link %.1f%%); %llu metrics samples\n",
-        static_cast<double>(trace->energy.total_fj) * 1e-9,
-        static_cast<unsigned long long>(trace->energy.spans_counted),
-        share(tdo::obs::kSegWeights), share(tdo::obs::kSegStream),
-        share(tdo::obs::kSegDmaWait), share(tdo::obs::kSegLink),
-        static_cast<unsigned long long>(trace->metrics_samples));
-    if (opts.dump) {
-      print_decomposition(trace->paths);
-      print_energy_table(trace->paths, trace->energy);
-    }
+        "usage: bench_serve_loop [--smoke] [--overload] [--dump]\n"
+        "       [--tenants N] [--clients C] [--requests R] [--weights W]\n"
+        "       [--alpha Z] [--accels A] [--batch-max B] [--max-wait-us U]\n"
+        "       [--rate-rps X] [--seed S] [--threads T]\n"
+        "       [--topology near:N,far:M[xL]] [--trace out.json]\n"
+        "       [--metrics out.json] [--placement blind|caller|buffer]\n");
+    return parsed == Parsed::kHelp ? 0 : 1;
   }
 
-  std::optional<MetricsOutcome> metrics;
-  if (!opts.metrics_path.empty()) {
-    std::printf("\n");
-    metrics = run_metrics_experiment(opts);
+  Report report;
+  std::vector<const char*> declared_by;  // gate index -> experiment name
+  const std::span<const Experiment> suite =
+      opts.overload ? std::span<const Experiment>{kOverloadSuite}
+                    : std::span<const Experiment>{kServingSuite};
+  for (const Experiment& experiment : suite) {
+    if (!experiment.applies(opts)) continue;
+    experiment.run(opts, report);
+    declared_by.resize(report.gates.size(), experiment.name);
   }
-
-  std::printf("\nAdmission convergence (static sweep vs adaptive EWMA):\n");
-  const AdmissionOutcome admission = run_admission_experiment(opts);
-
-  std::printf("\nPseudo-async host/device split (%s GEMM, static sweep vs "
-              "auto-tune):\n",
-              opts.smoke ? "128^3" : "256^3");
-  const SplitOutcome split = run_split_experiment(opts);
-
-  std::vector<SubmitScale> scaling;
-  std::vector<ContendedLoad> contended;
-  if (opts.threads > 0) {
-    std::vector<std::size_t> ladder{1, 2, 4, 8};
-    if (std::find(ladder.begin(), ladder.end(), opts.threads) ==
-        ladder.end()) {
-      ladder.push_back(opts.threads);
-      std::sort(ladder.begin(), ladder.end());
-    }
-    TextTable submit_table("Thread-parallel submission (simulated clocks, "
-                           "submit cost 2 us)");
-    if (opts.dump) {
-      submit_table.set_header({"Threads", "Submit req/s", "Scaling",
-                               "E2E req/s", "Ring lock", "Latency lock",
-                               "Stream lock", "Rejected"});
-    } else {
-      submit_table.set_header(
-          {"Threads", "Submit req/s", "Scaling", "E2E req/s", "Rejected"});
-    }
-    for (const std::size_t threads : ladder) {
-      scaling.push_back(run_submit_scaling(opts, threads));
-      const SubmitScale& s = scaling.back();
-      char rps[32], scale[32], e2e[32];
-      std::snprintf(rps, sizeof rps, "%.0f", s.submit_rps);
-      std::snprintf(scale, sizeof scale, "%.2fx",
-                    s.submit_rps / scaling.front().submit_rps);
-      std::snprintf(e2e, sizeof e2e, "%.0f", s.e2e_rps);
-      if (opts.dump) {
-        submit_table.add_row({std::to_string(threads), rps, scale, e2e,
-                              std::to_string(s.ring_contended),
-                              std::to_string(s.latency_contended),
-                              std::to_string(s.stream_ring_contended),
-                              std::to_string(s.rejected)});
-      } else {
-        submit_table.add_row({std::to_string(threads), rps, scale, e2e,
-                              std::to_string(s.rejected)});
-      }
-    }
-    std::printf("\n");
-    submit_table.print(std::cout);
-
-    TextTable tail_table("Matched-arrival tail latency (demand 25k req/s, "
-                         "submit cost 120 us)");
-    tail_table.set_header(
-        {"Threads", "p50 us", "p99 us", "Worst front-end wait us"});
-    for (const std::size_t threads : ladder) {
-      contended.push_back(run_contended_loop(opts, threads));
-      const ContendedLoad& c = contended.back();
-      char p50[32], p99[32], wait[32];
-      std::snprintf(p50, sizeof p50, "%.1f", c.p50.microseconds());
-      std::snprintf(p99, sizeof p99, "%.1f", c.p99.microseconds());
-      std::snprintf(wait, sizeof wait, "%.1f", c.worst_wait.microseconds());
-      tail_table.add_row({std::to_string(threads), p50, p99, wait});
-    }
-    std::printf("\n");
-    tail_table.print(std::cout);
-  }
-
-  std::printf(
-      "\nDynamic batching coalesces the Zipf head into shared-weight "
-      "launches,\nresidency affinity pins them to the accelerator already "
-      "holding the\nweights, and the admission EWMA re-derives the offload "
-      "knee at runtime.\n");
 
   bool ok = true;
-  if (!(full.throughput_rps > baseline.throughput_rps &&
-        full.p99 < baseline.p99)) {
-    std::fprintf(stderr,
-                 "FAILED: full scheduler does not strictly beat the "
-                 "no-batching FIFO baseline (throughput %.0f vs %.0f rps, "
-                 "p99 %.1f vs %.1f us)\n",
-                 full.throughput_rps, baseline.throughput_rps,
-                 full.p99.microseconds(), baseline.p99.microseconds());
+  for (std::size_t i = 0; i < report.gates.size(); ++i) {
+    const Gate& gate = report.gates[i];
+    if (gate.holds || (opts.smoke && !gate.smoke)) continue;
+    std::fprintf(stderr, "FAILED: %s: %s\n", declared_by[i],
+                 gate.failure.c_str());
     ok = false;
   }
-  if (!admission.converged) {
-    std::fprintf(stderr,
-                 "FAILED: adaptive admission (rung %d) not within one ladder "
-                 "step of the best static threshold (rung %d)\n",
-                 admission.adaptive_rung, admission.best_static_rung);
-    ok = false;
-  }
-  if (trace.has_value()) {
-    if (!trace->reconciled) {
-      std::fprintf(stderr,
-                   "FAILED: critical-path segments do not sum to the "
-                   "end-to-end latency on every request span\n");
-      ok = false;
-    }
-    if (trace->paths.size() != trace->completed) {
-      std::fprintf(stderr,
-                   "FAILED: %zu request spans for %llu completions\n",
-                   trace->paths.size(),
-                   static_cast<unsigned long long>(trace->completed));
-      ok = false;
-    }
-    if (trace->span_track_kinds < 5) {
-      std::fprintf(stderr,
-                   "FAILED: only %zu of the 5 span track kinds (engine, dma, "
-                   "link, sched, host_pool) appear in the trace\n",
-                   trace->span_track_kinds);
-      ok = false;
-    }
-    if (!trace->joined_any) {
-      std::fprintf(stderr,
-                   "FAILED: no request span joined its engine job span\n");
-      ok = false;
-    }
-    if (trace->dropped != 0) {
-      std::fprintf(stderr,
-                   "FAILED: %llu trace events dropped (shard overflow)\n",
-                   static_cast<unsigned long long>(trace->dropped));
-      ok = false;
-    }
-    if (!trace->energy_reconciled) {
-      std::fprintf(
-          stderr,
-          "FAILED: per-segment energy does not reconcile exactly (segment "
-          "sum %llu fJ vs span total %llu fJ, host-pool %llu fJ)\n",
-          static_cast<unsigned long long>(trace->energy.segment_sum()),
-          static_cast<unsigned long long>(trace->energy.total_fj),
-          static_cast<unsigned long long>(trace->energy.host_pool_fj));
-      ok = false;
-    }
-    if (!trace->energy_matches_accumulators) {
-      std::fprintf(stderr,
-                   "FAILED: span-derived energy diverges from the live "
-                   "accumulators (some charged joule has no span)\n");
-      ok = false;
-    }
-    if (trace->metrics_samples == 0) {
-      std::fprintf(stderr,
-                   "FAILED: metrics sampler took no samples during the "
-                   "traced run\n");
-      ok = false;
-    }
-  }
-  if (metrics.has_value() && !metrics->ok) ok = false;
-  // Thread-parallel and split gates are simulated-deterministic, but smoke
-  // shrinks the load below the margins they assume — report-only there.
-  if (!opts.smoke) {
-    if (!split.split_wins) {
-      std::fprintf(stderr,
-                   "FAILED: no static split fraction beats device-only "
-                   "(best rung %d)\n",
-                   split.best_rung);
-      ok = false;
-    }
-    if (!split.converged) {
-      std::fprintf(stderr,
-                   "FAILED: auto-tuned split fraction %.4f (rung %d) not "
-                   "within one ladder rung of the swept optimum (rung %d)\n",
-                   split.adaptive_fraction, split.adaptive_rung,
-                   split.best_rung);
-      ok = false;
-    }
-    if (opts.threads >= 2) {
-      const auto find_threads = [&](const auto& rows) {
-        std::size_t index = 0;
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-          if (rows[i].threads == opts.threads) index = i;
-        }
-        return index;
-      };
-      const SubmitScale& wide = scaling[find_threads(scaling)];
-      const double ratio = wide.submit_rps / scaling.front().submit_rps;
-      if (ratio < 0.75 * static_cast<double>(opts.threads)) {
-        std::fprintf(stderr,
-                     "FAILED: %zu-thread submitted-request throughput only "
-                     "%.2fx the 1-thread rate (need >= %.2fx)\n",
-                     opts.threads, ratio,
-                     0.75 * static_cast<double>(opts.threads));
-        ok = false;
-      }
-      const ContendedLoad& tail = contended[find_threads(contended)];
-      if (!(tail.p99 < contended.front().p99)) {
-        std::fprintf(stderr,
-                     "FAILED: %zu-thread p99 %.1f us does not strictly beat "
-                     "the 1-thread p99 %.1f us\n",
-                     opts.threads, tail.p99.microseconds(),
-                     contended.front().p99.microseconds());
-        ok = false;
-      }
-    }
-  }
-
-  // Machine-readable results. Only simulated-clock quantities: wall-clock
-  // measurements (thread scaling, tenant-scale ns/request) would make the
-  // committed baseline diff flaky.
-  {
-    using tdo::benchutil::Json;
-    const auto load_json = [](const LoadResult& r) {
-      Json j = Json::object();
-      j.set("throughput_rps", Json::number(r.throughput_rps));
-      j.set("p50_us", Json::number(r.p50.microseconds()));
-      j.set("p95_us", Json::number(r.p95.microseconds()));
-      j.set("p99_us", Json::number(r.p99.microseconds()));
-      Json classes = Json::object();
-      for (const auto& c : r.classes) {
-        Json cj = Json::object();
-        cj.set("count", Json::number(c.count));
-        cj.set("p50_us", Json::number(c.p50.microseconds()));
-        cj.set("p95_us", Json::number(c.p95.microseconds()));
-        cj.set("p99_us", Json::number(c.p99.microseconds()));
-        classes.set(c.cls, std::move(cj));
-      }
-      j.set("classes", std::move(classes));
-      j.set("hit_rate", Json::number(r.hit_rate));
-      j.set("fallback_ratio", Json::number(r.fallback_ratio));
-      j.set("mean_batch", Json::number(r.mean_batch));
-      j.set("energy_uj", Json::number(r.energy_uj));
-      j.set("edp_uj_s", Json::number(r.edp_uj_s));
-      j.set("completed", Json::number(r.serve.completed));
-      j.set("rejected", Json::number(r.serve.rejected));
-      j.set("affinity_routed", Json::number(r.serve.affinity_routed));
-      return j;
-    };
-    Json results = Json::object();
-    results.set("closed_fifo", load_json(baseline));
-    results.set("closed_batch_affinity", load_json(full));
-    results.set("closed_adaptive", load_json(adaptive));
-    results.set("open_loop", load_json(open));
-    if (trace.has_value()) {
-      Json t = Json::object();
-      t.set("events",
-            Json::number(static_cast<std::uint64_t>(trace->events)));
-      t.set("request_spans",
-            Json::number(static_cast<std::uint64_t>(trace->paths.size())));
-      t.set("metrics_samples", Json::number(trace->metrics_samples));
-      Json energy = Json::object();
-      energy.set("total_fj", Json::number(trace->energy.total_fj));
-      energy.set("host_pool_fj", Json::number(trace->energy.host_pool_fj));
-      energy.set("link_fj", Json::number(trace->energy.link_fj));
-      Json segments = Json::object();
-      for (std::size_t s = 0; s < tdo::obs::kSegmentCount; ++s) {
-        segments.set(tdo::obs::segment_name(s),
-                     Json::number(trace->energy.seg_fj[s]));
-      }
-      energy.set("segments_fj", std::move(segments));
-      t.set("energy", std::move(energy));
-      results.set("trace", std::move(t));
-    }
-    if (metrics.has_value()) {
-      Json slo = Json::object();
-      slo.set("low_breaches",
-              Json::number(
-                  static_cast<std::uint64_t>(metrics->low.breaches.size())));
-      slo.set("high_breaches",
-              Json::number(
-                  static_cast<std::uint64_t>(metrics->high.breaches.size())));
-      slo.set("high_interactive_latency_breaches",
-              Json::number(metrics->high_interactive_latency));
-      slo.set("high_samples", Json::number(metrics->high.samples));
-      results.set("slo", std::move(slo));
-    }
-    results.set("ok", Json::boolean(ok));
-    tdo::benchutil::write_bench_json("serve_loop", std::move(results));
-  }
-
+  report.json.set("ok", Json::boolean(ok));
+  tdo::benchutil::write_bench_json(
+      opts.overload ? "serve_loop_overload" : "serve_loop",
+      std::move(report.json));
   return ok ? 0 : 1;
 }

@@ -19,9 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -70,63 +68,21 @@ struct LoopResult {
 };
 
 [[nodiscard]] tdo::support::StatusOr<LoopResult> run_loop(const LoopConfig& cfg) {
-  tdo::sim::System system;
-  tdo::cim::AcceleratorParams accel_params;
-  std::unique_ptr<tdo::topo::Link> far_link;
-  tdo::topo::Topology topology;
-  const std::size_t count =
-      cfg.topology.has_value() ? cfg.topology->device_count()
-                               : cfg.accelerators;
-  if (cfg.topology.has_value() && cfg.topology->far > 0) {
-    tdo::topo::LinkParams lp;
-    lp.latency_multiplier = cfg.topology->far_multiplier;
-    lp.name = "farlink";
-    far_link = std::make_unique<tdo::topo::Link>(lp);
-  }
-  std::vector<std::unique_ptr<tdo::cim::Accelerator>> accels;
-  for (std::size_t i = 0; i < count; ++i) {
-    const bool is_far = cfg.topology.has_value() && i >= cfg.topology->near;
-    auto params = tdo::cim::instance_params(accel_params, i);
-    if (is_far) {
-      // The pooling hop derates every far DMA burst by the link multiplier.
-      params.dma.bandwidth_bytes_per_sec /= cfg.topology->far_multiplier;
-      params.dma.burst_setup = Duration::from_ps(
-          params.dma.burst_setup.picoseconds() * cfg.topology->far_multiplier);
-    }
-    accels.push_back(std::make_unique<tdo::cim::Accelerator>(params, system));
-    if (is_far) {
-      accels.back()->set_response_link(far_link.get());
-      topology.add_device(tdo::topo::Topology::kFarTier, far_link.get());
-    } else {
-      topology.add_device(tdo::topo::Topology::kNearTier);
-    }
-  }
   tdo::rt::RuntimeConfig rt_config;
   rt_config.stream.depth = 2;
   rt_config.residency.enabled = cfg.cache;
   rt_config.residency.capacity_rows = cfg.capacity_rows;
-  tdo::rt::CimRuntime runtime{rt_config, system, *accels.front()};
-  for (std::size_t i = 1; i < count; ++i) {
-    runtime.add_accelerator(*accels[i]);
+  tdo::topo::TopologySpec flat;
+  flat.near = cfg.accelerators;
+  tdo::benchutil::Fabric fabric{cfg.topology.value_or(flat), rt_config};
+  if (cfg.topology.has_value()) {
+    fabric.runtime->set_topology(&fabric.topology);
   }
-  if (cfg.topology.has_value()) runtime.set_topology(&topology);
-  TDO_RETURN_IF_ERROR(runtime.init(0));
+  TDO_RETURN_IF_ERROR(fabric.runtime->init(0));
 
   const std::uint64_t elems_b = cfg.k * cfg.n;
   const std::uint64_t elems_a = cfg.m * cfg.k;
   const std::uint64_t elems_c = cfg.m * cfg.n;
-  auto upload = [&](const std::vector<float>& data)
-      -> tdo::support::StatusOr<tdo::sim::VirtAddr> {
-    auto va = runtime.malloc_device(data.size() * 4);
-    if (!va.is_ok()) return va.status();
-    auto pa = system.mmu().translate(*va);
-    if (!pa.is_ok()) return pa.status();
-    system.memory().write(
-        *pa, std::span(reinterpret_cast<const std::uint8_t*>(data.data()),
-                       data.size() * 4));
-    return *va;
-  };
-
   // W weight sets, plus a small rotating pool of request inputs/outputs so
   // consecutive requests do not collide on C (the serving analogue of
   // per-request activation buffers) and the stream can pipeline.
@@ -134,7 +90,7 @@ struct LoopResult {
   std::vector<std::vector<float>> weight_data(cfg.weight_sets);
   for (std::size_t w = 0; w < cfg.weight_sets; ++w) {
     weight_data[w] = random_matrix(elems_b, 1.0, 100 + w);
-    auto va = upload(weight_data[w]);
+    auto va = fabric.upload(weight_data[w]);
     if (!va.is_ok()) return va.status();
     weights[w] = *va;
   }
@@ -142,10 +98,10 @@ struct LoopResult {
   const std::vector<float> input = random_matrix(elems_a, 1.0, 7);
   std::vector<tdo::sim::VirtAddr> va_a(kPool), va_c(kPool);
   for (std::size_t p = 0; p < kPool; ++p) {
-    auto a = upload(input);
+    auto a = fabric.upload(input);
     if (!a.is_ok()) return a.status();
     va_a[p] = *a;
-    auto c = upload(std::vector<float>(elems_c, 0.0f));
+    auto c = fabric.upload(std::vector<float>(elems_c, 0.0f));
     if (!c.is_ok()) return c.status();
     va_c[p] = *c;
   }
@@ -154,44 +110,44 @@ struct LoopResult {
   std::size_t last_w = 0;
   std::size_t last_pool = 0;
 
-  const auto before = system.snapshot();
-  const Duration t0 = system.global_time();
+  const auto before = fabric.system.snapshot();
+  const Duration t0 = fabric.system.global_time();
   for (std::size_t r = 0; r < cfg.requests; ++r) {
     const std::size_t w = zipf.next();
     const std::size_t pool = r % kPool;
-    TDO_RETURN_IF_ERROR(runtime.sgemm_async(
+    TDO_RETURN_IF_ERROR(fabric.runtime->sgemm_async(
         cfg.m, cfg.n, cfg.k, 1.0f, va_a[pool], cfg.k, weights[w], cfg.n, 0.0f,
         va_c[pool], cfg.n, tdo::cim::StationaryOperand::kB,
         /*cacheable=*/true));
     last_w = w;
     last_pool = pool;
   }
-  TDO_RETURN_IF_ERROR(runtime.synchronize());
-  const Duration t1 = system.global_time();
-  const auto delta = system.snapshot().delta_since(before);
+  TDO_RETURN_IF_ERROR(fabric.runtime->synchronize());
+  const Duration t1 = fabric.system.global_time();
+  const auto delta = fabric.system.snapshot().delta_since(before);
 
   LoopResult result;
   result.runtime = t1 - t0;
-  auto report = accels.front()->report();
-  for (std::size_t i = 1; i < accels.size(); ++i) {
-    const auto rep = accels[i]->report();
+  auto report = fabric.accels.front()->report();
+  for (std::size_t i = 1; i < fabric.accels.size(); ++i) {
+    const auto rep = fabric.accels[i]->report();
     report.weight_writes8 += rep.weight_writes8;
     report.weight_writes_saved8 += rep.weight_writes_saved8;
   }
-  for (std::size_t i = 0; i < accels.size(); ++i) {
-    if (topology.tier(i) == tdo::topo::Topology::kFarTier) {
-      result.far_jobs += accels[i]->jobs_completed();
+  for (std::size_t i = 0; i < fabric.accels.size(); ++i) {
+    if (fabric.topology.tier(i) == tdo::topo::Topology::kFarTier) {
+      result.far_jobs += fabric.accels[i]->jobs_completed();
     } else {
-      result.near_jobs += accels[i]->jobs_completed();
+      result.near_jobs += fabric.accels[i]->jobs_completed();
     }
   }
-  if (far_link) {
-    result.link_contended = far_link->contended_ticks();
-    result.withheld = far_link->responses();
+  if (fabric.far_link) {
+    result.link_contended = fabric.far_link->contended_ticks();
+    result.withheld = fabric.far_link->responses();
   }
   result.weight_writes = report.weight_writes8;
   result.weight_writes_saved = report.weight_writes_saved8;
-  const auto res = runtime.residency().report();
+  const auto res = fabric.runtime->residency().report();
   result.evictions = res.evictions;
   const std::uint64_t lookups = res.hits + res.misses;
   result.hit_rate = lookups == 0
@@ -209,26 +165,10 @@ struct LoopResult {
 
   // Validate the last request against a host reference (quantization-level
   // tolerance).
-  std::vector<float> got(elems_c);
-  auto pa_c = system.mmu().translate(va_c[last_pool]);
-  if (!pa_c.is_ok()) return pa_c.status();
-  system.memory().read(
-      *pa_c, std::span(reinterpret_cast<std::uint8_t*>(got.data()),
-                       got.size() * 4));
-  const std::vector<float>& b = weight_data[last_w];
-  for (std::uint64_t i = 0; i < cfg.m && result.correct; ++i) {
-    for (std::uint64_t j = 0; j < cfg.n; ++j) {
-      double acc = 0.0;
-      for (std::uint64_t kk = 0; kk < cfg.k; ++kk) {
-        acc += static_cast<double>(input[i * cfg.k + kk]) *
-               static_cast<double>(b[kk * cfg.n + j]);
-      }
-      if (std::fabs(acc - static_cast<double>(got[i * cfg.n + j])) > 0.5) {
-        result.correct = false;
-        break;
-      }
-    }
-  }
+  const auto correct = fabric.matches_gemm(
+      va_c[last_pool], input, weight_data[last_w], cfg.m, cfg.n, cfg.k, 0.5);
+  if (!correct.is_ok()) return correct.status();
+  result.correct = *correct;
   return result;
 }
 

@@ -26,8 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +41,7 @@
 
 namespace {
 
+using tdo::benchutil::Fabric;
 using tdo::benchutil::ZipfSampler;
 using tdo::benchutil::random_matrix;
 using tdo::support::Duration;
@@ -71,69 +70,6 @@ struct TopoResult {
   bool correct = true;
 };
 
-/// Accelerator parameters for a device behind a far link: the pooling hop
-/// derates every DMA burst by the link multiplier (bandwidth down, setup
-/// up), exactly how CXL-attached memory looks from a DMA engine's seat.
-[[nodiscard]] tdo::cim::AcceleratorParams far_params(
-    tdo::cim::AcceleratorParams base, std::size_t index, double mult) {
-  auto params = tdo::cim::instance_params(std::move(base), index);
-  params.dma.bandwidth_bytes_per_sec /= mult;
-  params.dma.burst_setup =
-      Duration::from_ps(params.dma.burst_setup.picoseconds() * mult);
-  return params;
-}
-
-/// The two-tier test bench: device ids [0, near) are near-tier, [near,
-/// near+far) sit behind one shared far link.
-struct Fabric {
-  tdo::sim::System system;
-  tdo::topo::Link far_link;
-  tdo::topo::Topology topology;
-  std::vector<std::unique_ptr<tdo::cim::Accelerator>> accels;
-  std::unique_ptr<tdo::rt::CimRuntime> runtime;
-
-  Fabric(const TopoConfig& cfg, const tdo::rt::RuntimeConfig& rt_config)
-      : far_link{[&] {
-          tdo::topo::LinkParams lp;
-          lp.latency_multiplier = cfg.mult;
-          lp.name = "farlink";
-          return lp;
-        }()} {
-    tdo::cim::AcceleratorParams base;
-    for (std::size_t d = 0; d < cfg.near + cfg.far; ++d) {
-      const bool is_far = d >= cfg.near;
-      auto params = is_far ? far_params(base, d, cfg.mult)
-                           : tdo::cim::instance_params(base, d);
-      accels.push_back(
-          std::make_unique<tdo::cim::Accelerator>(params, system));
-      if (is_far) {
-        accels.back()->set_response_link(&far_link);
-        topology.add_device(tdo::topo::Topology::kFarTier, &far_link);
-      } else {
-        topology.add_device(tdo::topo::Topology::kNearTier);
-      }
-    }
-    runtime = std::make_unique<tdo::rt::CimRuntime>(rt_config, system,
-                                                    *accels.front());
-    for (std::size_t d = 1; d < accels.size(); ++d) {
-      runtime->add_accelerator(*accels[d]);
-    }
-    if (cfg.aware) runtime->set_topology(&topology);
-  }
-
-  [[nodiscard]] tdo::support::StatusOr<tdo::sim::VirtAddr> upload(
-      const std::vector<float>& data) {
-    auto va = runtime->malloc_device(data.size() * 4);
-    if (!va.is_ok()) return va.status();
-    auto pa = system.mmu().translate(*va);
-    if (!pa.is_ok()) return pa.status();
-    system.memory().write(
-        *pa, std::span(reinterpret_cast<const std::uint8_t*>(data.data()),
-                       data.size() * 4));
-    return *va;
-  }
-};
-
 [[nodiscard]] tdo::support::StatusOr<TopoResult> run_serving(
     const TopoConfig& cfg) {
   tdo::rt::RuntimeConfig rt_config;
@@ -143,7 +79,8 @@ struct Fabric {
   // sits unused.)
   rt_config.stream.depth = 8;
   rt_config.residency.enabled = true;
-  Fabric fabric{cfg, rt_config};
+  Fabric fabric{{cfg.near, cfg.far, cfg.mult}, rt_config};
+  if (cfg.aware) fabric.runtime->set_topology(&fabric.topology);
   TDO_RETURN_IF_ERROR(fabric.runtime->init(0));
 
   tdo::serve::SchedulerParams serve_params;
@@ -185,17 +122,9 @@ struct Fabric {
   // every hit-path stream phase afterwards, while aware placement keeps
   // them on near silicon until the near tier genuinely runs out of queue.
   for (std::size_t w = 0; w < cfg.weight_sets; ++w) {
-    tdo::serve::Request request;
-    request.m = cfg.m;
-    request.n = cfg.n;
-    request.k = cfg.k;
-    request.a = va_a.value();
-    request.b = weights[w];
-    request.c = va_c[w % cfg.requests];
-    request.lda = cfg.k;
-    request.ldb = cfg.n;
-    request.ldc = cfg.n;
-    auto id = scheduler.submit(request);
+    auto id = scheduler.submit(tdo::serve::sgemm_request(
+        0, tdo::serve::DeadlineClass::kStandard, cfg.m, cfg.n, cfg.k,
+        va_a.value(), weights[w], va_c[w % cfg.requests]));
     if (!id.is_ok()) return id.status();
   }
   TDO_RETURN_IF_ERROR(scheduler.drain());
@@ -208,18 +137,10 @@ struct Fabric {
   const Duration t0 = fabric.system.global_time();
   for (std::size_t r = 0; r < cfg.requests; ++r) {
     choice[r] = zipf.next();
-    tdo::serve::Request request;
-    request.tenant = static_cast<std::uint32_t>(r % 4);
-    request.m = cfg.m;
-    request.n = cfg.n;
-    request.k = cfg.k;
-    request.a = va_a.value();
-    request.b = weights[choice[r]];
-    request.c = va_c[r];
-    request.lda = cfg.k;
-    request.ldb = cfg.n;
-    request.ldc = cfg.n;
-    auto id = scheduler.submit(request);
+    auto id = scheduler.submit(tdo::serve::sgemm_request(
+        static_cast<std::uint32_t>(r % 4),
+        tdo::serve::DeadlineClass::kStandard, cfg.m, cfg.n, cfg.k,
+        va_a.value(), weights[choice[r]], va_c[r]));
     if (!id.is_ok()) return id.status();
   }
   TDO_RETURN_IF_ERROR(scheduler.drain());
@@ -259,30 +180,15 @@ struct Fabric {
       result.withheld_responses += fabric.accels[d]->withheld_responses();
     }
   }
-  result.link_contended_ticks = fabric.far_link.contended_ticks();
+  result.link_contended_ticks = fabric.far_link->contended_ticks();
 
   // Validate the last request against a host reference (quantization-level
   // tolerance) - far placement and withheld responses must not change math.
-  std::vector<float> got(elems_c);
-  auto pa_c = fabric.system.mmu().translate(va_c[cfg.requests - 1]);
-  if (!pa_c.is_ok()) return pa_c.status();
-  fabric.system.memory().read(
-      *pa_c, std::span(reinterpret_cast<std::uint8_t*>(got.data()),
-                       got.size() * 4));
-  const std::vector<float>& b = weight_data[choice[cfg.requests - 1]];
-  for (std::uint64_t i = 0; i < cfg.m && result.correct; ++i) {
-    for (std::uint64_t j = 0; j < cfg.n; ++j) {
-      double acc = 0.0;
-      for (std::uint64_t kk = 0; kk < cfg.k; ++kk) {
-        acc += static_cast<double>(input[i * cfg.k + kk]) *
-               static_cast<double>(b[kk * cfg.n + j]);
-      }
-      if (std::fabs(acc - static_cast<double>(got[i * cfg.n + j])) > 0.5) {
-        result.correct = false;
-        break;
-      }
-    }
-  }
+  const auto correct = fabric.matches_gemm(
+      va_c[cfg.requests - 1], input, weight_data[choice[cfg.requests - 1]],
+      cfg.m, cfg.n, cfg.k, 0.5);
+  if (!correct.is_ok()) return correct.status();
+  result.correct = *correct;
   return result;
 }
 
@@ -300,7 +206,8 @@ struct MigrationResult {
     const TopoConfig& cfg, bool peer_to_peer) {
   tdo::rt::RuntimeConfig rt_config;
   rt_config.residency.enabled = true;
-  Fabric fabric{cfg, rt_config};
+  Fabric fabric{{cfg.near, cfg.far, cfg.mult}, rt_config};
+  if (cfg.aware) fabric.runtime->set_topology(&fabric.topology);
   TDO_RETURN_IF_ERROR(fabric.runtime->init(0));
   auto& runtime = *fabric.runtime;
 
@@ -352,25 +259,10 @@ struct MigrationResult {
   result.adopted = runtime.residency().report().hits > hits_before &&
                    runtime.residency().report().migrations == 1;
 
-  std::vector<float> got(cfg.m * cfg.n);
-  auto pa_c = fabric.system.mmu().translate(*va_c);
-  if (!pa_c.is_ok()) return pa_c.status();
-  fabric.system.memory().read(
-      *pa_c, std::span(reinterpret_cast<std::uint8_t*>(got.data()),
-                       got.size() * 4));
-  for (std::uint64_t i = 0; i < cfg.m && result.correct; ++i) {
-    for (std::uint64_t j = 0; j < cfg.n; ++j) {
-      double acc = 0.0;
-      for (std::uint64_t kk = 0; kk < cfg.k; ++kk) {
-        acc += static_cast<double>(a_data[i * cfg.k + kk]) *
-               static_cast<double>(b_data[kk * cfg.n + j]);
-      }
-      if (std::fabs(acc - static_cast<double>(got[i * cfg.n + j])) > 0.5) {
-        result.correct = false;
-        break;
-      }
-    }
-  }
+  const auto correct = fabric.matches_gemm(*va_c, a_data, b_data, cfg.m,
+                                           cfg.n, cfg.k, 0.5);
+  if (!correct.is_ok()) return correct.status();
+  result.correct = *correct;
   return result;
 }
 

@@ -90,6 +90,28 @@ struct Request {
   }
 };
 
+/// Dense row-major sgemm request with packed leading dimensions (lda = k,
+/// ldb = n, ldc = n); every other field keeps its default.
+[[nodiscard]] inline Request sgemm_request(std::uint32_t tenant,
+                                           DeadlineClass cls, std::uint64_t m,
+                                           std::uint64_t n, std::uint64_t k,
+                                           sim::VirtAddr a, sim::VirtAddr b,
+                                           sim::VirtAddr c) {
+  Request request;
+  request.tenant = tenant;
+  request.deadline = cls;
+  request.m = m;
+  request.n = n;
+  request.k = k;
+  request.a = a;
+  request.b = b;
+  request.c = c;
+  request.lda = k;
+  request.ldb = n;
+  request.ldc = n;
+  return request;
+}
+
 /// Timeline of one finished request.
 ///
 /// "Finished" includes requests the scheduler dropped: overload shedding and

@@ -234,7 +234,7 @@ class Scheduler {
   /// arrival) — nudging one tick forward when the wake point is already due
   /// (take_ready uses >=, so the age check must see time past the close).
   /// Returns false when there is nothing to wake for. The single
-  /// time-advance rule shared by drain() and the bench drive loops.
+  /// time-advance rule shared by drain() and serve::drive (load.hpp).
   bool advance_to_next_event(
       std::optional<sim::Tick> external_wake = std::nullopt);
 
@@ -250,6 +250,10 @@ class Scheduler {
   /// knob.
   support::Status upload(sim::VirtAddr dst, sim::VirtAddr src,
                          std::uint64_t bytes);
+
+  /// The scheduler's clock: global simulated time, which stamps arrivals
+  /// that carry none.
+  [[nodiscard]] support::Duration now() const;
 
   /// Completions recorded since the last call (move-out). Includes dropped
   /// requests (Outcome::kShed / kRejected) so closed-loop clients always
@@ -368,7 +372,6 @@ class Scheduler {
     bool idle_pending = false;  ///< an idle_fifo_ entry refers to this tenant
   };
 
-  [[nodiscard]] support::Duration now() const;
   /// Drains the submission ring into the tenant queues in arrival order
   /// (driver thread; the consumer side of submit_from_thread). Enforces
   /// params_.max_queue_per_tenant — the bound submit() applies — rejecting

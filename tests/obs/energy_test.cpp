@@ -21,34 +21,12 @@
 namespace tdo::obs {
 namespace {
 
-using tdo::testing::ServeFixture;
+using tdo::testing::TraceRun;
 
-struct TraceRun {
-  std::vector<TraceEvent> events;
-  std::vector<RequestPath> paths;
-  support::StatsSnapshot stats;
-  std::uint64_t dropped = 0;
-};
-
-/// One traced seeded serving run under `config`, with the far link's energy
-/// accumulator registered so the live-accumulator cross-check sees every
-/// modeled sink (production benches register it the same way; the plain
-/// trace tests don't need it).
+/// One traced seeded serving run under `config`.
 TraceRun run_traced(rt::RuntimeConfig config, std::uint64_t seed) {
-  Tracer::instance().start({});
-  ServeFixture fx{std::move(config), seed};
-  fx.link.register_stats(fx.platform.system().stats());
-  (void)tdo::testing::run_serve_load(fx, topo::Placement::kCallerCentric,
-                                     true);
-  auto& tracer = Tracer::instance();
-  tracer.pump();
-  TraceRun run;
-  run.events = tracer.sorted_events();
-  run.paths = decompose(run.events);
-  run.dropped = tracer.dropped();
-  run.stats = fx.platform.system().stats().snapshot();
-  tracer.stop();
-  return run;
+  return tdo::testing::run_traced_serve_load(std::move(config), seed,
+                                             topo::Placement::kCallerCentric);
 }
 
 /// The accumulators the span model mirrors: per-accelerator `.energy.<kind>`

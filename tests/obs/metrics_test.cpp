@@ -64,8 +64,7 @@ MetricsOutcome run_metrics_load(std::uint64_t seed, bool metrics_on,
     registry.start(&fx.platform.system().stats(), mparams);
     registry.attach_slo(&slo);
   }
-  out.serve =
-      tdo::testing::run_serve_load(fx, topo::Placement::kCallerCentric, false);
+  out.serve = tdo::testing::run_serve_load(fx, topo::Placement::kCallerCentric);
   if (metrics_on) {
     registry.force_sample(out.serve.end_tick);
     std::ostringstream os;

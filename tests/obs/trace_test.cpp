@@ -9,214 +9,34 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/critical_path.hpp"
 #include "serve/scheduler.hpp"
-#include "testing/fixture.hpp"
+#include "testing/serve_load.hpp"
 #include "topo/topology.hpp"
 
 namespace tdo::obs {
 namespace {
 
-using serve::DeadlineClass;
-using serve::Request;
 using serve::Scheduler;
 using serve::SchedulerParams;
-using support::Duration;
+using tdo::testing::fuzz_seed;
 using tdo::testing::Platform;
-using tdo::testing::random_matrix;
 
-std::uint64_t fuzz_seed() {
-  if (const char* env = std::getenv("TDO_FUZZ_SEED")) {
-    const std::uint64_t seed = std::strtoull(env, nullptr, 10);
-    if (seed != 0) return seed;
-  }
-  return 20260729ull;
-}
+using tdo::testing::TraceRun;
 
-/// The bench's traced-fleet runtime knobs at test scale: pseudo-async split
-/// on with a tiny MAC gate (serve-sized GEMMs sit below the default) so
-/// host-pool stripe spans appear, and a low async-copy floor so the
-/// activation uploads ride the DMA engine and book copy-window spans.
-rt::RuntimeConfig traced_config() {
-  rt::RuntimeConfig config;
-  config.split.enabled = true;
-  config.split.cpu_fraction = 1.0 / 16.0;
-  config.split.min_macs = 1;
-  config.split.pool.workers = 2;
-  config.xfer.min_async_bytes = 256;
-  return config;
-}
-
-/// Two-tier serving platform — one near accelerator plus two far ones behind
-/// a shared 2x link — mirroring bench_serve_loop's traced fleet.
-struct TracedFixture {
-  topo::Link link;
-  topo::Topology topology;
-  Platform platform;
-  std::uint64_t m = 8, n = 64, k = 64;
-  std::vector<sim::VirtAddr> weights;
-  sim::VirtAddr va_a = 0;
-
-  explicit TracedFixture(std::uint64_t seed, std::size_t weight_sets = 2)
-      : link{[] {
-          topo::LinkParams lp;
-          lp.latency_multiplier = 2.0;
-          lp.name = "farlink";
-          return lp;
-        }()},
-        platform{traced_config(), {}, {}, 3} {
-    topology.add_device(topo::Topology::kNearTier);
-    for (std::size_t d = 1; d < 3; ++d) {
-      topology.add_device(topo::Topology::kFarTier, &link);
-      platform.accel(d).set_response_link(&link);
-    }
-    platform.runtime().set_topology(&topology);
-    EXPECT_TRUE(platform.runtime().init(0).is_ok());
-    for (std::size_t w = 0; w < weight_sets; ++w) {
-      weights.push_back(platform.upload(random_matrix(k * n, 1.0, seed + w)));
-    }
-    va_a = platform.upload(random_matrix(m * k, 1.0, seed + 99));
-  }
-};
-
-/// Everything one seeded closed-loop run produced, for cross-run diffing.
-struct Outcome {
-  std::string json;
-  std::vector<TraceEvent> events;
-  std::vector<RequestPath> paths;
-  /// (id, done tick, device) per completion, sorted by id.
-  std::vector<std::tuple<std::uint64_t, std::uint64_t, int>> completions;
-  serve::ServeReport report;
-  std::uint64_t dropped = 0;
-  sim::Tick end_tick = 0;
-};
-
-/// Seeded closed-loop serving run with skewed tenant affinity: tenant 0's
-/// five clients hammer weight set 0 (interactive), tenant 1's two clients
-/// serve weight set 1 (standard). Every request's activations arrive through
-/// the measured upload path so DMA copy windows land in the trace.
-Outcome run_load(topo::Placement placement, std::uint64_t seed, bool traced) {
-  if (traced) Tracer::instance().start({});
-  TracedFixture fx{seed};
-  SchedulerParams params;
-  params.placement = placement;
-  params.batcher.max_batch = 2;
-  params.batcher.max_wait = Duration::from_us(15.0);
-  params.admission.adaptive = false;
-  params.admission.probe_period = 0;
-  Scheduler scheduler{params, fx.platform.runtime()};
-
-  struct Client {
-    std::uint32_t tenant = 0;
-    std::size_t weight = 0;
-    DeadlineClass deadline = DeadlineClass::kStandard;
-    std::vector<sim::VirtAddr> outputs;
-    int submitted = 0;
-    bool busy = false;
-  };
-  std::vector<Client> clients;
-  const auto add_clients = [&](std::uint32_t tenant, std::size_t weight,
-                               DeadlineClass deadline, int count) {
-    for (int i = 0; i < count; ++i) {
-      Client client;
-      client.tenant = tenant;
-      client.weight = weight;
-      client.deadline = deadline;
-      for (int p = 0; p < 2; ++p) {
-        client.outputs.push_back(fx.platform.device_zeros(fx.m * fx.n));
-      }
-      clients.push_back(std::move(client));
-    }
-  };
-  add_clients(0, 0, DeadlineClass::kInteractive, 5);
-  add_clients(1, 1, DeadlineClass::kStandard, 2);
-
-  constexpr int kRequestsPerClient = 3;
-  const std::size_t target = clients.size() * kRequestsPerClient;
-  Outcome out;
-  std::map<std::uint64_t, std::size_t> owner;
-  std::size_t completed = 0;
-  while (completed < target) {
-    bool progressed = false;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      auto& client = clients[i];
-      if (client.busy || client.submitted >= kRequestsPerClient) continue;
-      Request request;
-      request.tenant = client.tenant;
-      request.deadline = client.deadline;
-      request.m = fx.m;
-      request.n = fx.n;
-      request.k = fx.k;
-      request.a = fx.va_a;
-      request.b = fx.weights[client.weight];
-      request.c = client.outputs[client.submitted % client.outputs.size()];
-      request.lda = fx.k;
-      request.ldb = fx.n;
-      request.ldc = fx.n;
-      EXPECT_TRUE(scheduler
-                      .upload(request.a, request.a,
-                              fx.m * fx.k * sizeof(float))
-                      .is_ok());
-      auto id = scheduler.submit(request);
-      EXPECT_TRUE(id.is_ok()) << id.status().to_string();
-      if (!id.is_ok()) return out;
-      owner[*id] = i;
-      client.submitted += 1;
-      client.busy = true;
-      progressed = true;
-    }
-    EXPECT_TRUE(scheduler.pump().is_ok());
-    if (traced) Tracer::instance().pump();
-    for (const auto& completion : scheduler.take_completions()) {
-      const auto it = owner.find(completion.id);
-      if (it != owner.end()) {
-        clients[it->second].busy = false;
-        owner.erase(it);
-      }
-      out.completions.emplace_back(completion.id, completion.done.ticks(),
-                                   completion.device);
-      completed += 1;
-      progressed = true;
-    }
-    if (progressed) continue;
-    if (!scheduler.advance_to_next_event()) {
-      ADD_FAILURE() << "scheduler stalled";
-      return out;
-    }
-  }
-  EXPECT_TRUE(scheduler.drain().is_ok());
-  for (const auto& completion : scheduler.take_completions()) {
-    out.completions.emplace_back(completion.id, completion.done.ticks(),
-                                 completion.device);
-  }
-  std::sort(out.completions.begin(), out.completions.end());
-  out.report = scheduler.report();
-  out.end_tick = fx.platform.system().events().now();
-
-  if (traced) {
-    auto& tracer = Tracer::instance();
-    tracer.pump();
-    out.events = tracer.sorted_events();
-    out.paths = decompose(out.events);
-    out.dropped = tracer.dropped();
-    std::ostringstream os;
-    tracer.export_json(os);
-    out.json = os.str();
-    tracer.stop();
-  }
-  return out;
+/// The shared load, traced, under the bench's traced-fleet knobs.
+TraceRun traced_load(topo::Placement placement, std::uint64_t seed) {
+  return tdo::testing::run_traced_serve_load(
+      tdo::testing::traced_serve_config(), seed, placement);
 }
 
 /// Request-span critical devices from the trace, keyed by request id
 /// (the `dev` arg: accelerator ordinal + 1, 0 for host/pool completions).
-std::map<std::uint64_t, std::uint64_t> critical_devices(const Outcome& out) {
+std::map<std::uint64_t, std::uint64_t> critical_devices(const TraceRun& out) {
   std::map<std::uint64_t, std::uint64_t> devices;
   for (const auto& event : out.events) {
     if (event.phase != Phase::kSpan || event.name != "request" ||
@@ -235,8 +55,8 @@ std::map<std::uint64_t, std::uint64_t> critical_devices(const Outcome& out) {
 
 TEST(TraceTest, SameSeedExportsByteIdenticalJson) {
   const std::uint64_t seed = fuzz_seed();
-  const Outcome first = run_load(topo::Placement::kCallerCentric, seed, true);
-  const Outcome second = run_load(topo::Placement::kCallerCentric, seed, true);
+  const TraceRun first = traced_load(topo::Placement::kCallerCentric, seed);
+  const TraceRun second = traced_load(topo::Placement::kCallerCentric, seed);
   ASSERT_FALSE(first.json.empty());
   EXPECT_EQ(first.dropped, 0u);
   // Light structural sanity on top of byte equality: the export is the
@@ -249,9 +69,9 @@ TEST(TraceTest, SameSeedExportsByteIdenticalJson) {
 }
 
 TEST(TraceTest, SegmentsSumExactlyToEndToEnd) {
-  const Outcome out =
-      run_load(topo::Placement::kCallerCentric, fuzz_seed(), true);
-  ASSERT_EQ(out.paths.size(), out.completions.size());
+  const TraceRun out =
+      traced_load(topo::Placement::kCallerCentric, fuzz_seed());
+  ASSERT_EQ(out.paths.size(), out.serve.completions.size());
   bool joined_any = false;
   for (const auto& path : out.paths) {
     EXPECT_EQ(path.segment_sum(), path.e2e())
@@ -265,8 +85,8 @@ TEST(TraceTest, SegmentsSumExactlyToEndToEnd) {
 }
 
 TEST(TraceTest, SpansCoverEveryTrackFamily) {
-  const Outcome out =
-      run_load(topo::Placement::kCallerCentric, fuzz_seed(), true);
+  const TraceRun out =
+      traced_load(topo::Placement::kCallerCentric, fuzz_seed());
   bool engine = false, dma = false, link = false, sched = false, pool = false;
   for (const auto& event : out.events) {
     if (event.phase != Phase::kSpan) continue;
@@ -288,13 +108,15 @@ TEST(TraceTest, TracingOffDoesNotPerturbTheTimeline) {
   // the tracer never started must complete with identical ids, devices, and
   // done ticks, and leave the event queue at the identical final tick.
   const std::uint64_t seed = fuzz_seed();
-  const Outcome traced = run_load(topo::Placement::kCallerCentric, seed, true);
-  const Outcome off = run_load(topo::Placement::kCallerCentric, seed, false);
+  const TraceRun traced = traced_load(topo::Placement::kCallerCentric, seed);
+  tdo::testing::ServeFixture fx{tdo::testing::traced_serve_config(), seed};
+  const auto off =
+      tdo::testing::run_serve_load(fx, topo::Placement::kCallerCentric);
   EXPECT_FALSE(enabled());
-  EXPECT_EQ(traced.completions, off.completions);
-  EXPECT_EQ(traced.end_tick, off.end_tick);
-  EXPECT_EQ(traced.report.completed, off.report.completed);
-  EXPECT_EQ(traced.report.launches, off.report.launches);
+  EXPECT_EQ(traced.serve.completions, off.completions);
+  EXPECT_EQ(traced.serve.end_tick, off.end_tick);
+  EXPECT_EQ(traced.serve.report.completed, off.report.completed);
+  EXPECT_EQ(traced.serve.report.launches, off.report.launches);
 }
 
 TEST(TraceTest, PlacementPoliciesDivergeInTheTrace) {
@@ -302,18 +124,16 @@ TEST(TraceTest, PlacementPoliciesDivergeInTheTrace) {
   // the accelerator holding their weights (the residency walk), while
   // caller-centric skips the walk entirely and fills the near tier first.
   const std::uint64_t seed = fuzz_seed();
-  const Outcome caller =
-      run_load(topo::Placement::kCallerCentric, seed, true);
-  const Outcome buffer =
-      run_load(topo::Placement::kBufferCentric, seed, true);
-  EXPECT_EQ(caller.report.affinity_routed, 0u);
-  EXPECT_GT(buffer.report.affinity_routed, 0u);
+  const TraceRun caller = traced_load(topo::Placement::kCallerCentric, seed);
+  const TraceRun buffer = traced_load(topo::Placement::kBufferCentric, seed);
+  EXPECT_EQ(caller.serve.report.affinity_routed, 0u);
+  EXPECT_GT(buffer.serve.report.affinity_routed, 0u);
   // Trace-verified: the request spans' critical devices differ between the
   // two policies for at least one request of the identical plan.
   const auto caller_devices = critical_devices(caller);
   const auto buffer_devices = critical_devices(buffer);
-  ASSERT_EQ(caller_devices.size(), caller.completions.size());
-  ASSERT_EQ(buffer_devices.size(), buffer.completions.size());
+  ASSERT_EQ(caller_devices.size(), caller.serve.completions.size());
+  ASSERT_EQ(buffer_devices.size(), buffer.serve.completions.size());
   EXPECT_NE(caller_devices, buffer_devices);
 }
 

@@ -21,17 +21,10 @@
 namespace tdo::rt {
 namespace {
 
+using tdo::testing::fuzz_seed;
 using tdo::testing::Platform;
 using tdo::testing::random_matrix;
 using tdo::testing::ref_gemm;
-
-std::uint64_t fuzz_seed() {
-  if (const char* env = std::getenv("TDO_FUZZ_SEED")) {
-    const std::uint64_t seed = std::strtoull(env, nullptr, 10);
-    if (seed != 0) return seed;
-  }
-  return 20260729ull;
-}
 
 [[nodiscard]] double max_abs_of(const std::vector<float>& data) {
   double out = 0.0;

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -35,15 +34,8 @@
 namespace tdo::rt {
 namespace {
 
+using testing::fuzz_seed;
 using testing::Platform;
-
-std::uint64_t fuzz_seed() {
-  if (const char* env = std::getenv("TDO_FUZZ_SEED")) {
-    const std::uint64_t seed = std::strtoull(env, nullptr, 10);
-    if (seed != 0) return seed;
-  }
-  return 20260729ull;
-}
 
 // --- layer 1: geometry vs per-byte oracle ---
 

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
+#include "serve/load.hpp"
 #include "serve/scheduler.hpp"
 #include "support/rng.hpp"
 #include "testing/fixture.hpp"
@@ -18,16 +18,9 @@ namespace tdo::serve {
 namespace {
 
 using support::Duration;
+using tdo::testing::fuzz_seed;
 using tdo::testing::Platform;
 using tdo::testing::random_matrix;
-
-std::uint64_t fuzz_seed() {
-  if (const char* env = std::getenv("TDO_FUZZ_SEED")) {
-    const std::uint64_t seed = std::strtoull(env, nullptr, 10);
-    if (seed != 0) return seed;
-  }
-  return 20260729ull;
-}
 
 /// One shared weight set, one activation buffer wide enough for the heavy
 /// shape (light requests read a leading-row prefix), and rotating output
@@ -52,35 +45,19 @@ struct OverloadFixture {
     }
   }
 
-  [[nodiscard]] Request make(std::uint32_t tenant, std::uint64_t m,
-                             sim::VirtAddr c, DeadlineClass deadline) const {
-    Request r;
-    r.tenant = tenant;
-    r.deadline = deadline;
-    r.m = m;
-    r.n = n;
-    r.k = k;
-    r.a = va_a;
-    r.b = weights;
-    r.c = c;
-    r.lda = k;
-    r.ldb = n;
-    r.ldc = n;
-    return r;
-  }
   [[nodiscard]] Request heavy(std::uint32_t tenant, int i,
                               DeadlineClass deadline = DeadlineClass::kBatch)
       const {
-    return make(tenant, kHeavyM,
-                heavy_out[static_cast<std::size_t>(i) % heavy_out.size()],
-                deadline);
+    return sgemm_request(
+        tenant, deadline, kHeavyM, n, k, va_a, weights,
+        heavy_out[static_cast<std::size_t>(i) % heavy_out.size()]);
   }
   [[nodiscard]] Request light(
       std::uint32_t tenant, int i,
       DeadlineClass deadline = DeadlineClass::kInteractive) const {
-    return make(tenant, kLightM,
-                light_out[static_cast<std::size_t>(i) % light_out.size()],
-                deadline);
+    return sgemm_request(
+        tenant, deadline, kLightM, n, k, va_a, weights,
+        light_out[static_cast<std::size_t>(i) % light_out.size()]);
   }
 };
 
@@ -294,59 +271,46 @@ void run_overload(bool shed_enabled, std::uint64_t seed,
   const sim::Tick start = events.now();
   const sim::Tick heavy_gap = heavy_service / 3;
   std::vector<Arrival> schedule;
-  schedule.reserve(kHeavy + kLight);
-  for (int i = 0; i < kHeavy; ++i) {
-    const auto jitter = static_cast<sim::Tick>(
-        rng.uniform_int(0, static_cast<std::int64_t>(heavy_gap / 4) + 1));
-    schedule.push_back(
-        Arrival{start + static_cast<sim::Tick>(i) * heavy_gap + jitter, true});
-  }
+  const auto add_stream = [&](int count, sim::Tick gap, bool heavy) {
+    for (int i = 0; i < count; ++i) {
+      const auto jitter = static_cast<sim::Tick>(
+          rng.uniform_int(0, static_cast<std::int64_t>(gap / 4) + 1));
+      schedule.push_back(
+          Arrival{start + static_cast<sim::Tick>(i) * gap + jitter, heavy});
+    }
+  };
+  add_stream(kHeavy, heavy_gap, true);
   // Lights span only the first 85% of the heavy horizon so every measured
   // interactive request arrives under sustained overload. Once arrivals
   // stop, the rate EWMA decays, shedding switches off, and the residual
   // backlog coalesces into full-width batches — a drain-down artifact, not
   // the steady state the shed-vs-no-shed comparison is about.
-  const sim::Tick light_gap =
-      static_cast<sim::Tick>(kHeavy) * heavy_gap * 85 / (100 * kLight);
-  for (int i = 0; i < kLight; ++i) {
-    const auto jitter = static_cast<sim::Tick>(
-        rng.uniform_int(0, static_cast<std::int64_t>(light_gap / 4) + 1));
-    schedule.push_back(
-        Arrival{start + static_cast<sim::Tick>(i) * light_gap + jitter,
-                false});
-  }
+  add_stream(kLight,
+             static_cast<sim::Tick>(kHeavy) * heavy_gap * 85 / (100 * kLight),
+             false);
   std::sort(schedule.begin(), schedule.end(),
             [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
 
-  std::vector<Completion> completions;
-  std::size_t next = 0;
-  int sequence = 0;
-  while (next < schedule.size()) {
-    if (events.now() >= schedule[next].at) {
-      const Request request = schedule[next].heavy
-                                  ? fx.heavy(0, sequence)
-                                  : fx.light(1, sequence);
-      sequence += 1;
-      ASSERT_TRUE(scheduler.submit(request).is_ok());
-      next += 1;
-      continue;
-    }
-    ASSERT_TRUE(scheduler.pump().is_ok());
-    for (auto& completion : scheduler.take_completions()) {
-      completions.push_back(completion);
-    }
-    scheduler.advance_to_next_event(schedule[next].at);
+  std::vector<Duration> due;
+  for (const Arrival& arrival : schedule) {
+    due.push_back(sim::from_ticks(arrival.at));
   }
-  ASSERT_TRUE(scheduler.drain().is_ok());
-  for (auto& completion : scheduler.take_completions()) {
-    completions.push_back(completion);
-  }
+  OpenSource source{std::move(due), [&](std::size_t i) {
+                      const int sequence = static_cast<int>(i);
+                      return schedule[i].heavy ? fx.heavy(0, sequence)
+                                               : fx.light(1, sequence);
+                    }};
+  // One pump per wait: the replay's arrivals, not the scheduler's progress,
+  // pace the rounds.
+  const auto completions =
+      drive(scheduler, source, schedule.size(), Advance::kEveryRound);
+  ASSERT_TRUE(completions.is_ok()) << completions.status().to_string();
 
   out->report = scheduler.report();
   const auto interactive = scheduler.class_latency(DeadlineClass::kInteractive);
   out->interactive_p99_ps = interactive.quantile(0.99).picoseconds();
   out->interactive_done = interactive.count();
-  for (const auto& completion : completions) {
+  for (const auto& completion : *completions) {
     if (completion.outcome == Completion::Outcome::kShed &&
         completion.deadline == DeadlineClass::kInteractive) {
       out->interactive_shed += 1;

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <thread>
@@ -15,6 +14,7 @@
 
 #include "serve/admission.hpp"
 #include "serve/batcher.hpp"
+#include "serve/load.hpp"
 #include "support/fixed_point.hpp"
 #include "testing/fixture.hpp"
 
@@ -22,41 +22,14 @@ namespace tdo::serve {
 namespace {
 
 using support::Duration;
+using tdo::testing::fuzz_seed;
 using tdo::testing::Platform;
 using tdo::testing::random_matrix;
 using tdo::testing::ref_gemm;
 
-std::uint64_t fuzz_seed() {
-  if (const char* env = std::getenv("TDO_FUZZ_SEED")) {
-    const std::uint64_t seed = std::strtoull(env, nullptr, 10);
-    if (seed != 0) return seed;
-  }
-  return 20260729ull;
-}
-
 [[nodiscard]] double gemm_error_bound(double max_a, double max_b,
                                       std::size_t k) {
   return support::dot_quant_error_bound(max_a, max_b, k) + 1e-3;
-}
-
-/// A request against one weight set, outputs into a caller-owned C buffer.
-Request make_request(std::uint32_t tenant, std::uint64_t m, std::uint64_t n,
-                     std::uint64_t k, sim::VirtAddr a, sim::VirtAddr b,
-                     sim::VirtAddr c,
-                     DeadlineClass deadline = DeadlineClass::kStandard) {
-  Request r;
-  r.tenant = tenant;
-  r.deadline = deadline;
-  r.m = m;
-  r.n = n;
-  r.k = k;
-  r.a = a;
-  r.b = b;
-  r.c = c;
-  r.lda = k;
-  r.ldb = n;
-  r.ldc = n;
-  return r;
 }
 
 // --- batcher unit behaviour ---
@@ -64,8 +37,10 @@ Request make_request(std::uint32_t tenant, std::uint64_t m, std::uint64_t n,
 TEST(BatcherTest, CoalescesByKeyAndClosesOnSize) {
   Batcher batcher{BatcherParams{.max_batch = 3,
                                 .max_wait = Duration::from_us(100.0)}};
-  Request a = make_request(0, 8, 64, 64, 0x1000, 0x2000, 0x3000);
-  Request other_weights = make_request(0, 8, 64, 64, 0x1000, 0x9000, 0x4000);
+  Request a = sgemm_request(0, DeadlineClass::kStandard, 8, 64, 64, 0x1000,
+                            0x2000, 0x3000);
+  Request other_weights = sgemm_request(0, DeadlineClass::kStandard, 8, 64,
+                                        64, 0x1000, 0x9000, 0x4000);
   const Duration t0 = Duration::from_us(1.0);
   batcher.add(a, t0);
   batcher.add(other_weights, t0);
@@ -82,11 +57,11 @@ TEST(BatcherTest, ClosesOnAgeAndOrdersByClass) {
   Batcher batcher{BatcherParams{.max_batch = 8,
                                 .max_wait = Duration::from_us(10.0)}};
   const Duration t0 = Duration::from_us(1.0);
-  batcher.add(make_request(0, 8, 64, 64, 0x1000, 0x2000, 0x3000,
-                           DeadlineClass::kBatch),
+  batcher.add(sgemm_request(0, DeadlineClass::kBatch, 8, 64, 64, 0x1000,
+                            0x2000, 0x3000),
               t0);
-  batcher.add(make_request(1, 8, 64, 64, 0x1000, 0x5000, 0x6000,
-                           DeadlineClass::kInteractive),
+  batcher.add(sgemm_request(1, DeadlineClass::kInteractive, 8, 64, 64, 0x1000,
+                            0x5000, 0x6000),
               Duration::from_us(2.0));
   EXPECT_TRUE(batcher.take_ready(Duration::from_us(5.0)).empty());
   ASSERT_TRUE(batcher.next_close_time().has_value());
@@ -105,13 +80,13 @@ TEST(BatcherTest, PreemptiveJoinSplitsHalfFullLowerClassBatch) {
   Batcher batcher{BatcherParams{.max_batch = 4,
                                 .max_wait = Duration::from_us(100.0)}};
   const Duration t0 = Duration::from_us(1.0);
-  const Request heavy = make_request(0, 8, 64, 64, 0x1000, 0x2000, 0x3000,
-                                     DeadlineClass::kBatch);
+  const Request heavy = sgemm_request(0, DeadlineClass::kBatch, 8, 64, 64,
+                                      0x1000, 0x2000, 0x3000);
   batcher.add(heavy, t0);
   batcher.add(heavy, t0);  // size 2 == half of max_batch
   EXPECT_TRUE(batcher.take_ready(t0).empty());
-  batcher.add(make_request(1, 8, 64, 64, 0x1000, 0x2000, 0x4000,
-                           DeadlineClass::kInteractive),
+  batcher.add(sgemm_request(1, DeadlineClass::kInteractive, 8, 64, 64, 0x1000,
+                            0x2000, 0x4000),
               t0);
   auto ready = batcher.take_ready(t0);
   ASSERT_EQ(ready.size(), 1u);
@@ -130,8 +105,8 @@ TEST(BatcherTest, PreemptiveJoinSplitsHalfFullLowerClassBatch) {
   Batcher wide{BatcherParams{.max_batch = 8,
                              .max_wait = Duration::from_us(100.0)}};
   wide.add(heavy, t0);
-  wide.add(make_request(1, 8, 64, 64, 0x1000, 0x2000, 0x4000,
-                        DeadlineClass::kInteractive),
+  wide.add(sgemm_request(1, DeadlineClass::kInteractive, 8, 64, 64, 0x1000,
+                         0x2000, 0x4000),
            t0);
   EXPECT_TRUE(wide.take_ready(t0).empty());  // size 2, half of 8 is 4
   EXPECT_EQ(wide.pending(), 2u);
@@ -224,6 +199,13 @@ struct ServeFixture {
     return platform.device_zeros(m * n);
   }
 
+  /// `tenant`'s request against weight set `w`, writing `c`.
+  [[nodiscard]] Request request(
+      std::size_t w, sim::VirtAddr c, std::uint32_t tenant = 0,
+      DeadlineClass cls = DeadlineClass::kStandard) const {
+    return sgemm_request(tenant, cls, m, n, k, va_a, weights[w], c);
+  }
+
   void check_result(sim::VirtAddr c, std::size_t w) {
     std::vector<float> expected(m * n, 0.0f);
     ref_gemm(m, n, k, 1.0f, input, k, weight_data[w], n, 0.0f, expected, n);
@@ -247,10 +229,7 @@ TEST(SchedulerTest, BatchedLaunchesCoalesceAndMatchReference) {
     const std::size_t w = static_cast<std::size_t>(i) % 2;
     const sim::VirtAddr c = fx.fresh_output();
     outputs.emplace_back(c, w);
-    ASSERT_TRUE(scheduler
-                    .submit(make_request(0, fx.m, fx.n, fx.k, fx.va_a,
-                                         fx.weights[w], c))
-                    .is_ok());
+    ASSERT_TRUE(scheduler.submit(fx.request(w, c)).is_ok());
   }
   ASSERT_TRUE(scheduler.drain().is_ok());
 
@@ -276,10 +255,7 @@ TEST(SchedulerTest, AffinityRoutesRepeatsToResidentAccelerator) {
     for (std::size_t w = 0; w < 2; ++w) {
       for (int i = 0; i < 2; ++i) {
         const sim::VirtAddr c = fx.fresh_output();
-        ASSERT_TRUE(scheduler
-                        .submit(make_request(0, fx.m, fx.n, fx.k, fx.va_a,
-                                             fx.weights[w], c))
-                        .is_ok());
+        ASSERT_TRUE(scheduler.submit(fx.request(w, c)).is_ok());
       }
       ASSERT_TRUE(scheduler.drain().is_ok());
       for (const auto& completion : scheduler.take_completions()) {
@@ -309,8 +285,7 @@ TEST(SchedulerTest, RejectsBeyondTenantQueueBound) {
   Scheduler scheduler{params, fx.platform.runtime()};
   int rejected = 0;
   for (int i = 0; i < 8; ++i) {
-    const auto id = scheduler.submit(make_request(
-        0, fx.m, fx.n, fx.k, fx.va_a, fx.weights[0], fx.fresh_output()));
+    const auto id = scheduler.submit(fx.request(0, fx.fresh_output()));
     if (!id.is_ok()) {
       EXPECT_EQ(id.status().code(), support::StatusCode::kResourceExhausted);
       ++rejected;
@@ -342,8 +317,7 @@ TEST(SchedulerTest, ThreadedPathEnforcesTenantBoundAtPump) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (std::size_t r = t; r < kTotal; r += kThreads) {
-        auto id = scheduler.submit_from_thread(make_request(
-            0, fx.m, fx.n, fx.k, fx.va_a, fx.weights[0], outputs[r]));
+        auto id = scheduler.submit_from_thread(fx.request(0, outputs[r]));
         ASSERT_TRUE(id.is_ok()) << id.status().to_string();
       }
     });
@@ -377,8 +351,8 @@ TEST(SchedulerTest, FailedLaunchDoesNotCountAsLaunched) {
   params.batching = false;
   params.admission.adaptive = false;
   Scheduler scheduler{params, fx.platform.runtime()};
-  const Request bad = make_request(0, fx.m, fx.n, fx.k, 0xdead0000, 0xbeef0000,
-                                   0xcafe0000);
+  const Request bad = sgemm_request(0, DeadlineClass::kStandard, fx.m, fx.n,
+                                    fx.k, 0xdead0000, 0xbeef0000, 0xcafe0000);
   ASSERT_TRUE(scheduler.submit(bad).is_ok());
   EXPECT_FALSE(scheduler.pump().is_ok());
   EXPECT_EQ(scheduler.report().launches, 0u);
@@ -416,7 +390,10 @@ TEST(SchedulerTest, SecondSchedulerSurvivesFirstSchedulerTeardown) {
   Scheduler second{p2, platform.runtime()};
   first.reset();  // must not strip `second`'s observers
 
-  ASSERT_TRUE(second.submit(make_request(0, m, n, k, va, vb, vc)).is_ok());
+  ASSERT_TRUE(second
+                  .submit(sgemm_request(0, DeadlineClass::kStandard, m, n, k,
+                                        va, vb, vc))
+                  .is_ok());
   ASSERT_TRUE(second.drain().is_ok());
   EXPECT_EQ(second.report().completed, 1u);
   // The launch really did ride the pool (pseudo-async split happened).
@@ -441,56 +418,23 @@ struct TenantSpec {
 void run_closed_loop(ServeFixture& fx, Scheduler& scheduler,
                      const std::vector<TenantSpec>& specs,
                      int requests_per_client) {
-  struct Client {
-    std::uint32_t tenant = 0;
-    std::size_t weight = 0;
-    std::vector<sim::VirtAddr> outputs;
-    int submitted = 0;
-    bool busy = false;
-  };
-  std::vector<Client> clients;
+  std::vector<const TenantSpec*> tenant_of;  // client -> its tenant's spec
+  std::vector<sim::VirtAddr> outputs;         // four per client
   for (const auto& spec : specs) {
     for (int i = 0; i < spec.clients; ++i) {
-      Client client;
-      client.tenant = spec.tenant;
-      client.weight = spec.weight;
-      for (int p = 0; p < 4; ++p) client.outputs.push_back(fx.fresh_output());
-      clients.push_back(std::move(client));
+      tenant_of.push_back(&spec);
+      for (int p = 0; p < 4; ++p) outputs.push_back(fx.fresh_output());
     }
   }
-  std::map<std::uint64_t, std::size_t> owner;
-  const std::size_t target = clients.size() * requests_per_client;
-  std::size_t completed = 0;
-  while (completed < target) {
-    bool progressed = false;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      auto& client = clients[i];
-      if (client.busy || client.submitted >= requests_per_client) continue;
-      const sim::VirtAddr c =
-          client.outputs[client.submitted % client.outputs.size()];
-      auto id = scheduler.submit(make_request(client.tenant, fx.m, fx.n, fx.k,
-                                              fx.va_a,
-                                              fx.weights[client.weight], c));
-      ASSERT_TRUE(id.is_ok());
-      owner[*id] = i;
-      client.submitted += 1;
-      client.busy = true;
-      progressed = true;
-    }
-    ASSERT_TRUE(scheduler.pump().is_ok());
-    for (const auto& completion : scheduler.take_completions()) {
-      const auto it = owner.find(completion.id);
-      if (it != owner.end()) {
-        clients[it->second].busy = false;
-        owner.erase(it);
-      }
-      completed += 1;
-      progressed = true;
-    }
-    if (progressed) continue;
-    ASSERT_TRUE(scheduler.advance_to_next_event()) << "scheduler stalled";
-  }
-  ASSERT_TRUE(scheduler.drain().is_ok());
+  ClosedSource source{
+      tenant_of.size(), static_cast<std::size_t>(requests_per_client),
+      [&](std::size_t i, std::size_t nth) {
+        const TenantSpec& spec = *tenant_of[i];
+        return fx.request(spec.weight, outputs[4 * i + nth % 4],
+                          spec.tenant);
+      }};
+  const auto finished = drive(scheduler, source, source.target());
+  ASSERT_TRUE(finished.is_ok()) << finished.status().to_string();
 }
 
 TEST(SchedulerTest, LightTenantTailBoundedUnderTenToOneFlood) {
@@ -556,9 +500,7 @@ TEST(ServeSchedulerFuzz, RandomizedMultiTenantLoadMatchesReference) {
       const auto tenant = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
       const auto deadline = static_cast<DeadlineClass>(rng.uniform_int(0, 2));
       const sim::VirtAddr c = fx.fresh_output();
-      auto request = make_request(tenant, fx.m, fx.n, fx.k, fx.va_a,
-                                  fx.weights[w], c, deadline);
-      auto id = scheduler.submit(request);
+      auto id = scheduler.submit(fx.request(w, c, tenant, deadline));
       ASSERT_TRUE(id.is_ok());
       pending[*id] = Pending{c, w};
       ++submitted;
@@ -637,9 +579,8 @@ TEST(ServeSchedulerFuzz, ThreadedSubmissionMatchesSingleThreadReference) {
         threads.emplace_back([&, t] {
           for (std::size_t r = t; r < kTotal; r += kThreads) {
             auto id = scheduler.submit_from_thread(
-                make_request(plan[r].tenant, fx.m, fx.n, fx.k, fx.va_a,
-                             fx.weights[plan[r].weight], outputs[r],
-                             plan[r].deadline));
+                fx.request(plan[r].weight, outputs[r], plan[r].tenant,
+                           plan[r].deadline));
             ASSERT_TRUE(id.is_ok()) << id.status().to_string();
           }
         });
@@ -649,10 +590,8 @@ TEST(ServeSchedulerFuzz, ThreadedSubmissionMatchesSingleThreadReference) {
     } else {
       for (std::size_t r = 0; r < kTotal; ++r) {
         EXPECT_TRUE(scheduler
-                        .submit(make_request(plan[r].tenant, fx.m, fx.n, fx.k,
-                                             fx.va_a,
-                                             fx.weights[plan[r].weight],
-                                             outputs[r], plan[r].deadline))
+                        .submit(fx.request(plan[r].weight, outputs[r],
+                                           plan[r].tenant, plan[r].deadline))
                         .is_ok());
       }
     }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -17,6 +18,16 @@
 #include "support/rng.hpp"
 
 namespace tdo::testing {
+
+/// Seed for the seeded randomized (*Fuzz*) tests: TDO_FUZZ_SEED when set
+/// to a nonzero integer, so CI can re-run them with extra seeds.
+inline std::uint64_t fuzz_seed() {
+  if (const char* env = std::getenv("TDO_FUZZ_SEED")) {
+    const std::uint64_t seed = std::strtoull(env, nullptr, 10);
+    if (seed != 0) return seed;
+  }
+  return 20260729ull;
+}
 
 /// Owns a fully wired platform with paper-default parameters. Pass
 /// `accelerators > 1` to register extra accelerator instances (distinct

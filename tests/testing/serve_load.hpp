@@ -7,28 +7,22 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <map>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/critical_path.hpp"
 #include "obs/trace.hpp"
+#include "serve/load.hpp"
 #include "serve/scheduler.hpp"
 #include "testing/fixture.hpp"
 #include "topo/topology.hpp"
 
 namespace tdo::testing {
-
-inline std::uint64_t fuzz_seed() {
-  if (const char* env = std::getenv("TDO_FUZZ_SEED")) {
-    const std::uint64_t seed = std::strtoull(env, nullptr, 10);
-    if (seed != 0) return seed;
-  }
-  return 20260729ull;
-}
 
 /// The bench's traced-fleet runtime knobs at test scale: pseudo-async split
 /// on with a tiny MAC gate so host-pool stripe spans appear, and a low
@@ -88,12 +82,10 @@ struct ServeOutcome {
 /// Seeded closed-loop serving run with skewed tenant affinity: tenant 0's
 /// five clients hammer weight set 0 (interactive), tenant 1's two clients
 /// serve weight set 1 (standard). Every request's activations arrive through
-/// the measured upload path. Pass `traced` when the Tracer is started so its
-/// ring buffers are drained as the load runs.
-inline ServeOutcome run_serve_load(ServeFixture& fx, topo::Placement placement,
-                                   bool traced = false) {
+/// the measured upload path.
+inline ServeOutcome run_serve_load(ServeFixture& fx,
+                                   topo::Placement placement) {
   using serve::DeadlineClass;
-  using serve::Request;
   using serve::Scheduler;
   using serve::SchedulerParams;
 
@@ -105,93 +97,73 @@ inline ServeOutcome run_serve_load(ServeFixture& fx, topo::Placement placement,
   params.admission.probe_period = 0;
   Scheduler scheduler{params, fx.platform.runtime()};
 
-  struct Client {
-    std::uint32_t tenant = 0;
-    std::size_t weight = 0;
-    DeadlineClass deadline = DeadlineClass::kStandard;
-    std::vector<sim::VirtAddr> outputs;
-    int submitted = 0;
-    bool busy = false;
-  };
-  std::vector<Client> clients;
-  const auto add_clients = [&](std::uint32_t tenant, std::size_t weight,
-                               DeadlineClass deadline, int count) {
-    for (int i = 0; i < count; ++i) {
-      Client client;
-      client.tenant = tenant;
-      client.weight = weight;
-      client.deadline = deadline;
-      for (int p = 0; p < 2; ++p) {
-        client.outputs.push_back(fx.platform.device_zeros(fx.m * fx.n));
-      }
-      clients.push_back(std::move(client));
-    }
-  };
-  add_clients(0, 0, DeadlineClass::kInteractive, 5);
-  add_clients(1, 1, DeadlineClass::kStandard, 2);
-
-  constexpr int kRequestsPerClient = 3;
-  const std::size_t target = clients.size() * kRequestsPerClient;
+  // Clients [0, kHot) are tenant 0 (interactive, weight set 0), the rest
+  // tenant 1 (standard, weight set 1); each rotates over two outputs.
+  constexpr std::size_t kClients = 7, kHot = 5, kRequestsPerClient = 3;
+  std::vector<sim::VirtAddr> outputs;  // client-major
+  for (std::size_t i = 0; i < 2 * kClients; ++i) {
+    outputs.push_back(fx.platform.device_zeros(fx.m * fx.n));
+  }
+  serve::ClosedSource source{
+      kClients, kRequestsPerClient,
+      [&](std::size_t client, std::size_t nth) {
+        const std::uint32_t tenant = client < kHot ? 0 : 1;
+        return serve::sgemm_request(
+            tenant,
+            tenant == 0 ? DeadlineClass::kInteractive
+                        : DeadlineClass::kStandard,
+            fx.m, fx.n, fx.k, fx.va_a, fx.weights[tenant],
+            outputs[2 * client + nth % 2]);
+      },
+      fx.m * fx.k * sizeof(float)};
+  const auto finished = serve::drive(scheduler, source, source.target());
+  EXPECT_TRUE(finished.is_ok()) << finished.status().to_string();
   ServeOutcome out;
-  std::map<std::uint64_t, std::size_t> owner;
-  std::size_t completed = 0;
-  while (completed < target) {
-    bool progressed = false;
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      auto& client = clients[i];
-      if (client.busy || client.submitted >= kRequestsPerClient) continue;
-      Request request;
-      request.tenant = client.tenant;
-      request.deadline = client.deadline;
-      request.m = fx.m;
-      request.n = fx.n;
-      request.k = fx.k;
-      request.a = fx.va_a;
-      request.b = fx.weights[client.weight];
-      request.c = client.outputs[client.submitted % client.outputs.size()];
-      request.lda = fx.k;
-      request.ldb = fx.n;
-      request.ldc = fx.n;
-      EXPECT_TRUE(scheduler
-                      .upload(request.a, request.a,
-                              fx.m * fx.k * sizeof(float))
-                      .is_ok());
-      auto id = scheduler.submit(request);
-      EXPECT_TRUE(id.is_ok()) << id.status().to_string();
-      if (!id.is_ok()) return out;
-      owner[*id] = i;
-      client.submitted += 1;
-      client.busy = true;
-      progressed = true;
-    }
-    EXPECT_TRUE(scheduler.pump().is_ok());
-    if (traced) obs::Tracer::instance().pump();
-    for (const auto& completion : scheduler.take_completions()) {
-      const auto it = owner.find(completion.id);
-      if (it != owner.end()) {
-        clients[it->second].busy = false;
-        owner.erase(it);
-      }
+  if (finished.is_ok()) {
+    for (const serve::Completion& completion : *finished) {
       out.completions.emplace_back(completion.id, completion.done.ticks(),
                                    completion.device);
-      completed += 1;
-      progressed = true;
     }
-    if (progressed) continue;
-    if (!scheduler.advance_to_next_event()) {
-      ADD_FAILURE() << "scheduler stalled";
-      return out;
-    }
-  }
-  EXPECT_TRUE(scheduler.drain().is_ok());
-  for (const auto& completion : scheduler.take_completions()) {
-    out.completions.emplace_back(completion.id, completion.done.ticks(),
-                                 completion.device);
   }
   std::sort(out.completions.begin(), out.completions.end());
   out.report = scheduler.report();
   out.end_tick = fx.platform.system().events().now();
   return out;
+}
+
+/// What one traced run of the shared load recorded.
+struct TraceRun {
+  ServeOutcome serve;
+  std::vector<obs::TraceEvent> events;  ///< sorted
+  std::vector<obs::RequestPath> paths;
+  std::uint64_t dropped = 0;
+  std::string json;              ///< the Perfetto export
+  support::StatsSnapshot stats;  ///< the registry after the run
+};
+
+/// The shared load under `config`, traced: the tracer starts before the
+/// fixture is built (so its uploads are traced too) and stops at the end.
+/// The far link's counters and energy sink are registered, as the benches
+/// do, so `stats` carries every modeled sink.
+inline TraceRun run_traced_serve_load(rt::RuntimeConfig config,
+                                         std::uint64_t seed,
+                                         topo::Placement placement) {
+  auto& tracer = obs::Tracer::instance();
+  tracer.start({});
+  ServeFixture fx{std::move(config), seed};
+  fx.link.register_stats(fx.platform.system().stats());
+  TraceRun run;
+  run.serve = run_serve_load(fx, placement);
+  tracer.pump();
+  run.events = tracer.sorted_events();
+  run.paths = obs::decompose(run.events);
+  run.dropped = tracer.dropped();
+  std::ostringstream json;
+  tracer.export_json(json);
+  run.json = json.str();
+  run.stats = fx.platform.system().stats().snapshot();
+  tracer.stop();
+  return run;
 }
 
 }  // namespace tdo::testing
