@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "support/fixed_point.hpp"
 
@@ -20,9 +21,12 @@ namespace {
 
 Crossbar::Crossbar(CrossbarParams params)
     : params_{params}, phys_cols_{params.cols * 2} {
+  // |in * w| <= 128 * 128, so an int32 column sum is exact up to this depth.
+  assert(params_.rows <= std::numeric_limits<std::int32_t>::max() / (128 * 128));
   cells_.assign(static_cast<std::size_t>(params_.rows) * phys_cols_,
                 PcmCell{params_.cell});
-  column_weight_sums_.assign(params_.cols, 0);
+  weights_.assign(static_cast<std::size_t>(params_.rows) * params_.cols,
+                  std::int8_t{-128});
 }
 
 std::uint64_t Crossbar::write_row(std::uint32_t row,
@@ -32,17 +36,15 @@ std::uint64_t Crossbar::write_row(std::uint32_t row,
   assert(weights.size() <= params_.cols);
   const std::uint32_t end =
       clear_tail ? params_.cols : static_cast<std::uint32_t>(weights.size());
-  std::uint64_t writes = 0;
+  std::int8_t* plane = &weights_[static_cast<std::size_t>(row) * params_.cols];
   for (std::uint32_t c = 0; c < end; ++c) {
     const std::int8_t w = c < weights.size() ? weights[c] : std::int8_t{0};
     const std::uint8_t u = to_offset(w);
-    // Maintain the per-column unsigned sum for offset correction.
-    const std::uint8_t old_u = to_offset(weight_at(row, c));
-    column_weight_sums_[c] += static_cast<std::int64_t>(u) - old_u;
     cell(row, 2 * c).program(static_cast<std::uint8_t>(u >> 4));
     cell(row, 2 * c + 1).program(static_cast<std::uint8_t>(u & 0xF));
-    writes += 2;
+    plane[c] = w;
   }
+  const std::uint64_t writes = 2ull * end;
   total_cell_writes_ += writes;
   return writes;
 }
@@ -54,55 +56,54 @@ GemvResult Crossbar::gemv(std::span<const std::int8_t> inputs,
   assert(active_cols <= params_.cols);
   assert(inputs.size() >= active_rows);
 
+  GemvResult result;
+  result.acc.assign(active_cols, 0);
+  const auto plane_row = [&](std::uint32_t r) {
+    return &weights_[static_cast<std::size_t>(row0 + r) * params_.cols];
+  };
+
+  if (rng == nullptr || params_.cell.read_noise_sigma <= 0.0) {
+    // Exact digital-equivalent evaluation: the nibble weighted sum
+    // (Section II-B) with the offset terms already cancelled (see header).
+    std::int32_t* acc = result.acc.data();
+    for (std::uint32_t r = 0; r < active_rows; ++r) {
+      const std::int32_t in = inputs[r];
+      const std::int8_t* w = plane_row(r);
+      for (std::uint32_t c = 0; c < active_cols; ++c) acc[c] += in * w[c];
+    }
+    return result;
+  }
+
+  // Analog path: currents through noisy conductances, converted back to
+  // level units before the weighted sum, mimicking per-column ADCs.
   // Input offset sum, computed by the digital logic at the row buffers.
   std::int64_t input_sum_u = 0;
   for (std::uint32_t r = 0; r < active_rows; ++r) {
     input_sum_u += to_offset(inputs[r]);
   }
-
-  GemvResult result;
-  result.acc.assign(active_cols, 0);
-
-  const bool noisy = rng != nullptr && params_.cell.read_noise_sigma > 0.0;
   const double g_min = params_.cell.g_min_siemens;
   const double g_span = params_.cell.g_max_siemens - g_min;
   const double level_max = 15.0;
 
   for (std::uint32_t c = 0; c < active_cols; ++c) {
-    std::int64_t acc_u;  // sum over rows of in_u * w_u for this column
-    if (!noisy) {
-      // Exact digital-equivalent evaluation of the two nibble columns.
-      std::int64_t msb_sum = 0;
-      std::int64_t lsb_sum = 0;
-      for (std::uint32_t r = 0; r < active_rows; ++r) {
-        const auto in_u = static_cast<std::int64_t>(to_offset(inputs[r]));
-        msb_sum += in_u * cell(row0 + r, 2 * c).level();
-        lsb_sum += in_u * cell(row0 + r, 2 * c + 1).level();
-      }
-      acc_u = 16 * msb_sum + lsb_sum;  // digital weighted sum (Section II-B)
-    } else {
-      // Analog path: currents through noisy conductances, converted back to
-      // level units before the weighted sum, mimicking per-column ADCs.
-      double msb_current = 0.0;
-      double lsb_current = 0.0;
-      for (std::uint32_t r = 0; r < active_rows; ++r) {
-        const auto in_u = static_cast<double>(to_offset(inputs[r]));
-        msb_current += in_u * (cell(row0 + r, 2 * c).conductance(rng) - g_min);
-        lsb_current += in_u * (cell(row0 + r, 2 * c + 1).conductance(rng) - g_min);
-      }
-      const double to_levels = level_max / g_span;
-      acc_u = 16 * static_cast<std::int64_t>(std::llround(msb_current * to_levels)) +
-              static_cast<std::int64_t>(std::llround(lsb_current * to_levels));
+    double msb_current = 0.0;
+    double lsb_current = 0.0;
+    for (std::uint32_t r = 0; r < active_rows; ++r) {
+      const auto in_u = static_cast<double>(to_offset(inputs[r]));
+      msb_current += in_u * (cell(row0 + r, 2 * c).conductance(rng) - g_min);
+      lsb_current += in_u * (cell(row0 + r, 2 * c + 1).conductance(rng) - g_min);
     }
+    const double to_levels = level_max / g_span;
+    const std::int64_t acc_u =
+        16 * static_cast<std::int64_t>(std::llround(msb_current * to_levels)) +
+        static_cast<std::int64_t>(std::llround(lsb_current * to_levels));
     // Offset correction: sum (in_u - 128)(w_u - 128)
     //   = sum in_u*w_u - 128*sum(in_u) - 128*sum(w_u over active rows) + 128^2*n.
-    // column_weight_sums_ covers all rows; inactive rows hold offset-zero
-    // (u=128) only if programmed; to stay exact we recompute the active-row
-    // weight sum digitally — this is the "mask register" role of the
-    // row buffers (Section II-B).
+    // The active-row weight sum is the "mask register" role of the row
+    // buffers (Section II-B).
     std::int64_t weight_sum_u = 0;
     for (std::uint32_t r = 0; r < active_rows; ++r) {
-      weight_sum_u += to_offset(weight_at(row0 + r, c));
+      weight_sum_u += to_offset(plane_row(r)[c]);
     }
     const std::int64_t n = active_rows;
     const std::int64_t corrected =

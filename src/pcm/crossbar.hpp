@@ -6,10 +6,16 @@
 //
 // Signed arithmetic uses offset-binary encoding with digital correction:
 // weights and inputs are stored/applied as unsigned (value + 128); the
-// digital logic block removes the offset terms using per-column weight sums
-// (updated at programming time) and the per-GEMV input sum. This is a
-// standard crossbar technique and keeps conductances non-negative while
-// recovering the exact signed fixed-point dot product.
+// digital logic block removes the offset terms using the active-row weight
+// sums and the per-GEMV input sum. This is a standard crossbar technique and
+// keeps conductances non-negative while recovering the exact signed
+// fixed-point dot product.
+//
+// The simulator keeps two views of the array in step. The cells carry the
+// physical state (nibble levels and wear counts, Figure 5). A row-major
+// signed weight plane carries the functional state: by the offset-binary
+// identity sum (in_u - 128)(w_u - 128) = sum in * w, the noise-free GEMV is
+// exactly a signed int8 dot product over contiguous plane rows.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +70,8 @@ class Crossbar {
                                 support::Rng* rng = nullptr,
                                 std::uint32_t row0 = 0) const;
 
-  /// Digital view of a stored weight (for tests and for result verification).
+  /// Digital view of a stored weight, decoded from the two nibble cells (for
+  /// tests and for result verification).
   [[nodiscard]] std::int8_t weight_at(std::uint32_t row, std::uint32_t col) const;
 
   // --- wear accounting (drives Figure 5) ---
@@ -85,9 +92,9 @@ class Crossbar {
   CrossbarParams params_;
   std::uint32_t phys_cols_;
   std::vector<PcmCell> cells_;
-  /// Offset-correction state maintained by the digital interface: sum of
-  /// unsigned stored weights per logical column.
-  std::vector<std::int64_t> column_weight_sums_;
+  /// Signed weight plane, rows x cols row-major; never-programmed weights
+  /// read -128, the value of two level-0 cells.
+  std::vector<std::int8_t> weights_;
   std::uint64_t total_cell_writes_ = 0;
 };
 

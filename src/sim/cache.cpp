@@ -34,37 +34,44 @@ CacheOutcome Cache::access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
   Line* victim = begin;
   for (std::uint32_t w = 0; w < params_.ways; ++w) {
     Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
+    if (valid(line) && line.tag == tag) {
       line.lru_stamp = ++stamp_;
-      line.dirty = line.dirty || is_write;
+      if (is_write && !line.dirty) {
+        line.dirty = true;
+        ++dirty_lines_;
+      }
       hits_.add();
       return CacheOutcome::kHit;
     }
-    if (!line.valid) {
+    if (!valid(line)) {
       victim = &line;  // prefer an invalid way
-    } else if (victim->valid && line.lru_stamp < victim->lru_stamp) {
+    } else if (valid(*victim) && line.lru_stamp < victim->lru_stamp) {
       victim = &line;
     }
   }
 
   misses_.add();
-  if (victim->valid && victim->dirty) {
+  if (valid(*victim) && victim->dirty) {
+    --dirty_lines_;
     writebacks_.add();
     if (evicted_dirty != nullptr) *evicted_dirty = true;
   }
-  victim->valid = true;
+  victim->epoch = epoch_;
   victim->dirty = is_write;
+  if (is_write) ++dirty_lines_;
   victim->tag = tag;
   victim->lru_stamp = ++stamp_;
   return CacheOutcome::kMiss;
 }
 
 std::uint64_t Cache::flush_all() {
-  std::uint64_t dirty = 0;
-  for (Line& line : lines_) {
-    if (line.valid && line.dirty) ++dirty;
-    line.valid = false;
-    line.dirty = false;
+  const std::uint64_t dirty = dirty_lines_;
+  dirty_lines_ = 0;
+  // Ending the epoch invalidates every line. Only when the counter wraps
+  // could a stale line carry the new epoch, so then the lines are cleared.
+  if (++epoch_ == kInvalidEpoch) {
+    for (Line& line : lines_) line.epoch = kInvalidEpoch;
+    epoch_ = kInvalidEpoch + 1;
   }
   flushes_.add();
   writebacks_.add(dirty);
@@ -82,13 +89,14 @@ std::uint64_t Cache::flush_range(PhysAddr addr, std::uint64_t bytes) {
     Line* begin = &lines_[set * params_.ways];
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
       Line& line = begin[w];
-      if (line.valid && line.tag == tag) {
+      if (valid(line) && line.tag == tag) {
         if (line.dirty) ++dirty;
-        line.valid = false;
+        line.epoch = kInvalidEpoch;
         line.dirty = false;
       }
     }
   }
+  dirty_lines_ -= dirty;
   flushes_.add();
   writebacks_.add(dirty);
   return dirty;

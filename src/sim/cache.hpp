@@ -36,7 +36,9 @@ class Cache {
   CacheOutcome access(PhysAddr addr, bool is_write, bool* evicted_dirty);
 
   /// Invalidates the whole cache, counting dirty lines written back.
-  /// Returns the number of dirty lines flushed.
+  /// Returns the number of dirty lines flushed. O(1): the dirty lines are
+  /// counted as they turn dirty, and the lines are invalidated by ending
+  /// their epoch.
   std::uint64_t flush_all();
 
   /// Invalidates any line overlapping [addr, addr+bytes); returns dirty count.
@@ -50,13 +52,18 @@ class Cache {
   void register_stats(support::StatsRegistry& registry) const;
 
  private:
+  static constexpr std::uint32_t kInvalidEpoch = 0;
+
+  /// A line is valid only while its epoch is the cache's current one;
+  /// `dirty` means nothing once the line is invalid.
   struct Line {
     std::uint64_t tag = 0;
-    bool valid = false;
+    std::uint32_t epoch = kInvalidEpoch;
     bool dirty = false;
     std::uint64_t lru_stamp = 0;
   };
 
+  [[nodiscard]] bool valid(const Line& line) const { return line.epoch == epoch_; }
   [[nodiscard]] std::uint64_t set_index(PhysAddr addr) const;
   [[nodiscard]] std::uint64_t tag_of(PhysAddr addr) const;
 
@@ -64,6 +71,8 @@ class Cache {
   std::uint32_t num_sets_;
   std::vector<Line> lines_;  // num_sets_ * ways, row-major by set
   std::uint64_t stamp_ = 0;
+  std::uint32_t epoch_ = kInvalidEpoch + 1;
+  std::uint64_t dirty_lines_ = 0;  // valid lines with `dirty` set
 
   support::Counter hits_;
   support::Counter misses_;

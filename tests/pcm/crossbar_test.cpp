@@ -1,14 +1,17 @@
 // Unit tests for the PCM crossbar: programming, signed fixed-point GEMV
-// exactness, wear accounting, and noise behaviour.
+// exactness, wear accounting, and noise behaviour. CrossbarPlaneFuzz is
+// re-run by CI with extra TDO_FUZZ_SEED values.
 #include "pcm/crossbar.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
 #include "support/rng.hpp"
+#include "testing/fixture.hpp"
 
 namespace tdo::pcm {
 namespace {
@@ -131,6 +134,75 @@ TEST(CrossbarTest, WornOutDetectionAfterEnduranceLimit) {
   EXPECT_EQ(xbar.worn_cells(), 0u);
   xbar.write_row(0, row);
   EXPECT_EQ(xbar.worn_cells(), 2u);  // both nibble cells hit the limit
+}
+
+// The noise-free GEMV reads the weight plane while weight_at decodes the
+// nibble cells, so random programming sequences (partial rows, clear_tail,
+// rewrites, never-programmed rows) must keep the two views equal. Wear is
+// checked against a per-cell write count kept by the test.
+TEST(CrossbarPlaneFuzz, GemvMatchesCellDecodedReference) {
+  support::Rng rng{testing::fuzz_seed()};
+  for (int round = 0; round < 40; ++round) {
+    CrossbarParams params;
+    params.rows = static_cast<std::uint32_t>(rng.uniform_int(1, 24));
+    params.cols = static_cast<std::uint32_t>(rng.uniform_int(1, 24));
+    params.cell.endurance_writes =
+        static_cast<std::uint64_t>(rng.uniform_int(2, 8));
+    Crossbar xbar{params};
+    std::vector<std::uint64_t> cell_writes(
+        static_cast<std::size_t>(params.rows) * params.cols * 2, 0);
+
+    for (int op = 0; op < 60; ++op) {
+      if (rng.chance(0.5)) {
+        const auto row =
+            static_cast<std::uint32_t>(rng.uniform_int(0, params.rows - 1));
+        std::vector<std::int8_t> weights(
+            static_cast<std::size_t>(rng.uniform_int(0, params.cols)));
+        for (auto& w : weights) {
+          w = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        }
+        const bool clear_tail = rng.chance(0.3);
+        const std::size_t programmed = clear_tail ? params.cols : weights.size();
+        ASSERT_EQ(xbar.write_row(row, weights, clear_tail), 2 * programmed);
+        for (std::size_t c = 0; c < programmed; ++c) {
+          const std::int8_t expected = c < weights.size() ? weights[c] : 0;
+          ASSERT_EQ(xbar.weight_at(row, static_cast<std::uint32_t>(c)), expected);
+          const std::size_t cell = (row * std::size_t{params.cols} + c) * 2;
+          ++cell_writes[cell];
+          ++cell_writes[cell + 1];
+        }
+      } else {
+        const auto row0 =
+            static_cast<std::uint32_t>(rng.uniform_int(0, params.rows - 1));
+        const auto active_rows =
+            static_cast<std::uint32_t>(rng.uniform_int(0, params.rows - row0));
+        const auto active_cols =
+            static_cast<std::uint32_t>(rng.uniform_int(0, params.cols));
+        std::vector<std::int8_t> in(active_rows);
+        for (auto& v : in) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        const GemvResult result = xbar.gemv(in, active_rows, active_cols, nullptr, row0);
+        ASSERT_EQ(result.acc.size(), active_cols);
+        for (std::uint32_t c = 0; c < active_cols; ++c) {
+          std::int64_t expected = 0;
+          for (std::uint32_t r = 0; r < active_rows; ++r) {
+            expected += std::int64_t{in[r]} * xbar.weight_at(row0 + r, c);
+          }
+          ASSERT_EQ(result.acc[c], expected)
+              << "round " << round << " op " << op << " col " << c;
+        }
+      }
+    }
+    EXPECT_EQ(xbar.total_cell_writes(),
+              std::accumulate(cell_writes.begin(), cell_writes.end(),
+                              std::uint64_t{0}));
+    EXPECT_EQ(xbar.max_cell_writes(),
+              *std::max_element(cell_writes.begin(), cell_writes.end()));
+    EXPECT_EQ(xbar.worn_cells(),
+              static_cast<std::uint64_t>(std::count_if(
+                  cell_writes.begin(), cell_writes.end(), [&](std::uint64_t w) {
+                    return w >= params.cell.endurance_writes;
+                  })));
+  }
 }
 
 class CrossbarGemvPropertyTest

@@ -1,7 +1,9 @@
 // Unit tests for the simulation substrate: event queue, memory, MMU,
-// caches, bus and host CPU cost model.
+// caches, bus and host CPU cost model. CacheFlushFuzz is re-run by CI with
+// extra TDO_FUZZ_SEED values.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/bus.hpp"
@@ -11,6 +13,8 @@
 #include "sim/mmu.hpp"
 #include "sim/sim_memory.hpp"
 #include "sim/system.hpp"
+#include "support/rng.hpp"
+#include "testing/fixture.hpp"
 
 namespace tdo::sim {
 namespace {
@@ -172,6 +176,126 @@ TEST(CacheTest, FlushRangeOnlyTouchesRange) {
   (void)cache.access(1024, true, &dirty);
   EXPECT_EQ(cache.flush_range(0, 64), 1u);
   EXPECT_EQ(cache.access(1024, false, &dirty), CacheOutcome::kHit);
+}
+
+/// Straightforward set-associative write-back cache: explicit valid bits
+/// and flushes that scan every line. Cache must behave exactly like it.
+class ReferenceCache {
+ public:
+  ReferenceCache(std::uint64_t sets, std::uint32_t ways, std::uint32_t line_bytes)
+      : sets_{sets}, ways_{ways}, line_bytes_{line_bytes}, lines_(sets * ways) {}
+
+  CacheOutcome access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
+    *evicted_dirty = false;
+    const std::uint64_t lineno = addr / line_bytes_;
+    Line* begin = &lines_[(lineno % sets_) * ways_];
+    Line* victim = begin;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      Line& line = begin[w];
+      if (line.valid && line.tag == lineno / sets_) {
+        line.lru_stamp = ++stamp_;
+        line.dirty = line.dirty || is_write;
+        ++hits;
+        return CacheOutcome::kHit;
+      }
+      if (!line.valid) {
+        victim = &line;
+      } else if (victim->valid && line.lru_stamp < victim->lru_stamp) {
+        victim = &line;
+      }
+    }
+    ++misses;
+    if (victim->valid && victim->dirty) {
+      ++writebacks;
+      *evicted_dirty = true;
+    }
+    *victim = Line{lineno / sets_, true, is_write, ++stamp_};
+    return CacheOutcome::kMiss;
+  }
+
+  std::uint64_t flush_all() {
+    std::uint64_t dirty = 0;
+    for (Line& line : lines_) {
+      if (line.valid && line.dirty) ++dirty;
+      line.valid = false;
+    }
+    writebacks += dirty;
+    return dirty;
+  }
+
+  std::uint64_t flush_range(PhysAddr addr, std::uint64_t bytes) {
+    std::uint64_t dirty = 0;
+    const std::uint64_t last = (addr + bytes + line_bytes_ - 1) / line_bytes_;
+    for (std::uint64_t lineno = addr / line_bytes_; lineno < last; ++lineno) {
+      Line* begin = &lines_[(lineno % sets_) * ways_];
+      for (std::uint32_t w = 0; w < ways_; ++w) {
+        Line& line = begin[w];
+        if (line.valid && line.tag == lineno / sets_) {
+          if (line.dirty) ++dirty;
+          line.valid = false;
+        }
+      }
+    }
+    writebacks += dirty;
+    return dirty;
+  }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t writebacks = 0;
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t lru_stamp = 0;
+  };
+  std::uint64_t sets_;
+  std::uint32_t ways_;
+  std::uint32_t line_bytes_;
+  std::vector<Line> lines_;
+  std::uint64_t stamp_ = 0;
+};
+
+TEST(CacheFlushFuzz, MatchesFullScanReference) {
+  support::Rng rng{testing::fuzz_seed()};
+  constexpr std::uint32_t kLineBytes = 64;
+  for (int round = 0; round < 30; ++round) {
+    const auto sets = std::uint64_t{1} << rng.uniform_int(0, 4);
+    const auto ways = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
+    Cache cache{CacheParams{.name = "fuzz",
+                            .size_bytes = sets * ways * kLineBytes,
+                            .line_bytes = kLineBytes,
+                            .ways = ways}};
+    ReferenceCache ref{sets, ways, kLineBytes};
+    // Three times the capacity, so sets overflow and lines get evicted.
+    const auto span = static_cast<std::int64_t>(3 * sets * ways * kLineBytes);
+
+    for (int op = 0; op < 2000; ++op) {
+      const double pick = rng.uniform(0.0, 1.0);
+      const auto addr = static_cast<PhysAddr>(rng.uniform_int(0, span - 1));
+      if (pick < 0.8) {
+        const bool is_write = rng.chance(0.4);
+        bool dirty = false;
+        bool ref_dirty = false;
+        ASSERT_EQ(cache.access(addr, is_write, &dirty),
+                  ref.access(addr, is_write, &ref_dirty))
+            << "round " << round << " op " << op;
+        ASSERT_EQ(dirty, ref_dirty) << "round " << round << " op " << op;
+      } else if (pick < 0.85) {
+        ASSERT_EQ(cache.flush_all(), ref.flush_all())
+            << "round " << round << " op " << op;
+      } else {
+        const auto bytes = static_cast<std::uint64_t>(rng.uniform_int(0, 4 * kLineBytes));
+        ASSERT_EQ(cache.flush_range(addr, bytes), ref.flush_range(addr, bytes))
+            << "round " << round << " op " << op;
+      }
+      ASSERT_EQ(cache.hits(), ref.hits);
+      ASSERT_EQ(cache.misses(), ref.misses);
+      ASSERT_EQ(cache.writebacks(), ref.writebacks);
+    }
+  }
 }
 
 TEST(HostCpuTest, ChargesInstructionEnergy) {
