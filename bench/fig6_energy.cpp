@@ -10,6 +10,7 @@
 #include <cmath>
 #include <iostream>
 
+#include "core/pipeline.hpp"
 #include "polybench/harness.hpp"
 #include "support/table.hpp"
 
@@ -23,6 +24,8 @@ int main() {
   int count_all = 0;
   double log_sum_selective = 0.0;
   int count_selective = 0;
+  const double selective_threshold =
+      tdo::core::CompileOptions{}.min_macs_per_write;
 
   for (const std::string& name : tdo::pb::kernel_names()) {
     auto workload = tdo::pb::make_workload(name, tdo::pb::Preset::kPaper);
@@ -40,7 +43,7 @@ int main() {
     ++count_all;
     // The selective cost model (MACs-per-write threshold) approves exactly
     // the GEMM-like kernels; their geomean is the paper's "Selective" bar.
-    if (cim->macs_per_cim_write >= 16.0) {
+    if (cim->macs_per_cim_write >= selective_threshold) {
       log_sum_selective += std::log(improvement);
       ++count_selective;
     }

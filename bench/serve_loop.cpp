@@ -793,7 +793,7 @@ struct MetricsCapture {
   const auto interactive =
       scheduler.class_latency(DeadlineClass::kInteractive);
   return {load_factor, interactive.quantile(0.50), interactive.quantile(0.99),
-          interactive.count(), scheduler.report().shed};
+          interactive.count(), scheduler.counters().shed.value()};
 }
 
 /// One fixed small-GEMM working set on a single-accelerator platform: one
@@ -908,11 +908,12 @@ struct SquareGemm {
   const Duration elapsed = platform.system.global_time() - t0;
   if (opts.dump) {
     const auto& stats = platform.runtime->stats();
-    const auto pool = platform.runtime->host_pool().report();
+    const auto& pool = platform.runtime->host_pool().counters();
+    const std::uint64_t stripes = pool.jobs.value();
     // Mean host-stripe span: the join latency per stripe.
     const Duration stripe_mean =
-        pool.jobs > 0 ? tdo::sim::from_ticks(pool.busy_ticks / pool.jobs)
-                      : Duration{};
+        stripes > 0 ? tdo::sim::from_ticks(pool.busy_ticks.value() / stripes)
+                    : Duration{};
     std::printf(
         "  static split %-7.4f -> %-12s (stripes %llu, host/dev MACs "
         "%llu/%llu, stripe mean %s)\n",
@@ -1153,8 +1154,7 @@ void trace_experiment(const Options& opts, Report& report) {
   // the span-derived total (no joule double-counted or lost in the
   // segment mapping), and that total must match the live accumulators the
   // cost model charged (no charged joule missing a span).
-  const tdo::obs::EnergyBreakdown energy =
-      tdo::obs::attribute_energy(events, tdo::obs::default_energy_params());
+  const tdo::obs::EnergyBreakdown energy = tdo::obs::attribute_energy(events);
   double accumulated_pj = 0.0;
   for (const auto& [name, pj] : platform.system.snapshot().energies_pj) {
     // The attributable sinks: the six per-accelerator engine buckets
@@ -1682,17 +1682,19 @@ void flood_experiment(const Options& opts, Report& report) {
 
   const std::uint64_t accepted =
       opts.threads * per_thread - ring_rejected.load();
-  const auto serve = scheduler.report();  // rejected: pump-time bound drops
+  const std::uint64_t completed = scheduler.counters().completed.value();
+  // Rejected here means dropped by the pump-time per-tenant bound.
+  const std::uint64_t rejected = scheduler.counters().rejected.value();
   std::printf("\nCross-thread flood (%zu threads, tenant bound 32): "
               "%llu accepted -> %llu completed + %llu rejected at pump\n",
               opts.threads, static_cast<unsigned long long>(accepted),
-              static_cast<unsigned long long>(serve.completed),
-              static_cast<unsigned long long>(serve.rejected));
+              static_cast<unsigned long long>(completed),
+              static_cast<unsigned long long>(rejected));
   report.gates.push_back(
-      {serve.completed + serve.rejected == accepted, true,
+      {completed + rejected == accepted, true,
        "flood accounting mismatch (accepted != completed + rejected)"});
   report.gates.push_back(
-      {serve.rejected > 0, true,
+      {rejected > 0, true,
        "the pump-time per-tenant bound never rejected during the flood"});
 }
 

@@ -147,13 +147,13 @@ struct LoopResult {
   }
   result.weight_writes = report.weight_writes8;
   result.weight_writes_saved = report.weight_writes_saved8;
-  const auto res = fabric.runtime->residency().report();
-  result.evictions = res.evictions;
-  const std::uint64_t lookups = res.hits + res.misses;
-  result.hit_rate = lookups == 0
-                        ? 0.0
-                        : static_cast<double>(res.hits) /
-                              static_cast<double>(lookups);
+  const auto& res = fabric.runtime->residency().counters();
+  result.evictions = res.evictions.value();
+  const std::uint64_t hits = res.hits.value();
+  const std::uint64_t lookups = hits + res.misses.value();
+  result.hit_rate = lookups == 0 ? 0.0
+                                 : static_cast<double>(hits) /
+                                       static_cast<double>(lookups);
   Energy energy;
   for (const auto& [name, pj] : delta.energies_pj) {
     (void)name;

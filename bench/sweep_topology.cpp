@@ -251,13 +251,14 @@ struct MigrationResult {
 
   // The migrated tile must serve the next request as a hit on the far
   // device, with results matching the host reference.
-  const auto hits_before = runtime.residency().report().hits;
+  const auto& res = runtime.residency().counters();
+  const std::uint64_t hits_before = res.hits.value();
   TDO_RETURN_IF_ERROR(runtime.sgemm_async(
       cfg.m, cfg.n, cfg.k, 1.0f, *va_a, cfg.k, *va_b, cfg.n, 0.0f, *va_c,
       cfg.n, tdo::cim::StationaryOperand::kB, /*cacheable=*/true));
   TDO_RETURN_IF_ERROR(runtime.synchronize());
-  result.adopted = runtime.residency().report().hits > hits_before &&
-                   runtime.residency().report().migrations == 1;
+  result.adopted =
+      res.hits.value() > hits_before && res.migrations.value() == 1;
 
   const auto correct = fabric.matches_gemm(*va_c, a_data, b_data, cfg.m,
                                            cfg.n, cfg.k, 0.5);

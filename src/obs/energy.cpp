@@ -30,41 +30,33 @@ namespace {
 
 }  // namespace
 
-EnergyParams default_energy_params() {
+EnergyBreakdown attribute_energy(const std::vector<TraceEvent>& events) {
   const pcm::CimEnergyParams cim{};
-  const sim::HostParams host{};
+  const sim::HostParams host_cpu{};
   const rt::HostPoolParams pool{};
-  const topo::LinkParams link{};
-  EnergyParams p;
-  p.write_fj_per_weight8 = fj_of(cim.write_per_weight8);
-  p.compute_fj_per_mac8 = fj_of(cim.compute_per_mac8);
-  p.mixed_signal_fj_per_gemv = fj_of(cim.mixed_signal_per_gemv);
-  p.digital_fj_per_gemv = fj_of(cim.digital_weighted_sum_per_gemv);
-  p.digital_fj_per_alu_op = fj_of(cim.digital_per_extra_alu_op);
-  p.buffer_fj_per_byte = fj_of(cim.buffer_per_byte_access);
-  p.dma_fj_per_burst = fj_of(cim.dma_engine_per_op);
-  p.host_fj_per_mac =
-      fj_of(host.energy_per_inst * pool.instructions_per_mac);
-  p.link_fj_per_byte = fj_of(link.energy_per_byte);
-  return p;
-}
+  const topo::LinkParams pool_link{};
+  const std::uint64_t write_fj = fj_of(cim.write_per_weight8);
+  const std::uint64_t mac_fj = fj_of(cim.compute_per_mac8);
+  const std::uint64_t gemv_fj = fj_of(cim.mixed_signal_per_gemv) +
+                                fj_of(cim.digital_weighted_sum_per_gemv);
+  const std::uint64_t alu_fj = fj_of(cim.digital_per_extra_alu_op);
+  const std::uint64_t buffer_fj = fj_of(cim.buffer_per_byte_access);
+  const std::uint64_t dma_fj = fj_of(cim.dma_engine_per_op);
+  const std::uint64_t host_mac_fj =
+      fj_of(host_cpu.energy_per_inst * pool.instructions_per_mac);
+  const std::uint64_t link_fj = fj_of(pool_link.energy_per_byte);
 
-EnergyBreakdown attribute_energy(const std::vector<TraceEvent>& events,
-                                 const EnergyParams& params) {
   EnergyBreakdown out;
   for (const TraceEvent& event : events) {
     if (event.phase != Phase::kSpan) continue;
     if (track_starts_with(event, "engine/") && event.name == "job") {
-      const std::uint64_t write =
-          arg_or(event, "ww8", 0) * params.write_fj_per_weight8;
+      const std::uint64_t write = arg_or(event, "ww8", 0) * write_fj;
       const std::uint64_t stream =
-          arg_or(event, "mac", 0) * params.compute_fj_per_mac8 +
-          arg_or(event, "gemv", 0) *
-              (params.mixed_signal_fj_per_gemv + params.digital_fj_per_gemv) +
-          arg_or(event, "alu", 0) * params.digital_fj_per_alu_op +
-          arg_or(event, "bufb", 0) * params.buffer_fj_per_byte;
-      const std::uint64_t dma =
-          arg_or(event, "dmab", 0) * params.dma_fj_per_burst;
+          arg_or(event, "mac", 0) * mac_fj +
+          arg_or(event, "gemv", 0) * gemv_fj +
+          arg_or(event, "alu", 0) * alu_fj +
+          arg_or(event, "bufb", 0) * buffer_fj;
+      const std::uint64_t dma = arg_or(event, "dmab", 0) * dma_fj;
       out.engine_write_fj += write;
       out.engine_stream_fj += stream;
       out.engine_dma_fj += dma;
@@ -73,22 +65,19 @@ EnergyBreakdown attribute_energy(const std::vector<TraceEvent>& events,
       out.seg_fj[kSegDmaWait] += dma;
       ++out.spans_counted;
     } else if (track_starts_with(event, "dma/") && event.name == "copy") {
-      const std::uint64_t dma =
-          arg_or(event, "dmab", 0) * params.dma_fj_per_burst;
+      const std::uint64_t dma = arg_or(event, "dmab", 0) * dma_fj;
       out.copy_dma_fj += dma;
       out.seg_fj[kSegDmaWait] += dma;
       ++out.spans_counted;
     } else if (track_starts_with(event, "link/") &&
                event.name == "response") {
-      const std::uint64_t link =
-          arg_or(event, "bytes", 0) * params.link_fj_per_byte;
+      const std::uint64_t link = arg_or(event, "bytes", 0) * link_fj;
       out.link_fj += link;
       out.seg_fj[kSegLink] += link;
       ++out.spans_counted;
     } else if (track_starts_with(event, "host_pool") &&
                event.name == "stripe") {
-      const std::uint64_t host =
-          arg_or(event, "macs", 0) * params.host_fj_per_mac;
+      const std::uint64_t host = arg_or(event, "macs", 0) * host_mac_fj;
       out.host_pool_fj += host;
       out.seg_fj[kSegStream] += host;
       ++out.spans_counted;

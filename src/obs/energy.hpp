@@ -3,9 +3,9 @@
 // Every traced activity span now carries the activity *counts* the §5 cost
 // model charges (engine jobs: weights written, MACs, GEMVs, ALU ops, buffer
 // bytes, DMA bursts; stream copies: DMA bursts; link responses: bytes; host
-// pool stripes: MACs). This module replays those counts through an
-// integer-femtojoule copy of the Table I constants and lands every joule in
-// exactly one of the seven `obs::Segment` buckets:
+// pool stripes: MACs). This module replays those counts through
+// integer-femtojoule roundings of the Table I constants and lands every
+// joule in exactly one of the seven `obs::Segment` buckets:
 //
 //   engine weight writes            -> kSegWeights   (PCM programming)
 //   engine MAC/GEMV/ALU/buffers     -> kSegStream    (crossbar + periphery)
@@ -31,30 +31,6 @@
 
 namespace tdo::obs {
 
-/// Integer-femtojoule mirror of pcm::CimEnergyParams (+ the host-pool and
-/// pool-link byte costs the engine model does not own). Integer so segment
-/// sums reconcile exactly; defaults are llround()s of the double constants.
-struct EnergyParams {
-  std::uint64_t write_fj_per_weight8 = 200'000;   // 200 pJ
-  std::uint64_t compute_fj_per_mac8 = 200;        // 200 fJ
-  std::uint64_t mixed_signal_fj_per_gemv = 3'900'000;  // 3.9 nJ
-  std::uint64_t digital_fj_per_gemv = 40'000;     // 40 pJ
-  std::uint64_t digital_fj_per_alu_op = 2'110;    // 2.11 pJ
-  std::uint64_t buffer_fj_per_byte = 5'400;       // 5.4 pJ
-  std::uint64_t dma_fj_per_burst = 780'000;       // 0.78 nJ
-  /// Host worker-pool stripe cost: energy_per_inst * instructions_per_mac
-  /// (sim::HostCpuParams 128 pJ x rt::HostPoolParams 6.0).
-  std::uint64_t host_fj_per_mac = 768'000;
-  /// Pool-link serialization cost per byte (topo::LinkParams::energy_per_byte).
-  std::uint64_t link_fj_per_byte = 10'000;        // 10 pJ
-};
-
-/// EnergyParams derived from the default-constructed model parameter structs
-/// (pcm::CimEnergyParams, sim::HostCpuParams, rt::HostPoolParams,
-/// topo::LinkParams) so the integer constants can never silently diverge
-/// from the doubles the live accumulators charge.
-[[nodiscard]] EnergyParams default_energy_params();
-
 /// Whole-run attribution: femtojoules per segment plus per-source totals.
 struct EnergyBreakdown {
   std::array<std::uint64_t, kSegmentCount> seg_fj{};
@@ -77,9 +53,13 @@ struct EnergyBreakdown {
 };
 
 /// Replays every activity span in `events` (a Tracer::sorted_events()
-/// stream) through `params`. Deterministic: same trace, same breakdown.
+/// stream) through integer-femtojoule llround()s of the default model
+/// constants (pcm::CimEnergyParams, sim::HostParams x rt::HostPoolParams,
+/// topo::LinkParams) — derived, never copied, so they cannot diverge from
+/// the doubles the live accumulators charge. Deterministic: same trace,
+/// same breakdown.
 [[nodiscard]] EnergyBreakdown attribute_energy(
-    const std::vector<TraceEvent>& events, const EnergyParams& params);
+    const std::vector<TraceEvent>& events);
 
 /// Display-only per-class split: each segment's joules divided across
 /// deadline classes in proportion to that class's share of the segment's

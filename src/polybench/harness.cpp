@@ -105,17 +105,13 @@ StatusOr<RunReport> run_program(const Workload& workload,
   report.residency_evictions = delta.counter_or("residency.evictions");
   report.residency_invalidations = delta.counter_or("residency.invalidations");
   report.weight_writes_saved = accel_report.weight_writes_saved8;
-  for (const auto& [name, value] : delta.counters) {
-    if (name.ends_with(".overlap_ticks")) report.overlap_ticks += value;
-    if (name.ends_with(".dma.overlapped_copy_bytes")) {
-      report.overlapped_copy_bytes += value;
-    }
-    if (name.ends_with(".copy_segments")) report.copy_segments += value;
-    if (name.ends_with(".dma.contended_copy_ticks")) {
-      report.copy_contended_ticks += value;
-    }
-    if (name.ends_with(".dma.copy_migrations")) report.copy_migrations += value;
-  }
+  report.overlap_ticks = delta.sum_ending_with(".overlap_ticks");
+  report.overlapped_copy_bytes =
+      delta.sum_ending_with(".dma.overlapped_copy_bytes");
+  report.copy_segments = delta.sum_ending_with(".copy_segments");
+  report.copy_contended_ticks =
+      delta.sum_ending_with(".dma.contended_copy_ticks");
+  report.copy_migrations = delta.sum_ending_with(".dma.copy_migrations");
 
   auto err = validate(interp, workload);
   if (!err.is_ok()) return err.status();

@@ -22,7 +22,6 @@ CimRuntime::CimRuntime(RuntimeConfig config, sim::System& system,
   residency_ = std::make_unique<ResidencyCache>(config_.residency, *driver_,
                                                 system.stats());
   pool_ = std::make_unique<HostWorkerPool>(system, config_.split.pool);
-  stream_->attach_residency(residency_.get());
   stream_->attach_host_pool(pool_.get());
 }
 

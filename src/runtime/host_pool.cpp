@@ -12,19 +12,23 @@ HostWorkerPool::HostWorkerPool(sim::System& system, HostPoolParams params)
   worker_busy_until_.assign(
       static_cast<std::size_t>(std::max(params_.workers, 0)), 0);
   auto& stats = system_.stats();
-  stats.register_counter(params_.name + ".jobs", &jobs_);
-  stats.register_counter(params_.name + ".completed", &completed_);
-  stats.register_counter(params_.name + ".macs", &macs_);
-  stats.register_counter(params_.name + ".busy_ticks", &busy_ticks_);
-  stats.register_energy(params_.name + ".energy", &energy_);
+  const std::string& p = params_.name;
+  const Counters& c = counters_;
+  stats.register_counter(p + ".jobs", &c.jobs);
+  stats.register_counter(p + ".completed", &c.completed);
+  stats.register_counter(p + ".macs", &c.macs);
+  stats.register_counter(p + ".busy_ticks", &c.busy_ticks);
+  stats.register_energy(p + ".energy", &energy_);
 }
 
 HostWorkerPool::~HostWorkerPool() {
   auto& stats = system_.stats();
-  stats.unregister_counter(&jobs_);
-  stats.unregister_counter(&completed_);
-  stats.unregister_counter(&macs_);
-  stats.unregister_counter(&busy_ticks_);
+  const Counters& c = counters_;
+  for (const support::Counter* counter :
+       {&c.jobs, &c.completed, &c.macs, &c.busy_ticks}) {
+    stats.unregister_counter(counter);
+  }
+  stats.unregister_energy(&energy_);
 }
 
 sim::Tick HostWorkerPool::busy_until() const {
@@ -76,9 +80,9 @@ HostPoolTicket HostWorkerPool::submit(const HostStripeJob& job) {
   const sim::Tick done = start + span.ticks();
   worker_busy_until_[worker] = done;
 
-  jobs_.add();
-  macs_.add(stripe_macs);
-  busy_ticks_.add(span.ticks());
+  counters_.jobs.add();
+  counters_.macs.add(stripe_macs);
+  counters_.busy_ticks.add(span.ticks());
   energy_.add(host.energy_per_inst * (params_.instructions_per_mac *
                                       static_cast<double>(stripe_macs)));
 
@@ -98,8 +102,10 @@ HostPoolTicket HostWorkerPool::submit(const HostStripeJob& job) {
       ++retired;
     }
     if (retired == 0) return;
-    completed_.add(retired);
-    if (observer_) observer_(completed_.value(), system_.events().now());
+    counters_.completed.add(retired);
+    if (observer_) {
+      observer_(counters_.completed.value(), system_.events().now());
+    }
   });
 
   TDO_LOG(kDebug, "rt.host_pool")
@@ -118,15 +124,6 @@ HostPoolTicket HostWorkerPool::submit(const HostStripeJob& job) {
   ticket.start = start;
   ticket.done = done;
   return ticket;
-}
-
-HostPoolReport HostWorkerPool::report() const {
-  HostPoolReport rep;
-  rep.jobs = jobs_.value();
-  rep.completed = completed_.value();
-  rep.macs = macs_.value();
-  rep.busy_ticks = busy_ticks_.value();
-  return rep;
 }
 
 }  // namespace tdo::rt

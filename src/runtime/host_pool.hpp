@@ -9,7 +9,7 @@
 // least-loaded worker's simulated timeline for an analytically-costed span.
 // Completion is an event-queue callback, so the serving scheduler can treat
 // the pool exactly like one more accelerator target — capture
-// jobs_completed() around a submit, harvest a completion observer log, and
+// counters().jobs around a submit, harvest a completion observer log, and
 // fold the stripe's latency into the admission EWMAs.
 #pragma once
 
@@ -57,15 +57,16 @@ struct HostPoolTicket {
   sim::Tick done = 0;
 };
 
-struct HostPoolReport {
-  std::uint64_t jobs = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t macs = 0;
-  std::uint64_t busy_ticks = 0;
-};
-
 class HostWorkerPool {
  public:
+  /// The pool's counters, each registered as `<name>.<member>`.
+  struct Counters {
+    support::Counter jobs;       ///< stripes submitted
+    support::Counter completed;  ///< stripes retired (FIFO)
+    support::Counter macs;
+    support::Counter busy_ticks;  ///< summed worker-busy time
+  };
+
   /// (total jobs completed, completion tick) — same shape as
   /// cim::Accelerator's completion observer, so the scheduler's harvest
   /// logic is target-agnostic.
@@ -86,11 +87,8 @@ class HostWorkerPool {
   /// `accepted == false` means the pool is disabled or the job is empty.
   HostPoolTicket submit(const HostStripeJob& job);
 
-  /// Jobs whose completion event has fired.
-  [[nodiscard]] std::uint64_t jobs_completed() const { return completed_.value(); }
-  [[nodiscard]] std::uint64_t jobs_submitted() const { return jobs_.value(); }
   [[nodiscard]] std::uint64_t in_flight() const {
-    return jobs_.value() - completed_.value();
+    return counters_.jobs.value() - counters_.completed.value();
   }
   [[nodiscard]] bool idle() const { return in_flight() == 0; }
 
@@ -113,7 +111,7 @@ class HostWorkerPool {
     }
   }
 
-  [[nodiscard]] HostPoolReport report() const;
+  [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] const HostPoolParams& params() const { return params_; }
 
  private:
@@ -128,10 +126,7 @@ class HostWorkerPool {
   std::vector<std::uint8_t> done_;
   std::size_t retire_ = 0;
 
-  support::Counter jobs_;
-  support::Counter completed_;
-  support::Counter macs_;
-  support::Counter busy_ticks_;
+  Counters counters_;
   support::EnergyAccumulator energy_;
 };
 

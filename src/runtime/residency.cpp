@@ -12,14 +12,15 @@ ResidencyCache::ResidencyCache(ResidencyParams params, CimDriver& driver,
                                support::StatsRegistry& stats)
     : params_{std::move(params)}, driver_{driver} {
   const std::string& p = params_.name;
-  stats.register_counter(p + ".hits", &hits_);
-  stats.register_counter(p + ".misses", &misses_);
-  stats.register_counter(p + ".evictions", &evictions_);
-  stats.register_counter(p + ".invalidations", &invalidations_);
-  stats.register_counter(p + ".weight_writes_saved8", &weight_writes_saved8_);
-  stats.register_counter(p + ".prefetches", &prefetches_);
-  stats.register_counter(p + ".prefetch_hits", &prefetch_hits_);
-  stats.register_counter(p + ".migrations", &migrations_);
+  const Counters& c = counters_;
+  stats.register_counter(p + ".hits", &c.hits);
+  stats.register_counter(p + ".misses", &c.misses);
+  stats.register_counter(p + ".evictions", &c.evictions);
+  stats.register_counter(p + ".invalidations", &c.invalidations);
+  stats.register_counter(p + ".weight_writes_saved8", &c.weight_writes_saved8);
+  stats.register_counter(p + ".prefetches", &c.prefetches);
+  stats.register_counter(p + ".prefetch_hits", &c.prefetch_hits);
+  stats.register_counter(p + ".migrations", &c.migrations);
 }
 
 std::uint32_t ResidencyCache::device_capacity_rows(int device) const {
@@ -74,7 +75,7 @@ bool ResidencyCache::allocate_rows(int device, std::uint32_t rows,
       }
     }
     if (victim == entries_.size()) return false;  // nothing left to evict
-    evictions_.add();
+    counters_.evictions.add();
     if (obs::enabled()) {
       obs::Tracer::instance().instant(
           "residency", "evict", obs::Tracer::instance().last_tick(),
@@ -105,17 +106,17 @@ ResidencyCache::Acquire ResidencyCache::acquire(const WeightKey& key,
   for (Entry& entry : entries_) {
     if (entry.device == device && entry.key == key) {
       entry.lru = clock_;
-      hits_.add();
+      counters_.hits.add();
       if (obs::enabled()) {
         obs::Tracer::instance().instant(
             "residency", "hit", obs::Tracer::instance().last_tick(),
             {{"dev", static_cast<std::uint64_t>(device)}, {"row", entry.row0}});
       }
       if (entry.prefetched) {
-        prefetch_hits_.add();
+        counters_.prefetch_hits.add();
         entry.prefetched = false;
       }
-      weight_writes_saved8_.add(static_cast<std::uint64_t>(key.rows) * key.cols);
+      counters_.weight_writes_saved8.add(static_cast<std::uint64_t>(key.rows) * key.cols);
       Acquire out{/*hit=*/true, /*cached=*/true, entry.row0};
       if (entry.migrated) {
         out.migrated = true;
@@ -125,7 +126,7 @@ ResidencyCache::Acquire ResidencyCache::acquire(const WeightKey& key,
       return out;
     }
   }
-  misses_.add();
+  counters_.misses.add();
   if (obs::enabled()) {
     obs::Tracer::instance().instant(
         "residency", "miss", obs::Tracer::instance().last_tick(),
@@ -186,7 +187,7 @@ bool ResidencyCache::prefill(const WeightKey& key, int device,
   entry.lru = clock_;
   entry.prefetched = true;
   entries_.push_back(entry);
-  prefetches_.add();
+  counters_.prefetches.add();
   if (obs::enabled()) {
     obs::Tracer::instance().instant(
         "residency", "prefetch", obs::Tracer::instance().last_tick(),
@@ -213,7 +214,7 @@ bool ResidencyCache::rehome(const WeightKey& key, int from_device,
     entry.shadow_rect = shadow_rect;
     entry.shadow_ld = shadow_ld;
     entry.lru = ++clock_;
-    migrations_.add();
+    counters_.migrations.add();
     if (obs::enabled()) {
       obs::Tracer::instance().instant(
           "residency", "migrate", obs::Tracer::instance().last_tick(),
@@ -235,7 +236,7 @@ void ResidencyCache::on_programmed(int device, std::uint32_t row0,
     const std::uint64_t lo = entry.row0;
     const std::uint64_t hi = lo + entry.key.rows;
     if (lo < row0 + rows && row0 < hi) {
-      evictions_.add();
+      counters_.evictions.add();
       if (obs::enabled()) {
         obs::Tracer::instance().instant(
             "residency", "evict", obs::Tracer::instance().last_tick(),
@@ -253,7 +254,7 @@ void ResidencyCache::invalidate_overlapping(const Rect& r) {
   epoch_.fetch_add(1, std::memory_order_relaxed);
   for (std::size_t i = entries_.size(); i-- > 0;) {
     if (entries_[i].key.rect.overlaps(r)) {
-      invalidations_.add();
+      counters_.invalidations.add();
       erase_entry(i);
     }
   }
@@ -262,25 +263,8 @@ void ResidencyCache::invalidate_overlapping(const Rect& r) {
 void ResidencyCache::invalidate_all() {
   support::SpinGuard guard{lock_};
   epoch_.fetch_add(1, std::memory_order_relaxed);
-  invalidations_.add(entries_.size());
+  counters_.invalidations.add(entries_.size());
   entries_.clear();
-}
-
-ResidencyReport ResidencyCache::report() const {
-  ResidencyReport rep;
-  rep.hits = hits_.value();
-  rep.misses = misses_.value();
-  rep.evictions = evictions_.value();
-  rep.invalidations = invalidations_.value();
-  rep.weight_writes_saved8 = weight_writes_saved8_.value();
-  rep.prefetches = prefetches_.value();
-  rep.prefetch_hits = prefetch_hits_.value();
-  rep.migrations = migrations_.value();
-  {
-    support::SpinGuard guard{lock_};
-    rep.entries = entries_.size();
-  }
-  return rep;
 }
 
 }  // namespace tdo::rt

@@ -79,27 +79,28 @@ struct WeightKey {
   }
 };
 
-/// Aggregate cache behaviour for reporting.
-struct ResidencyReport {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;
-  /// 8-bit weight programs the runtime avoided emitting (hit tiles). The
-  /// device reports its own figure; the two agree unless a hit job fell
-  /// back or the engine rejected a stale request.
-  std::uint64_t weight_writes_saved8 = 0;
-  /// Prefetch speculations issued (prefill) and the subset that paid off:
-  /// a later acquire landing on an entry the predictor programmed ahead.
-  std::uint64_t prefetches = 0;
-  std::uint64_t prefetch_hits = 0;
-  /// Entries re-homed accelerator-to-accelerator (peer-to-peer migration).
-  std::uint64_t migrations = 0;
-  std::uint64_t entries = 0;  ///< currently resident tiles, all devices
-};
-
 class ResidencyCache {
  public:
+  /// The cache's counters, each registered as `<name>.<member>`. Sharded:
+  /// lookups and invalidations run from whichever thread drives the runtime
+  /// while metrics sampling snapshots concurrently.
+  struct Counters {
+    support::ShardedCounter hits;
+    support::ShardedCounter misses;
+    support::ShardedCounter evictions;
+    support::ShardedCounter invalidations;
+    /// 8-bit weight programs the runtime avoided emitting (hit tiles). The
+    /// device counts its own figure; the two agree unless a hit job fell
+    /// back or the engine rejected a stale request.
+    support::ShardedCounter weight_writes_saved8;
+    /// Prefetch speculations issued (prefill) and the subset that paid off:
+    /// a later acquire landing on an entry the predictor programmed ahead.
+    support::ShardedCounter prefetches;
+    support::ShardedCounter prefetch_hits;
+    /// Entries re-homed accelerator-to-accelerator (peer-to-peer migration).
+    support::ShardedCounter migrations;
+  };
+
   /// Registers the residency.* counters into the system stats registry.
   ResidencyCache(ResidencyParams params, CimDriver& driver,
                  support::StatsRegistry& stats);
@@ -189,7 +190,7 @@ class ResidencyCache {
     support::SpinGuard guard{lock_};
     return entries_.size();
   }
-  [[nodiscard]] ResidencyReport report() const;
+  [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
   struct Entry {
@@ -239,16 +240,7 @@ class ResidencyCache {
   std::optional<WeightKey> last_acquired_;
   std::vector<Successor> successors_;
 
-  /// Sharded: lookups and invalidations run from whichever thread drives the
-  /// runtime while metrics sampling snapshots concurrently.
-  support::ShardedCounter hits_;
-  support::ShardedCounter misses_;
-  support::ShardedCounter evictions_;
-  support::ShardedCounter invalidations_;
-  support::ShardedCounter weight_writes_saved8_;
-  support::ShardedCounter prefetches_;
-  support::ShardedCounter prefetch_hits_;
-  support::ShardedCounter migrations_;
+  Counters counters_;
 };
 
 }  // namespace tdo::rt

@@ -5,7 +5,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/host_pool.hpp"
-#include "runtime/residency.hpp"
 #include "support/log.hpp"
 
 namespace tdo::rt {
@@ -16,19 +15,20 @@ CimStream::CimStream(StreamParams params, sim::System& system,
   if (params_.depth == 0) params_.depth = 1;
   auto& stats = system.stats();
   const std::string& p = params_.name;
-  stats.register_counter(p + ".enqueued", &enqueued_);
-  stats.register_counter(p + ".offloaded", &offloaded_);
-  stats.register_counter(p + ".cpu_fallbacks", &cpu_fallbacks_);
-  stats.register_counter(p + ".fallbacks_threshold", &fallbacks_threshold_);
-  stats.register_counter(p + ".fallbacks_queue_full", &fallbacks_queue_full_);
-  stats.register_counter(p + ".syncs", &syncs_);
-  stats.register_counter(p + ".hazard_syncs", &hazard_syncs_);
-  stats.register_counter(p + ".device_drains", &device_drains_);
-  stats.register_counter(p + ".occupancy_peak", &occupancy_peak_);
-  stats.register_counter(p + ".copies_enqueued", &copies_enqueued_);
-  stats.register_counter(p + ".copy_bytes", &copy_bytes_);
-  stats.register_counter(p + ".ring_submitted", &ring_submitted_);
-  stats.register_counter(p + ".ring_rejected", &ring_rejected_);
+  const Counters& c = counters_;
+  stats.register_counter(p + ".enqueued", &c.enqueued);
+  stats.register_counter(p + ".offloaded", &c.offloaded);
+  stats.register_counter(p + ".cpu_fallbacks", &c.cpu_fallbacks);
+  stats.register_counter(p + ".fallbacks_threshold", &c.fallbacks_threshold);
+  stats.register_counter(p + ".fallbacks_queue_full", &c.fallbacks_queue_full);
+  stats.register_counter(p + ".syncs", &c.syncs);
+  stats.register_counter(p + ".hazard_syncs", &c.hazard_syncs);
+  stats.register_counter(p + ".device_drains", &c.device_drains);
+  stats.register_counter(p + ".occupancy_peak", &c.occupancy_peak);
+  stats.register_counter(p + ".copies_enqueued", &c.copies_enqueued);
+  stats.register_counter(p + ".copy_bytes", &c.copy_bytes);
+  stats.register_counter(p + ".ring_submitted", &c.ring_submitted);
+  stats.register_counter(p + ".ring_rejected", &c.ring_rejected);
 }
 
 bool CimStream::idle() const {
@@ -50,18 +50,18 @@ void CimStream::note_occupancy() {
   // count observed so far.
   const std::uint64_t occ = in_flight();
   if (occ > occupancy_seen_) {
-    occupancy_peak_.add(occ - occupancy_seen_);
+    counters_.occupancy_peak.add(occ - occupancy_seen_);
     occupancy_seen_ = occ;
   }
 }
 
 support::Status CimStream::enqueue_from_thread(const Command& command) {
   if (!ring_.push(command)) {
-    ring_rejected_.add();
+    counters_.ring_rejected.add();
     return support::Status{support::StatusCode::kResourceExhausted,
                            "stream submission ring shard full"};
   }
-  ring_submitted_.add();
+  counters_.ring_submitted.add();
   return support::Status::ok();
 }
 
@@ -89,7 +89,7 @@ void CimStream::drain_host_pool() {
 
 support::Status CimStream::enqueue(const Command& command) {
   if (command.kind == Command::Kind::kCopy) return enqueue_copy(command);
-  enqueued_.add();
+  counters_.enqueued.add();
   const std::size_t devices = driver_.device_count();
   const std::size_t dev = command.device >= 0
                               ? static_cast<std::size_t>(command.device) % devices
@@ -104,8 +104,8 @@ support::Status CimStream::enqueue(const Command& command) {
     const double intensity = static_cast<double>(command.macs) /
                              static_cast<double>(command.cim_writes);
     if (intensity < params_.min_macs_per_write) {
-      fallbacks_threshold_.add();
-      cpu_fallbacks_.add();
+      counters_.fallbacks_threshold.add();
+      counters_.cpu_fallbacks.add();
       if (obs::enabled()) {
         obs::Tracer::instance().instant(
             "stream/" + params_.name, "cpu_fallback_threshold",
@@ -122,8 +122,8 @@ support::Status CimStream::enqueue(const Command& command) {
   system_.settle_to_host_time();
   if (accel.in_flight() >= depth) {
     if (params_.fallback_when_full && command.allow_cpu_fallback) {
-      fallbacks_queue_full_.add();
-      cpu_fallbacks_.add();
+      counters_.fallbacks_queue_full.add();
+      counters_.cpu_fallbacks.add();
       if (obs::enabled()) {
         obs::Tracer::instance().instant(
             "stream/" + params_.name, "cpu_fallback_queue_full",
@@ -134,7 +134,7 @@ support::Status CimStream::enqueue(const Command& command) {
     driver_.wait_for_space(dev, depth - 1);
   }
 
-  offloaded_.add();
+  counters_.offloaded.add();
   TDO_RETURN_IF_ERROR(driver_.submit_queued(command.image, dev));
   note_occupancy();
   return support::Status::ok();
@@ -147,8 +147,8 @@ support::Status CimStream::enqueue_copy(const Command& command) {
   const std::size_t dev = command.device >= 0
                               ? static_cast<std::size_t>(command.device) % devices
                               : next_device();
-  copies_enqueued_.add();
-  copy_bytes_.add(desc.bytes());
+  counters_.copies_enqueued.add();
+  counters_.copy_bytes.add(desc.bytes());
   // Every segment's footprint joins the hazard sets: later commands reading
   // any destination run (or overwriting any source run) must order behind
   // the chain. The caller has already checked this command's own rectangles
@@ -181,7 +181,7 @@ support::Status CimStream::drain_one(std::size_t device) {
 }
 
 support::Status CimStream::synchronize() {
-  syncs_.add();
+  counters_.syncs.add();
   support::Status result = pump_rings();
   for (std::size_t d = 0; d < driver_.device_count(); ++d) {
     auto status = drain_one(d);
@@ -196,52 +196,13 @@ support::Status CimStream::synchronize() {
 }
 
 support::Status CimStream::drain_device(std::size_t device) {
-  device_drains_.add();
+  counters_.device_drains.add();
   auto result = drain_one(device);
   // Everything that accelerator had in flight has retired; only its
   // rectangles leave the hazard sets — the other devices keep computing
   // against theirs.
   tracker_.remove_device(static_cast<int>(device));
   return result;
-}
-
-StreamReport CimStream::report() const {
-  StreamReport rep;
-  rep.enqueued = enqueued_.value();
-  rep.offloaded = offloaded_.value();
-  rep.cpu_fallbacks = cpu_fallbacks_.value();
-  rep.fallbacks_threshold = fallbacks_threshold_.value();
-  rep.fallbacks_queue_full = fallbacks_queue_full_.value();
-  rep.syncs = syncs_.value();
-  rep.hazard_syncs = hazard_syncs_.value();
-  rep.device_drains = device_drains_.value();
-  rep.occupancy_peak = occupancy_peak_.value();
-  rep.copies_enqueued = copies_enqueued_.value();
-  rep.copy_bytes = copy_bytes_.value();
-  rep.ring_submitted = ring_submitted_.value();
-  rep.ring_rejected = ring_rejected_.value();
-  rep.ring_lock_contended = ring_.lock_contended();
-  for (std::size_t d = 0; d < driver_.device_count(); ++d) {
-    rep.overlapped_copy_bytes +=
-        driver_.device(d).dma().overlapped_copy_bytes();
-    rep.copy_segments += driver_.device(d).copy_segments();
-    rep.copy_contended_ticks +=
-        driver_.device(d).dma().contended_copy_ticks();
-    rep.copy_migrations += driver_.device(d).dma().copy_migrations();
-    rep.weight_writes_saved8 +=
-        driver_.device(d).engine().weight_writes_saved8();
-  }
-  if (residency_ != nullptr) {
-    const ResidencyReport res = residency_->report();
-    rep.residency_hits = res.hits;
-    rep.residency_misses = res.misses;
-    rep.residency_evictions = res.evictions;
-    rep.residency_invalidations = res.invalidations;
-    rep.residency_prefetches = res.prefetches;
-    rep.residency_prefetch_hits = res.prefetch_hits;
-    rep.residency_migrations = res.migrations;
-  }
-  return rep;
 }
 
 support::Status CimStream::run_on_host(const cim::ContextRegs& image) {

@@ -40,7 +40,6 @@
 
 namespace tdo::rt {
 
-class ResidencyCache;
 class HostWorkerPool;
 
 struct StreamParams {
@@ -57,58 +56,34 @@ struct StreamParams {
   std::string name = "stream";
 };
 
-/// Aggregate stream behaviour for reporting and perf-trajectory tracking.
-struct StreamReport {
-  std::uint64_t enqueued = 0;
-  std::uint64_t offloaded = 0;
-  std::uint64_t cpu_fallbacks = 0;
-  std::uint64_t fallbacks_threshold = 0;
-  std::uint64_t fallbacks_queue_full = 0;
-  std::uint64_t syncs = 0;
-  std::uint64_t hazard_syncs = 0;
-  /// Single-accelerator drains issued by per-stripe copy-back (the other
-  /// accelerators keep computing while a finished stripe copies out).
-  std::uint64_t device_drains = 0;
-  std::uint64_t occupancy_peak = 0;
-  // DMA copy commands (transfer engine, runtime/xfer.hpp).
-  std::uint64_t copies_enqueued = 0;
-  std::uint64_t copy_bytes = 0;
-  /// Scatter-gather segments executed by the devices' copy chains (one
-  /// chain = one stream command; a contiguous copy is one segment).
-  std::uint64_t copy_segments = 0;
-  /// Copy bytes whose transfer window was hidden under engine compute,
-  /// summed across every accelerator's DMA channel. Exact: chained jobs'
-  /// busy windows are credited as they launch, the engine's own weight and
-  /// vector DMA occupancy of the copy's channel is subtracted, so the
-  /// figure never exceeds the channel's true idle window.
-  std::uint64_t overlapped_copy_bytes = 0;
-  /// Ticks copies waited behind earlier reservations on their channel
-  /// (stream copies and the engine's own DMA traffic contend).
-  std::uint64_t copy_contended_ticks = 0;
-  /// Copy chains that migrated off the dedicated copy channel because
-  /// another channel was free earlier.
-  std::uint64_t copy_migrations = 0;
-  // Weight-residency cache behaviour (runtime/residency.hpp).
-  std::uint64_t residency_hits = 0;
-  std::uint64_t residency_misses = 0;
-  std::uint64_t residency_evictions = 0;
-  std::uint64_t residency_invalidations = 0;
-  /// Prefetch-on-miss speculations issued / paid off, and entries re-homed
-  /// accelerator-to-accelerator (peer-to-peer migration).
-  std::uint64_t residency_prefetches = 0;
-  std::uint64_t residency_prefetch_hits = 0;
-  std::uint64_t residency_migrations = 0;
-  /// 8-bit weight programs the devices skipped through stationary-tile
-  /// reuse (summed across accelerators; the device-side ground truth).
-  std::uint64_t weight_writes_saved8 = 0;
-  // Cross-thread submission ring (enqueue_from_thread / pump_rings).
-  std::uint64_t ring_submitted = 0;
-  std::uint64_t ring_rejected = 0;
-  std::uint64_t ring_lock_contended = 0;
-};
-
 class CimStream {
  public:
+  /// The stream's counters, each registered as `<name>.<member>`. Sharded:
+  /// enqueue-path counters are hot and may be snapshotted by the metrics
+  /// sampler while submitter threads run. Per-device DMA and engine figures
+  /// (overlapped copy bytes, copy segments, ...) live on the accelerators;
+  /// sum them across instances with StatsSnapshot::sum_ending_with.
+  struct Counters {
+    support::ShardedCounter enqueued;
+    support::ShardedCounter offloaded;
+    support::ShardedCounter cpu_fallbacks;
+    support::ShardedCounter fallbacks_threshold;
+    support::ShardedCounter fallbacks_queue_full;
+    support::ShardedCounter syncs;
+    support::ShardedCounter hazard_syncs;
+    /// Single-accelerator drains issued by per-stripe copy-back (the other
+    /// accelerators keep computing while a finished stripe copies out).
+    support::ShardedCounter device_drains;
+    /// Lifetime peak of commands in flight (only ever raised).
+    support::Counter occupancy_peak;
+    /// DMA copy commands (transfer engine, runtime/xfer.hpp).
+    support::ShardedCounter copies_enqueued;
+    support::ShardedCounter copy_bytes;
+    /// Cross-thread submission ring (enqueue_from_thread / pump_rings).
+    support::ShardedCounter ring_submitted;
+    support::ShardedCounter ring_rejected;
+  };
+
   /// One stream command: either a compute job (a fully prepared register
   /// image plus the metadata the dispatcher needs) or a DMA copy descriptor.
   struct Command {
@@ -214,19 +189,13 @@ class CimStream {
 
   /// Records that the caller had to synchronize to order around an
   /// in-flight producer (perf-trajectory visibility).
-  void count_hazard() { hazard_syncs_.add(); }
+  void count_hazard() { counters_.hazard_syncs.add(); }
 
   /// True when nothing is in flight and no pending writes are tracked.
   [[nodiscard]] bool idle() const;
   [[nodiscard]] std::size_t in_flight() const;
   [[nodiscard]] const StreamParams& params() const { return params_; }
-  [[nodiscard]] StreamReport report() const;
-
-  /// Lets report() include the weight-residency cache's counters (the cache
-  /// lives beside the stream in CimRuntime).
-  void attach_residency(const ResidencyCache* residency) {
-    residency_ = residency;
-  }
+  [[nodiscard]] const Counters& counters() const { return counters_; }
 
   /// Attaches the pseudo-async host worker pool: synchronize()/idle()
   /// then also cover in-flight host stripes, so a join point ordering on
@@ -261,7 +230,6 @@ class CimStream {
   StreamParams params_;
   sim::System& system_;
   CimDriver& driver_;
-  const ResidencyCache* residency_ = nullptr;
   HostWorkerPool* pool_ = nullptr;
   std::size_t round_robin_ = 0;
   RectTracker tracker_;
@@ -269,21 +237,7 @@ class CimStream {
   std::vector<std::uint64_t> failed_seen_;  // per-device jobs_failed baseline
   std::uint64_t occupancy_seen_ = 0;
 
-  /// Sharded like ring_submitted_: enqueue-path counters are hot and may be
-  /// snapshotted by the metrics sampler while submitter threads run.
-  support::ShardedCounter enqueued_;
-  support::ShardedCounter offloaded_;
-  support::ShardedCounter cpu_fallbacks_;
-  support::ShardedCounter fallbacks_threshold_;
-  support::ShardedCounter fallbacks_queue_full_;
-  support::ShardedCounter syncs_;
-  support::ShardedCounter hazard_syncs_;
-  support::ShardedCounter device_drains_;
-  support::Counter occupancy_peak_;
-  support::ShardedCounter copies_enqueued_;
-  support::ShardedCounter copy_bytes_;
-  support::ShardedCounter ring_submitted_;
-  support::ShardedCounter ring_rejected_;
+  Counters counters_;
 };
 
 }  // namespace tdo::rt

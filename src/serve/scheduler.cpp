@@ -27,24 +27,22 @@ Scheduler::Scheduler(SchedulerParams params, rt::CimRuntime& runtime)
   runtime_.set_placement(params_.placement);
   auto& registry = runtime_.system().stats();
   const std::string& p = params_.name;
-  registry.register_counter(p + ".requests", &submitted_);
-  registry.register_counter(p + ".rejected", &rejected_);
-  registry.register_counter(p + ".shed", &shed_);
-  registry.register_counter(p + ".completed", &completed_);
-  registry.register_counter(p + ".launches", &launches_);
-  registry.register_counter(p + ".batched_launches", &batched_launches_);
-  registry.register_counter(p + ".coalesced_requests", &coalesced_requests_);
-  registry.register_counter(p + ".affinity_routed", &affinity_routed_);
-  registry.register_counter(p + ".queue_routed", &queue_routed_);
-  registry.register_counter(p + ".far_routed", &far_routed_);
-  registry.register_counter(p + ".host_launches", &host_launches_);
-  for (std::size_t c = 0; c < kDeadlineClasses; ++c) {
-    registry.register_counter(
-        p + ".shed." + to_string(static_cast<DeadlineClass>(c)),
-        &shed_by_class_[c]);
-    registry.register_histogram(
-        p + ".latency." + to_string(static_cast<DeadlineClass>(c)),
-        &class_latency_[c]);
+  const Counters& c = counters_;
+  registry.register_counter(p + ".requests", &c.submitted);
+  registry.register_counter(p + ".rejected", &c.rejected);
+  registry.register_counter(p + ".shed", &c.shed);
+  registry.register_counter(p + ".completed", &c.completed);
+  registry.register_counter(p + ".launches", &c.launches);
+  registry.register_counter(p + ".batched_launches", &c.batched_launches);
+  registry.register_counter(p + ".coalesced_requests", &c.coalesced_requests);
+  registry.register_counter(p + ".affinity_routed", &c.affinity_routed);
+  registry.register_counter(p + ".queue_routed", &c.queue_routed);
+  registry.register_counter(p + ".far_routed", &c.far_routed);
+  registry.register_counter(p + ".host_launches", &c.host_launches);
+  for (std::size_t k = 0; k < kDeadlineClasses; ++k) {
+    const std::string cls = to_string(static_cast<DeadlineClass>(k));
+    registry.register_counter(p + ".shed." + cls, &c.shed_by_class[k]);
+    registry.register_histogram(p + ".latency." + cls, &class_latency_[k]);
   }
 
   auto& driver = runtime_.driver();
@@ -77,15 +75,16 @@ Scheduler::~Scheduler() {
   runtime_.host_pool().clear_completion_observer(this);
   // The scheduler may die before the system it registered counters into.
   auto& registry = runtime_.system().stats();
-  registry.unregister_counter(&submitted_);
-  registry.unregister_counter(&rejected_);
+  const Counters& c = counters_;
+  registry.unregister_counter(&c.submitted);
+  registry.unregister_counter(&c.rejected);
   for (const support::Counter* counter :
-       {&shed_, &completed_, &launches_, &batched_launches_,
-        &coalesced_requests_, &affinity_routed_, &queue_routed_, &far_routed_,
-        &host_launches_}) {
+       {&c.shed, &c.completed, &c.launches, &c.batched_launches,
+        &c.coalesced_requests, &c.affinity_routed, &c.queue_routed,
+        &c.far_routed, &c.host_launches}) {
     registry.unregister_counter(counter);
   }
-  for (const auto& counter : shed_by_class_) {
+  for (const auto& counter : c.shed_by_class) {
     registry.unregister_counter(&counter);
   }
   for (const auto& histogram : class_latency_) {
@@ -105,7 +104,7 @@ support::StatusOr<std::uint64_t> Scheduler::submit(Request request) {
   auto [it, inserted] = tenants_.try_emplace(request.tenant);
   TenantState& state = it->second;
   if (state.queued >= params_.max_queue_per_tenant) {
-    rejected_.add();
+    counters_.rejected.add();
     if (inserted) note_idle_if(it->first, state);  // only possible at bound 0
     return support::resource_exhausted("tenant queue full");
   }
@@ -114,7 +113,7 @@ support::StatusOr<std::uint64_t> Scheduler::submit(Request request) {
   note_arrival(request);
   const std::uint64_t id = request.id;
   enqueue(it->first, state, std::move(request));
-  submitted_.add();
+  counters_.submitted.add();
   return id;
 }
 
@@ -241,10 +240,10 @@ support::StatusOr<std::uint64_t> Scheduler::submit_from_thread(
   }
   const std::uint64_t id = request.id;
   if (!submit_ring_.push(std::move(request))) {
-    rejected_.add();
+    counters_.rejected.add();
     return support::resource_exhausted("submission ring shard full");
   }
-  submitted_.add();
+  counters_.submitted.add();
   return id;
 }
 
@@ -290,9 +289,9 @@ void Scheduler::pump_submissions() {
       // per-tenant bound here and surface the rejection as a completion
       // record the client can join on. Counted in serve.rejected like the
       // front-door rejections (serve.requests already counted it at the
-      // ring push, unlike the front door — the report's submitted/rejected
+      // ring push, unlike the front door — the submitted/rejected counters'
       // split is per-path, not a balance).
-      rejected_.add();
+      counters_.rejected.add();
       drop_request(std::move(request), Completion::Outcome::kRejected);
       if (inserted) note_idle_if(it->first, state);
       continue;
@@ -426,8 +425,8 @@ std::size_t Scheduler::shed_excess(double excess_macs) {
       queued_ -= 1;
       excess_macs -=
           static_cast<double>(std::max<std::uint64_t>(1, victim.macs()));
-      shed_.add();
-      shed_by_class_[c].add();
+      counters_.shed.add();
+      counters_.shed_by_class[c].add();
       dropped += 1;
       drop_request(std::move(victim), Completion::Outcome::kShed);
       if (queue.empty()) {
@@ -669,7 +668,7 @@ support::Status Scheduler::dispatch(Batch batch, std::optional<int> pinned) {
   if (batched) {
     if (pinned) {
       device = *pinned;
-      affinity_routed_.add();
+      counters_.affinity_routed.add();
     }
     if (device < 0) {
       // Cheapest compute queue (multiplier-weighted when a topology is
@@ -679,9 +678,11 @@ support::Status Scheduler::dispatch(Batch batch, std::optional<int> pinned) {
       const std::size_t best = cheapest_device();
       place_cursor_ = best + 1;
       device = static_cast<int>(best);
-      queue_routed_.add();
+      counters_.queue_routed.add();
     }
-    if (device_tier(device) == topo::Topology::kFarTier) far_routed_.add();
+    if (device_tier(device) == topo::Topology::kFarTier) {
+      counters_.far_routed.add();
+    }
   }
 
   // --- adaptive knobs (and per-launch probe overrides) ---
@@ -698,7 +699,8 @@ support::Status Scheduler::dispatch(Batch batch, std::optional<int> pinned) {
     stream.set_min_macs_per_write(threshold);
   }
 
-  const auto residency_hits_before = runtime_.residency().report().hits;
+  const auto& residency_hits = runtime_.residency().counters().hits;
+  const std::uint64_t residency_hits_before = residency_hits.value();
   // Jobs-accepted-so-far per device (completed + in flight): monotone, so a
   // launch that both enqueues a job and retires another inside one blocking
   // call (wait_for_space) still registers as growth.
@@ -710,8 +712,10 @@ support::Status Scheduler::dispatch(Batch batch, std::optional<int> pinned) {
   for (std::size_t d = 0; d < stream.device_count(); ++d) {
     accepted_before[d] = accepted(d);
   }
-  auto& pool = runtime_.host_pool();
-  const rt::HostPoolReport pool_before = pool.report();
+  const auto& pool = runtime_.host_pool().counters();
+  const std::uint64_t pool_jobs_before = pool.jobs.value();
+  const std::uint64_t pool_macs_before = pool.macs.value();
+  const std::uint64_t pool_ticks_before = pool.busy_ticks.value();
 
   InFlight inflight;
   inflight.dispatch = now();
@@ -753,15 +757,14 @@ support::Status Scheduler::dispatch(Batch batch, std::optional<int> pinned) {
   // Launch counters only after the status check: a failed launch has no
   // completion to match, and counting it would skew every launches-derived
   // ratio (batched share, coalescing factor) against phantom work.
-  launches_.add();
+  counters_.launches.add();
   if (batched) {
-    batched_launches_.add();
-    coalesced_requests_.add(batch.requests.size());
+    counters_.batched_launches.add();
+    counters_.coalesced_requests.add(batch.requests.size());
   }
   inflight.launch_end = now().ticks();
 
-  inflight.residency_hit =
-      runtime_.residency().report().hits > residency_hits_before;
+  inflight.residency_hit = residency_hits.value() > residency_hits_before;
 
   // --- completion targets: devices this launch put work on ---
   for (std::size_t d = 0; d < stream.device_count(); ++d) {
@@ -774,19 +777,19 @@ support::Status Scheduler::dispatch(Batch batch, std::optional<int> pinned) {
     // ticks are in the observer log).
     inflight.targets.emplace_back(static_cast<int>(d), accepted_after);
   }
-  const rt::HostPoolReport pool_after = pool.report();
-  if (pool_after.jobs > pool_before.jobs) {
+  const std::uint64_t pool_jobs = pool.jobs.value();
+  if (pool_jobs > pool_jobs_before) {
     // A pseudo-async split put a CPU stripe on the host worker pool: the
     // launch joins only when the pool's FIFO-retired completed count covers
     // every stripe submitted so far, same contract as an accelerator.
-    inflight.targets.emplace_back(pool_device_id(), pool_after.jobs);
+    inflight.targets.emplace_back(pool_device_id(), pool_jobs);
     // The stripe doubles as a free host-path probe: its analytic span over
     // its MACs is exactly the per-MAC host cost the split optimum needs,
     // refreshed on every split launch instead of waiting for a forced
     // probe. cim_writes = 0 keeps the site's intensity untouched.
-    const std::uint64_t stripe_macs = pool_after.macs - pool_before.macs;
+    const std::uint64_t stripe_macs = pool.macs.value() - pool_macs_before;
     const std::uint64_t stripe_ticks =
-        pool_after.busy_ticks - pool_before.busy_ticks;
+        pool.busy_ticks.value() - pool_ticks_before;
     if (stripe_macs > 0) {
       admission_.observe(site, /*offloaded=*/false,
                          sim::from_ticks(stripe_ticks), stripe_macs,
@@ -801,7 +804,7 @@ support::Status Scheduler::dispatch(Batch batch, std::optional<int> pinned) {
   for (const auto& [device, target] : inflight.targets) {
     inflight.offloaded = inflight.offloaded || device < real_devices;
   }
-  if (!inflight.offloaded) host_launches_.add();
+  if (!inflight.offloaded) counters_.host_launches.add();
 
   inflight.requests = std::move(batch.requests);
   if (inflight.targets.empty()) {
@@ -958,7 +961,7 @@ void Scheduler::finalize(InFlight inflight, sim::Tick done_tick) {
       tenant_latency_[r.tenant].add(completion.latency());
     }
     completions_.push_back(completion);
-    completed_.add();
+    counters_.completed.add();
     if (pulled_unfinished_ > 0) pulled_unfinished_ -= 1;
     const auto it = tenants_.find(r.tenant);
     if (it != tenants_.end()) {
@@ -1067,23 +1070,6 @@ std::uint64_t Scheduler::latency_lock_contended() const {
     total += histogram.lock_contended();
   }
   return total;
-}
-
-ServeReport Scheduler::report() const {
-  ServeReport rep;
-  rep.submitted = submitted_.value();
-  rep.rejected = rejected_.value();
-  rep.shed = shed_.value();
-  rep.completed = completed_.value();
-  rep.launches = launches_.value();
-  rep.batched_launches = batched_launches_.value();
-  rep.coalesced_requests = coalesced_requests_.value();
-  rep.affinity_routed = affinity_routed_.value();
-  rep.queue_routed = queue_routed_.value();
-  rep.far_routed = far_routed_.value();
-  rep.host_launches = host_launches_.value();
-  rep.admission = admission_.report();
-  return rep;
 }
 
 }  // namespace tdo::serve

@@ -140,24 +140,29 @@ struct SchedulerParams {
   std::string name = "serve";
 };
 
-/// Aggregate scheduler behaviour for reporting.
-struct ServeReport {
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;  ///< dropped by overload shedding (serve.shed)
-  std::uint64_t completed = 0;
-  std::uint64_t launches = 0;          ///< runtime dispatches (batches incl.)
-  std::uint64_t batched_launches = 0;  ///< launches with >= 2 requests
-  std::uint64_t coalesced_requests = 0;  ///< requests riding batched launches
-  std::uint64_t affinity_routed = 0;   ///< placements by weight residency
-  std::uint64_t queue_routed = 0;      ///< placements by shortest queue
-  std::uint64_t far_routed = 0;        ///< batched placements on far-tier devices
-  std::uint64_t host_launches = 0;     ///< launches that ran fully on host
-  AdmissionReport admission;
-};
-
 class Scheduler {
  public:
+  /// The scheduler's counters, each registered as `<name>.<member>` —
+  /// except `submitted` (`<name>.requests`) and `shed_by_class`
+  /// (`<name>.shed.<class>`). Submission counters are sharded: any thread
+  /// may submit.
+  struct Counters {
+    support::ShardedCounter submitted;
+    support::ShardedCounter rejected;
+    support::Counter shed;  ///< dropped by overload shedding
+    /// Per-class shed counts: the shed-rate SLO monitor differences these
+    /// across metrics samples.
+    support::Counter shed_by_class[kDeadlineClasses];
+    support::Counter completed;
+    support::Counter launches;  ///< runtime dispatches (batches incl.)
+    support::Counter batched_launches;    ///< launches with >= 2 requests
+    support::Counter coalesced_requests;  ///< requests riding batched launches
+    support::Counter affinity_routed;     ///< placements by weight residency
+    support::Counter queue_routed;        ///< placements by shortest queue
+    support::Counter far_routed;     ///< batched placements on far-tier devices
+    support::Counter host_launches;  ///< launches that ran fully on host
+  };
+
   Scheduler(SchedulerParams params, rt::CimRuntime& runtime);
   ~Scheduler();
 
@@ -282,7 +287,7 @@ class Scheduler {
   /// tenants a sharded histogram per tenant would cost ~256KB each.)
   [[nodiscard]] std::uint64_t latency_lock_contended() const;
 
-  [[nodiscard]] ServeReport report() const;
+  [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] AdmissionController& admission() { return admission_; }
   [[nodiscard]] const SchedulerParams& params() const { return params_; }
 
@@ -495,20 +500,7 @@ class Scheduler {
   /// and evicted with the tenant.
   std::unordered_map<std::uint32_t, support::LatencyHistogram> tenant_latency_;
 
-  support::ShardedCounter submitted_;
-  support::ShardedCounter rejected_;
-  support::Counter shed_;
-  /// Per-class shed counts (`serve.shed.<cls>`): the shed-rate SLO monitor
-  /// differences these across metrics samples.
-  support::Counter shed_by_class_[kDeadlineClasses];
-  support::Counter completed_;
-  support::Counter launches_;
-  support::Counter batched_launches_;
-  support::Counter coalesced_requests_;
-  support::Counter affinity_routed_;
-  support::Counter queue_routed_;
-  support::Counter far_routed_;
-  support::Counter host_launches_;
+  Counters counters_;
 };
 
 }  // namespace tdo::serve

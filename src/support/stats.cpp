@@ -125,6 +125,14 @@ Energy StatsSnapshot::energy_or(const std::string& name, Energy fallback) const 
   return it == energies_pj.end() ? fallback : Energy::from_pj(it->second);
 }
 
+std::uint64_t StatsSnapshot::sum_ending_with(std::string_view suffix) const {
+  std::uint64_t total = 0;
+  for (const auto& [name, value] : counters) {
+    if (name.ends_with(suffix)) total += value;
+  }
+  return total;
+}
+
 std::uint64_t StatsRegistry::Entry::value() const {
   return counter != nullptr ? counter->value() : sharded->value();
 }
@@ -153,6 +161,15 @@ void StatsRegistry::unregister_counter(const Counter* counter) {
                                    return entry.counter == counter;
                                  }),
                   counters_.end());
+}
+
+void StatsRegistry::unregister_energy(const EnergyAccumulator* energy) {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  energies_.erase(std::remove_if(energies_.begin(), energies_.end(),
+                                 [energy](const auto& entry) {
+                                   return entry.second == energy;
+                                 }),
+                  energies_.end());
 }
 
 void StatsRegistry::register_histogram(

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/units.hpp"
@@ -114,6 +115,9 @@ struct StatsSnapshot {
                                          std::uint64_t fallback = 0) const;
   [[nodiscard]] Energy energy_or(const std::string& name,
                                  Energy fallback = Energy::zero()) const;
+  /// Sum of every counter whose name ends with `suffix` — one figure across
+  /// per-instance prefixes (`cim.copy_segments` + `cim1.copy_segments` ...).
+  [[nodiscard]] std::uint64_t sum_ending_with(std::string_view suffix) const;
 };
 
 class ShardedCounter;           // support/threading.hpp
@@ -138,15 +142,13 @@ class StatsRegistry {
   void register_histogram(std::string name,
                           const ShardedLatencyHistogram* histogram);
 
-  /// Deregisters every entry pointing at `counter` — registrants whose
+  /// Deregisters every entry pointing at the given stat — registrants whose
   /// lifetime is shorter than the registry (e.g. a serving scheduler built
-  /// on top of a long-lived runtime) must call this before dying, or a
+  /// on top of a long-lived runtime) must call these before dying, or a
   /// later snapshot() dereferences freed memory.
   void unregister_counter(const Counter* counter);
   void unregister_counter(const ShardedCounter* counter);
-  /// Symmetric detach for histograms — short-lived registrants (a serving
-  /// scheduler torn down before its runtime) must call this or a later
-  /// snapshot() dereferences freed memory.
+  void unregister_energy(const EnergyAccumulator* energy);
   void unregister_histogram(const ShardedLatencyHistogram* histogram);
 
   [[nodiscard]] StatsSnapshot snapshot() const;

@@ -49,8 +49,7 @@ TEST(EnergyTest, SegmentsReconcileExactlyAndMatchAccumulators) {
       run_traced(tdo::testing::traced_serve_config(), tdo::testing::fuzz_seed());
   ASSERT_EQ(run.dropped, 0u);
   ASSERT_FALSE(run.events.empty());
-  const EnergyBreakdown breakdown =
-      attribute_energy(run.events, default_energy_params());
+  const EnergyBreakdown breakdown = attribute_energy(run.events);
 
   // The exact integer invariant: every attributed femtojoule lands in
   // exactly one segment and exactly one source bucket.
@@ -110,8 +109,7 @@ TEST(EnergyTest, DisablingSplitMovesHostPoolJoulesToZero) {
   no_split.split.enabled = false;
   const TraceRun run = run_traced(no_split, tdo::testing::fuzz_seed());
   ASSERT_EQ(run.dropped, 0u);
-  const EnergyBreakdown breakdown =
-      attribute_energy(run.events, default_energy_params());
+  const EnergyBreakdown breakdown = attribute_energy(run.events);
   EXPECT_GT(breakdown.total_fj, 0u);
   EXPECT_EQ(breakdown.host_pool_fj, 0u);
   EXPECT_EQ(breakdown.segment_sum(), breakdown.total_fj);
@@ -128,10 +126,8 @@ TEST(EnergyTest, SameSeedSameBreakdown) {
   const std::uint64_t seed = tdo::testing::fuzz_seed();
   const TraceRun first = run_traced(tdo::testing::traced_serve_config(), seed);
   const TraceRun second = run_traced(tdo::testing::traced_serve_config(), seed);
-  const EnergyBreakdown a = attribute_energy(first.events,
-                                             default_energy_params());
-  const EnergyBreakdown b = attribute_energy(second.events,
-                                             default_energy_params());
+  const EnergyBreakdown a = attribute_energy(first.events);
+  const EnergyBreakdown b = attribute_energy(second.events);
   EXPECT_EQ(a.seg_fj, b.seg_fj);
   EXPECT_EQ(a.total_fj, b.total_fj);
   EXPECT_EQ(a.spans_counted, b.spans_counted);

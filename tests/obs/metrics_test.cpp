@@ -126,8 +126,11 @@ TEST(MetricsTest, SamplingOffDoesNotPerturbTheTimeline) {
   EXPECT_FALSE(metrics_enabled());
   EXPECT_EQ(on.serve.completions, off.serve.completions);
   EXPECT_EQ(on.serve.end_tick, off.serve.end_tick);
-  EXPECT_EQ(on.serve.report.completed, off.serve.report.completed);
-  EXPECT_EQ(on.serve.report.launches, off.serve.report.launches);
+  for (const char* counter : {"serve.completed", "serve.launches"}) {
+    EXPECT_EQ(on.serve.stats.counter_or(counter),
+              off.serve.stats.counter_or(counter))
+        << counter;
+  }
 }
 
 TEST(MetricsTest, GridSamplingIsMonotoneAndDeduplicated) {

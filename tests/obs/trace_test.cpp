@@ -115,8 +115,11 @@ TEST(TraceTest, TracingOffDoesNotPerturbTheTimeline) {
   EXPECT_FALSE(enabled());
   EXPECT_EQ(traced.serve.completions, off.completions);
   EXPECT_EQ(traced.serve.end_tick, off.end_tick);
-  EXPECT_EQ(traced.serve.report.completed, off.report.completed);
-  EXPECT_EQ(traced.serve.report.launches, off.report.launches);
+  for (const char* counter : {"serve.completed", "serve.launches"}) {
+    EXPECT_EQ(traced.serve.stats.counter_or(counter),
+              off.stats.counter_or(counter))
+        << counter;
+  }
 }
 
 TEST(TraceTest, PlacementPoliciesDivergeInTheTrace) {
@@ -126,8 +129,8 @@ TEST(TraceTest, PlacementPoliciesDivergeInTheTrace) {
   const std::uint64_t seed = fuzz_seed();
   const TraceRun caller = traced_load(topo::Placement::kCallerCentric, seed);
   const TraceRun buffer = traced_load(topo::Placement::kBufferCentric, seed);
-  EXPECT_EQ(caller.serve.report.affinity_routed, 0u);
-  EXPECT_GT(buffer.serve.report.affinity_routed, 0u);
+  EXPECT_EQ(caller.serve.stats.counter_or("serve.affinity_routed"), 0u);
+  EXPECT_GT(buffer.serve.stats.counter_or("serve.affinity_routed"), 0u);
   // Trace-verified: the request spans' critical devices differ between the
   // two policies for at least one request of the identical plan.
   const auto caller_devices = critical_devices(caller);

@@ -77,11 +77,13 @@ std::vector<float> migrate_and_run(bool peer_to_peer, bool* adopted) {
   const auto rehomed = p.runtime().residency().peek(key);
   EXPECT_TRUE(rehomed.has_value());
   EXPECT_EQ(rehomed->device, to_device);
-  EXPECT_EQ(p.runtime().residency().report().migrations, 1u);
+  const auto& residency = p.runtime().residency().counters();
+  EXPECT_EQ(residency.migrations.value(), 1u);
 
   // The follow-up request must ride the migrated tile as a hit on the
   // destination crossbar, not reprogram.
-  const auto before = p.runtime().residency().report();
+  const std::uint64_t hits_before = residency.hits.value();
+  const std::uint64_t misses_before = residency.misses.value();
   const std::uint64_t dest_jobs =
       p.accel(static_cast<std::size_t>(to_device)).jobs_completed();
   EXPECT_TRUE(p.runtime()
@@ -89,9 +91,9 @@ std::vector<float> migrate_and_run(bool peer_to_peer, bool* adopted) {
                                cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
   EXPECT_TRUE(p.runtime().synchronize().is_ok());
-  const auto after = p.runtime().residency().report();
   *adopted =
-      after.hits == before.hits + 1 && after.misses == before.misses &&
+      residency.hits.value() == hits_before + 1 &&
+      residency.misses.value() == misses_before &&
       p.accel(static_cast<std::size_t>(to_device)).jobs_completed() > dest_jobs;
 
   std::vector<float> want(m * n, 0.0f);
@@ -158,7 +160,7 @@ TEST(MigrationTest, MigrationToTheResidentDeviceIsANoOp) {
   const auto placed = p.runtime().residency().peek(key);
   ASSERT_TRUE(placed.has_value());
   EXPECT_TRUE(p.runtime().migrate_residency(key, placed->device).is_ok());
-  EXPECT_EQ(p.runtime().residency().report().migrations, 0u);
+  EXPECT_EQ(p.runtime().residency().counters().migrations.value(), 0u);
 }
 
 TEST(MigrationTest, MidMigrationInvalidationDegradesToReprogram) {
@@ -215,13 +217,14 @@ TEST(MigrationTest, HostUpdateAfterMigrationReprogramsWithFreshBytes) {
   p.write_floats(*src, b_new);
   ASSERT_TRUE(p.runtime().host_to_dev(va_b, *src, k * n * 4).is_ok());
 
-  const auto before = p.runtime().residency().report();
+  const auto& misses = p.runtime().residency().counters().misses;
+  const std::uint64_t misses_before = misses.value();
   ASSERT_TRUE(p.runtime()
                   .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
                                cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
-  EXPECT_EQ(p.runtime().residency().report().misses, before.misses + 1)
+  EXPECT_EQ(misses.value(), misses_before + 1)
       << "stale migrated tile served after a host update";
 
   std::vector<float> want(m * n, 0.0f);

@@ -54,7 +54,7 @@ TEST(ResidencyTest, RepeatedGemmSkipsReprogramming) {
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
   const std::uint64_t writes_first = p.accel().report().weight_writes8;
   EXPECT_GT(writes_first, 0u);
-  EXPECT_EQ(p.runtime().residency().report().misses, 1u);
+  EXPECT_EQ(p.runtime().residency().counters().misses.value(), 1u);
 
   ASSERT_TRUE(p.runtime()
                   .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c, n,
@@ -65,7 +65,7 @@ TEST(ResidencyTest, RepeatedGemmSkipsReprogramming) {
   EXPECT_EQ(report.weight_writes8, writes_first)
       << "second call reprogrammed a resident tile";
   EXPECT_EQ(report.weight_writes_saved8, k * n);
-  EXPECT_EQ(p.runtime().residency().report().hits, 1u);
+  EXPECT_EQ(p.runtime().residency().counters().hits.value(), 1u);
 
   std::vector<float> want(m * n, 0.0f);
   ref_gemm(m, n, k, 1.0f, a, k, b, n, 0.0f, want, n);
@@ -86,9 +86,8 @@ TEST(ResidencyTest, NonCacheableCallsDoNotPopulateTheCache) {
                     .is_ok());
     ASSERT_TRUE(p.runtime().synchronize().is_ok());
   }
-  const auto res = p.runtime().residency().report();
-  EXPECT_EQ(res.hits, 0u);
-  EXPECT_EQ(res.entries, 0u);
+  EXPECT_EQ(p.runtime().residency().counters().hits.value(), 0u);
+  EXPECT_EQ(p.runtime().residency().entries(), 0u);
   // Both calls programmed the tile (the paper's original behaviour).
   EXPECT_EQ(p.accel().report().weight_writes8, 2 * k * n);
 }
@@ -114,7 +113,7 @@ TEST(ResidencyTest, HostUpdateOfCachedTileInvalidatesBeforeNextLaunch) {
                                cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
   ASSERT_TRUE(p.runtime().host_to_dev(va_b, va_src, k * n * 4).is_ok());
-  EXPECT_GE(p.runtime().residency().report().invalidations, 1u)
+  EXPECT_GE(p.runtime().residency().counters().invalidations.value(), 1u)
       << "host update left a stale tile cached";
 
   ASSERT_TRUE(p.runtime()
@@ -122,7 +121,7 @@ TEST(ResidencyTest, HostUpdateOfCachedTileInvalidatesBeforeNextLaunch) {
                                cim::StationaryOperand::kB, /*cacheable=*/true)
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
-  EXPECT_EQ(p.runtime().residency().report().hits, 0u);
+  EXPECT_EQ(p.runtime().residency().counters().hits.value(), 0u);
   EXPECT_EQ(p.accel().report().weight_writes_saved8, 0u)
       << "device reused a tile the host had overwritten";
 
@@ -154,18 +153,17 @@ TEST(ResidencyTest, EvictionOrderIsLru) {
   call(bs[0]);  // miss, resident {B1}
   call(bs[1]);  // miss, resident {B1, B2}
   call(bs[2]);  // miss, evicts B1 -> {B2, B3}
-  auto res = p.runtime().residency().report();
-  EXPECT_EQ(res.misses, 3u);
-  EXPECT_EQ(res.evictions, 1u);
+  const auto& res = p.runtime().residency().counters();
+  EXPECT_EQ(res.misses.value(), 3u);
+  EXPECT_EQ(res.evictions.value(), 1u);
 
   call(bs[1]);  // hit, refreshes B2
   call(bs[3]);  // miss, must evict B3 (LRU), keeping B2
   call(bs[1]);  // hit again: B2 survived
   call(bs[2]);  // miss: B3 was the victim
-  res = p.runtime().residency().report();
-  EXPECT_EQ(res.hits, 2u);
-  EXPECT_EQ(res.misses, 5u);
-  EXPECT_EQ(res.evictions, 3u);
+  EXPECT_EQ(res.hits.value(), 2u);
+  EXPECT_EQ(res.misses.value(), 5u);
+  EXPECT_EQ(res.evictions.value(), 3u);
 }
 
 TEST(ResidencyTest, AffinityRoutesToTheResidentAccelerator) {
@@ -194,7 +192,7 @@ TEST(ResidencyTest, AffinityRoutesToTheResidentAccelerator) {
   for (int i = 0; i < 3; ++i) call(va_b1);
   EXPECT_EQ(p.accel(0).report().jobs, jobs0 + 3);
   EXPECT_EQ(p.accel(1).report().jobs, jobs1);
-  EXPECT_EQ(p.runtime().residency().report().hits, 3u);
+  EXPECT_EQ(p.runtime().residency().counters().hits.value(), 3u);
 }
 
 TEST(ResidencyTest, AffinityDoesNotStarveAnAcceleratorWithQueuedWork) {
@@ -312,10 +310,10 @@ TEST(ResidencyTest, ServingLoopRegression) {
 
 /// Request-serial serving loop over a cyclic tile sequence longer than the
 /// cache (classic LRU thrash): W weight sets, capacity W-1 tiles. Returns
-/// total elapsed picoseconds plus the residency report.
+/// total elapsed picoseconds plus the final stats snapshot.
 struct PrefetchResult {
   double picoseconds = 0.0;
-  ResidencyReport residency;
+  support::StatsSnapshot stats;
   std::vector<float> output;
 };
 
@@ -350,7 +348,7 @@ PrefetchResult run_prefetch_loop(bool prefetch_on_miss) {
   }
   PrefetchResult result;
   result.picoseconds = (p.system().global_time() - t0).picoseconds();
-  result.residency = p.runtime().residency().report();
+  result.stats = p.system().snapshot();
   result.output = p.read_floats(va_c, m * n);
   return result;
 }
@@ -360,13 +358,14 @@ TEST(ResidencyTest, PrefetchOnMissHidesSuccessorProgramming) {
   const PrefetchResult on = run_prefetch_loop(true);
 
   // Without the predictor the cyclic loop thrashes: every request misses.
-  EXPECT_EQ(off.residency.hits, 0u);
-  EXPECT_EQ(off.residency.prefetch_hits, 0u);
+  EXPECT_EQ(off.stats.counter_or("residency.hits"), 0u);
+  EXPECT_EQ(off.stats.counter_or("residency.prefetch_hits"), 0u);
   // With it, the successor tile is programmed during the current request
   // and most requests land as prefetch hits.
-  EXPECT_GT(on.residency.prefetches, 0u);
-  EXPECT_GT(on.residency.prefetch_hits, 0u);
-  EXPECT_GT(on.residency.hits, off.residency.hits);
+  EXPECT_GT(on.stats.counter_or("residency.prefetches"), 0u);
+  EXPECT_GT(on.stats.counter_or("residency.prefetch_hits"), 0u);
+  EXPECT_GT(on.stats.counter_or("residency.hits"),
+            off.stats.counter_or("residency.hits"));
   // The acceptance bar: strictly fewer stall ticks end-to-end.
   EXPECT_LT(on.picoseconds, off.picoseconds);
   // Speculative programming must never change results.

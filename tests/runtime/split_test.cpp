@@ -55,11 +55,11 @@ TEST(SplitTest, HostStripeJoinsAndMatchesReference) {
   const std::uint64_t m_host = 4;  // round(16 * 0.25)
   EXPECT_EQ(stats.split_host_macs, m_host * n * k);
   EXPECT_EQ(stats.split_host_macs + stats.split_device_macs, m * n * k);
-  const HostPoolReport pool = p.runtime().host_pool().report();
-  EXPECT_EQ(pool.jobs, 1u);
-  EXPECT_EQ(pool.completed, 1u);
-  EXPECT_EQ(pool.macs, m_host * n * k);
-  EXPECT_GT(pool.busy_ticks, 0u);
+  const auto& pool = p.runtime().host_pool().counters();
+  EXPECT_EQ(pool.jobs.value(), 1u);
+  EXPECT_EQ(pool.completed.value(), 1u);
+  EXPECT_EQ(pool.macs.value(), m_host * n * k);
+  EXPECT_GT(pool.busy_ticks.value(), 0u);
 
   // The host stripe is exact float math, the device stripe is quantized;
   // both land inside the quantization bound.
@@ -91,7 +91,7 @@ TEST(SplitTest, SmallJobsSkipTheSplit) {
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(p.runtime().stats().split_calls, 0u);
-  EXPECT_EQ(p.runtime().host_pool().report().jobs, 0u);
+  EXPECT_EQ(p.runtime().host_pool().counters().jobs.value(), 0u);
 }
 
 TEST(SplitTest, ZeroFractionDisablesSplitAtRuntime) {
@@ -162,14 +162,33 @@ TEST(HostWorkerPoolTest, FifoRetirementJoinsOutOfOrderCompletions) {
 
   auto& events = p.system().events();
   events.run_until(small.done + 1);
-  EXPECT_EQ(pool.jobs_completed(), 0u) << "small stripe must wait for FIFO";
+  EXPECT_EQ(pool.counters().completed.value(), 0u)
+      << "small stripe must wait for FIFO";
   EXPECT_TRUE(observed.empty());
   events.run_until(big.done + 1);
-  EXPECT_EQ(pool.jobs_completed(), 2u);
+  EXPECT_EQ(pool.counters().completed.value(), 2u);
   ASSERT_EQ(observed.size(), 1u);
   EXPECT_EQ(observed[0].first, 2u);
   EXPECT_EQ(observed[0].second, big.done);
   EXPECT_TRUE(pool.idle());
+}
+
+TEST(HostWorkerPoolTest, DestructionUnregistersEveryStat) {
+  // A pool dying before its system must take its counters and its energy
+  // accumulator out of the registry, or a later snapshot() reads freed
+  // memory.
+  sim::System system;
+  {
+    HostWorkerPool pool{system, HostPoolParams{}};
+    const support::StatsSnapshot live = system.snapshot();
+    EXPECT_EQ(live.energies_pj.count("host_pool.energy"), 1u);
+    EXPECT_EQ(live.counters.count("host_pool.jobs"), 1u);
+  }
+  const support::StatsSnapshot after = system.snapshot();
+  EXPECT_EQ(after.energies_pj.count("host_pool.energy"), 0u);
+  for (const auto& [name, value] : after.counters) {
+    EXPECT_FALSE(name.starts_with("host_pool.")) << name;
+  }
 }
 
 TEST(AdmissionSplitLadderTest, RungAndIndexAreInverse) {

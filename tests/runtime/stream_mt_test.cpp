@@ -123,11 +123,11 @@ TEST(StreamMtFuzz, ThreadedComputeSubmissionMatchesSingleThreadReference) {
     }
     EXPECT_TRUE(stream.synchronize().is_ok());
 
-    const StreamReport report = stream.report();
-    EXPECT_EQ(report.enqueued, kJobs);
-    EXPECT_EQ(report.offloaded, kJobs);
-    EXPECT_EQ(report.cpu_fallbacks, 0u);
-    EXPECT_EQ(report.ring_submitted, threaded ? kJobs : 0u);
+    const CimStream::Counters& counters = stream.counters();
+    EXPECT_EQ(counters.enqueued.value(), kJobs);
+    EXPECT_EQ(counters.offloaded.value(), kJobs);
+    EXPECT_EQ(counters.cpu_fallbacks.value(), 0u);
+    EXPECT_EQ(counters.ring_submitted.value(), threaded ? kJobs : 0u);
     EXPECT_EQ(stream.ring_pending(), 0u);
     EXPECT_TRUE(stream.idle());
 
@@ -206,10 +206,10 @@ TEST(StreamMtFuzz, ThreadedCopiesLandExactly) {
   EXPECT_EQ(stream.ring_pending(), kCopies);
   ASSERT_TRUE(stream.synchronize().is_ok());
 
-  const StreamReport report = stream.report();
-  EXPECT_EQ(report.copies_enqueued, kCopies);
-  EXPECT_EQ(report.copy_bytes, kCopies * kFloats * sizeof(float));
-  EXPECT_EQ(report.ring_submitted, kCopies);
+  const CimStream::Counters& counters = stream.counters();
+  EXPECT_EQ(counters.copies_enqueued.value(), kCopies);
+  EXPECT_EQ(counters.copy_bytes.value(), kCopies * kFloats * sizeof(float));
+  EXPECT_EQ(counters.ring_submitted.value(), kCopies);
   for (std::size_t c = 0; c < kCopies; ++c) {
     const auto expected = p.read_floats(sources[c], kFloats);
     const auto got = p.read_floats(destinations[c], kFloats);

@@ -85,10 +85,10 @@ TEST(StreamTest, QueueFullFallsBackToCpuWhenAllowed) {
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
-  const auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.enqueued, 2u);
-  EXPECT_EQ(report.cpu_fallbacks, 1u);
-  EXPECT_EQ(report.fallbacks_queue_full, 1u);
+  const auto& stream = p.runtime().stream().counters();
+  EXPECT_EQ(stream.enqueued.value(), 2u);
+  EXPECT_EQ(stream.cpu_fallbacks.value(), 1u);
+  EXPECT_EQ(stream.fallbacks_queue_full.value(), 1u);
   EXPECT_EQ(p.accel().jobs_completed(), 1u);
 
   std::vector<float> want(m * n, 0.0f);
@@ -117,8 +117,7 @@ TEST(StreamTest, IntensityThresholdRoutesThinJobsToCpu) {
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
-  const auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.fallbacks_threshold, 1u);
+  EXPECT_EQ(p.runtime().stream().counters().fallbacks_threshold.value(), 1u);
   EXPECT_EQ(p.accel().report().jobs, 0u);  // never touched the device
   std::vector<float> want(m * n, 0.0f);
   ref_gemm(m, n, k, 1.0f, a, k, b, n, 0.0f, want, n);
@@ -141,7 +140,7 @@ TEST(StreamTest, HighIntensityJobsStayOnDevice) {
                                cim::StationaryOperand::kB)
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
-  EXPECT_EQ(p.runtime().stream().report().cpu_fallbacks, 0u);
+  EXPECT_EQ(p.runtime().stream().counters().cpu_fallbacks.value(), 0u);
   EXPECT_EQ(p.accel().report().jobs, 1u);
 }
 
@@ -288,7 +287,7 @@ TEST(StreamTest, WarHazardSynchronizesBeforeOverwritingQueuedInput) {
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
-  EXPECT_GE(p.runtime().stream().report().hazard_syncs, 1u);
+  EXPECT_GE(p.runtime().stream().counters().hazard_syncs.value(), 1u);
   std::vector<float> want(m * m, 0.0f);
   ref_gemm(m, m, 256, 1.0f, x0, 256, b1, m, 0.0f, want, m);
   EXPECT_LT(max_abs_error(p.read_floats(va_c2, m * m), want), 1.2)

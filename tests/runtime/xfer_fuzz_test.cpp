@@ -328,8 +328,9 @@ TEST(XferFuzzTest, RandomScatterGatherPlansMatchSynchronousHostPath) {
           << "seed " << seed << " iter " << iter << " element " << i;
     }
     ASSERT_EQ(async_back, sync_back) << "seed " << seed << " iter " << iter;
-    if (async_rig.platform.runtime().stream().report().copy_segments >
-        async_rig.platform.runtime().stream().report().copies_enqueued) {
+    const auto stats = async_rig.platform.system().snapshot();
+    if (stats.sum_ending_with(".copy_segments") >
+        stats.counter_or("stream.copies_enqueued")) {
       ++scattered_plans;
     }
 
@@ -345,11 +346,13 @@ TEST(XferFuzzTest, RandomScatterGatherPlansMatchSynchronousHostPath) {
   // The fragmentation churn must actually have produced scatter-gather
   // chains, or the differential layer tested nothing interesting.
   EXPECT_GT(scattered_plans, 10u) << "seed " << seed;
-  const auto report = async_rig.platform.runtime().stream().report();
-  EXPECT_GT(report.copies_enqueued, 0u);
-  EXPECT_GT(report.copy_segments, report.copies_enqueued)
+  const auto stats = async_rig.platform.system().snapshot();
+  const std::uint64_t copies = stats.counter_or("stream.copies_enqueued");
+  EXPECT_GT(copies, 0u);
+  EXPECT_GT(stats.sum_ending_with(".copy_segments"), copies)
       << "no plan ever split into a multi-segment chain (seed " << seed << ")";
-  EXPECT_LE(report.overlapped_copy_bytes, report.copy_bytes);
+  EXPECT_LE(stats.sum_ending_with(".dma.overlapped_copy_bytes"),
+            stats.counter_or("stream.copy_bytes"));
 }
 
 // --- layer 3: dev->dev migration segments vs host-bounce reference ---
@@ -416,7 +419,7 @@ std::vector<float> apply_migration_trial(const MigrationTrial& trial,
   EXPECT_TRUE(p.runtime().synchronize().is_ok());
   gemm();
   EXPECT_TRUE(p.runtime().synchronize().is_ok());
-  EXPECT_GT(p.runtime().residency().report().migrations, 0u);
+  EXPECT_GT(p.runtime().residency().counters().migrations.value(), 0u);
   return p.read_floats(va_c, trial.m * trial.n);
 }
 

@@ -107,9 +107,9 @@ TEST(XferTest, AsyncCopyRidesTheStreamAndLandsCorrectly) {
   ASSERT_TRUE(dst.is_ok());
 
   ASSERT_TRUE(p.runtime().host_to_dev(*dst, src, count * 4).is_ok());
-  const auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.copies_enqueued, 1u);
-  EXPECT_EQ(report.copy_bytes, count * 4);
+  const auto& stream = p.runtime().stream().counters();
+  EXPECT_EQ(stream.copies_enqueued.value(), 1u);
+  EXPECT_EQ(stream.copy_bytes.value(), count * 4);
   EXPECT_EQ(p.accel().jobs_completed(), 0u);  // DMA channel, not the engine
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
   EXPECT_EQ(max_abs_error(p.read_floats(*dst, count), data), 0.0);
@@ -127,7 +127,7 @@ TEST(XferTest, SmallCopiesStayOnTheHostPath) {
   auto dst = p.runtime().malloc_device(256 * 4);
   ASSERT_TRUE(dst.is_ok());
   ASSERT_TRUE(p.runtime().host_to_dev(*dst, src, 256 * 4).is_ok());
-  EXPECT_EQ(p.runtime().stream().report().copies_enqueued, 0u);
+  EXPECT_EQ(p.runtime().stream().counters().copies_enqueued.value(), 0u);
   EXPECT_EQ(p.runtime().xfer().host_copies(), 1u);
   EXPECT_EQ(max_abs_error(p.read_floats(*dst, 256), data), 0.0);
 }
@@ -158,13 +158,14 @@ TEST(XferTest, CopyAgainstDisjointInFlightRectangleDoesNotSynchronize) {
   ASSERT_TRUE(p.accel().has_work());
   ASSERT_TRUE(p.runtime().host_to_dev(*dst, src, count * 4).is_ok());
 
-  const auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.hazard_syncs, 0u) << "disjoint copy forced a drain";
-  EXPECT_EQ(report.copies_enqueued, 1u);
+  const auto& stream = p.runtime().stream().counters();
+  EXPECT_EQ(stream.hazard_syncs.value(), 0u) << "disjoint copy forced a drain";
+  EXPECT_EQ(stream.copies_enqueued.value(), 1u);
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
   // The copy's transfer window ran while the engine was busy (the exact
   // figure is settled when the copy completes).
-  EXPECT_GT(p.runtime().stream().report().overlapped_copy_bytes, 0u);
+  EXPECT_GT(p.system().snapshot().sum_ending_with(".dma.overlapped_copy_bytes"),
+            0u);
   EXPECT_EQ(max_abs_error(p.read_floats(*dst, count), payload), 0.0);
 }
 
@@ -188,7 +189,7 @@ TEST(XferTest, CopyOverwritingQueuedInputSynchronizesFirst) {
                                cim::StationaryOperand::kB)
                   .is_ok());
   ASSERT_TRUE(p.runtime().host_to_dev(va_a, va_new, m * k * 4).is_ok());
-  EXPECT_GE(p.runtime().stream().report().hazard_syncs, 1u);
+  EXPECT_GE(p.runtime().stream().counters().hazard_syncs.value(), 1u);
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   std::vector<float> want(m * n, 0.0f);
@@ -220,9 +221,10 @@ TEST(XferTest, DisjointColumnStripesOfDifferentCallsOverlap) {
                                0.0f, va_c + half * 4, n,
                                cim::StationaryOperand::kB)
                   .is_ok());
-  EXPECT_EQ(p.runtime().stream().report().hazard_syncs, 0u)
+  const auto& stream = p.runtime().stream().counters();
+  EXPECT_EQ(stream.hazard_syncs.value(), 0u)
       << "disjoint stripes of different calls forced a drain";
-  EXPECT_EQ(p.runtime().stream().report().syncs, 0u);
+  EXPECT_EQ(stream.syncs.value(), 0u);
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   std::vector<float> want(m * n, 0.0f);
@@ -265,9 +267,10 @@ TEST(XferTest, OverlapAccountsChainedJobsBusyWindows) {
   ASSERT_TRUE(p.runtime().host_to_dev(*dst, src, count * 4).is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
-  const auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.copy_bytes, count * 4);
-  EXPECT_EQ(report.overlapped_copy_bytes, report.copy_bytes)
+  const auto stats = p.system().snapshot();
+  EXPECT_EQ(stats.counter_or("stream.copy_bytes"), count * 4);
+  EXPECT_EQ(stats.sum_ending_with(".dma.overlapped_copy_bytes"),
+            stats.counter_or("stream.copy_bytes"))
       << "copy spanning a job chain was not counted as fully hidden";
   EXPECT_EQ(max_abs_error(p.read_floats(*dst, count), payload), 0.0);
 }
@@ -301,10 +304,11 @@ TEST(XferTest, PerStripeCopyBackDrainsProducersIndividually) {
                   .is_ok());
   ASSERT_TRUE(p.runtime().dev_to_host(*dst, va_c, m * n * 4).is_ok());
 
-  const auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.device_drains, 2u) << "copy-back did not split per stripe";
-  EXPECT_EQ(report.syncs, 0u) << "copy-back fell back to a full drain";
-  EXPECT_EQ(report.copies_enqueued, 2u);
+  const auto& stream = p.runtime().stream().counters();
+  EXPECT_EQ(stream.device_drains.value(), 2u)
+      << "copy-back did not split per stripe";
+  EXPECT_EQ(stream.syncs.value(), 0u) << "copy-back fell back to a full drain";
+  EXPECT_EQ(stream.copies_enqueued.value(), 2u);
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
   std::vector<float> want(m * n, 0.0f);
@@ -353,13 +357,14 @@ TEST(XferSgTest, ScatteredHostBufferRidesAsSingleCopyChain) {
   ASSERT_TRUE(dst.is_ok());
 
   ASSERT_TRUE(p.runtime().host_to_dev(*dst, src, count * 4).is_ok());
-  auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.copies_enqueued, 1u) << "chain split into several commands";
+  const auto& stream = p.runtime().stream().counters();
+  EXPECT_EQ(stream.copies_enqueued.value(), 1u)
+      << "chain split into several commands";
   EXPECT_EQ(p.runtime().xfer().host_copies(), 0u) << "host-memcpy fallback";
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
-  report = p.runtime().stream().report();
-  EXPECT_GE(report.copy_segments, 4u) << "not a scatter-gather chain";
-  EXPECT_EQ(report.copy_bytes, count * 4);
+  EXPECT_GE(p.system().snapshot().sum_ending_with(".copy_segments"), 4u)
+      << "not a scatter-gather chain";
+  EXPECT_EQ(stream.copy_bytes.value(), count * 4);
   EXPECT_EQ(max_abs_error(p.read_floats(*dst, count), data), 0.0);
 
   // And back: device -> scattered host destination, still on the stream.
@@ -396,7 +401,7 @@ TEST(XferSgTest, SubThresholdSegmentDoesNotForceHostFallback) {
   auto dst = p.runtime().malloc_device(count * 4);
   ASSERT_TRUE(dst.is_ok());
   ASSERT_TRUE(p.runtime().host_to_dev(*dst, *src, count * 4).is_ok());
-  EXPECT_EQ(p.runtime().stream().report().copies_enqueued, 1u)
+  EXPECT_EQ(p.runtime().stream().counters().copies_enqueued.value(), 1u)
       << "sub-threshold segment pushed the whole copy to the host path";
   EXPECT_EQ(p.runtime().xfer().host_copies(), 0u);
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
@@ -419,12 +424,12 @@ TEST(XferSgTest, StridedSubMatrixViewRidesAsPitchedSegment) {
                   .host_to_dev_2d(dst + off, src + off, cols * 4, view_cols * 4,
                                   /*rows=*/24)
                   .is_ok());
-  auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.copies_enqueued, 1u);
-  EXPECT_EQ(report.copy_bytes, 24u * view_cols * 4u);
+  const auto& stream = p.runtime().stream().counters();
+  EXPECT_EQ(stream.copies_enqueued.value(), 1u);
+  EXPECT_EQ(stream.copy_bytes.value(), 24u * view_cols * 4u);
   EXPECT_EQ(p.runtime().xfer().host_copies(), 0u);
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
-  EXPECT_EQ(p.runtime().stream().report().copy_segments, 1u)
+  EXPECT_EQ(p.system().snapshot().sum_ending_with(".copy_segments"), 1u)
       << "contiguous-row view should coalesce into one pitched rectangle";
 
   const auto got = p.read_floats(dst, rows * cols);
@@ -473,11 +478,13 @@ TEST(XferContentionTest, PinnedChannelSerializesEngineDmaAndCopy) {
   ASSERT_TRUE(p.runtime().host_to_dev(*dst, src, count * 4).is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
-  const auto report = p.runtime().stream().report();
-  EXPECT_GT(report.copy_contended_ticks, 0u)
+  const auto stats = p.system().snapshot();
+  EXPECT_GT(stats.sum_ending_with(".dma.contended_copy_ticks"), 0u)
       << "copy did not serialize behind the engine's own DMA";
-  EXPECT_EQ(report.copy_migrations, 0u) << "nowhere to migrate with 1 channel";
-  EXPECT_LT(report.overlapped_copy_bytes, report.copy_bytes)
+  EXPECT_EQ(stats.sum_ending_with(".dma.copy_migrations"), 0u)
+      << "nowhere to migrate with 1 channel";
+  EXPECT_LT(stats.sum_ending_with(".dma.overlapped_copy_bytes"),
+            stats.counter_or("stream.copy_bytes"))
       << "overlap credit exceeded the single channel's idle window";
   EXPECT_EQ(max_abs_error(p.read_floats(*dst, count), payload), 0.0);
 }
@@ -632,15 +639,21 @@ TEST(XferContentionTest, SecondChannelAbsorbsTheCopyWhenIdle) {
                     .is_ok());
     EXPECT_TRUE(p.runtime().host_to_dev(*dst, src, count * 4).is_ok());
     EXPECT_TRUE(p.runtime().synchronize().is_ok());
-    return p.runtime().stream().report();
+    return p.system().snapshot();
   };
   const auto pinned = run(1);
   const auto dual = run(2);
-  EXPECT_EQ(dual.copy_contended_ticks, 0u)
+  const auto contended = [](const support::StatsSnapshot& stats) {
+    return stats.sum_ending_with(".dma.contended_copy_ticks");
+  };
+  const auto overlapped = [](const support::StatsSnapshot& stats) {
+    return stats.sum_ending_with(".dma.overlapped_copy_bytes");
+  };
+  EXPECT_EQ(contended(dual), 0u)
       << "idle copy channel still made the copy wait";
-  EXPECT_GT(pinned.copy_contended_ticks, dual.copy_contended_ticks);
-  EXPECT_GE(dual.overlapped_copy_bytes, pinned.overlapped_copy_bytes);
-  EXPECT_LE(dual.overlapped_copy_bytes, dual.copy_bytes);
+  EXPECT_GT(contended(pinned), contended(dual));
+  EXPECT_GE(overlapped(dual), overlapped(pinned));
+  EXPECT_LE(overlapped(dual), dual.counter_or("stream.copy_bytes"));
 }
 
 TEST(XferContentionTest, CopyMigratesToIdleChannelUnderCopyPressure) {
@@ -661,10 +674,10 @@ TEST(XferContentionTest, CopyMigratesToIdleChannelUnderCopyPressure) {
   ASSERT_TRUE(p.runtime().host_to_dev(*dst1, src1, count * 4).is_ok());
   ASSERT_TRUE(p.runtime().host_to_dev(*dst2, src2, count * 4).is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
-  const auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.copies_enqueued, 2u);
-  EXPECT_GE(report.copy_migrations, 1u) << "second copy waited instead of"
-                                           " taking the idle channel";
+  const auto stats = p.system().snapshot();
+  EXPECT_EQ(stats.counter_or("stream.copies_enqueued"), 2u);
+  EXPECT_GE(stats.sum_ending_with(".dma.copy_migrations"), 1u)
+      << "second copy waited instead of taking the idle channel";
   EXPECT_EQ(max_abs_error(p.read_floats(*dst1, count), one), 0.0);
   EXPECT_EQ(max_abs_error(p.read_floats(*dst2, count), two), 0.0);
 }

@@ -82,8 +82,8 @@ TEST(ServeLoadTest, ClosedSourceKeepsOneInFlightPerClientAndEndsAtTarget) {
   EXPECT_EQ(finished->size(), kClients * kPerClient);
   EXPECT_EQ(source.max_in_flight, 1);
   EXPECT_EQ(source.in_flight, std::vector<int>(kClients, 0));
-  EXPECT_EQ(scheduler.report().submitted, kClients * kPerClient);
-  EXPECT_EQ(scheduler.report().completed, kClients * kPerClient);
+  EXPECT_EQ(scheduler.counters().submitted.value(), kClients * kPerClient);
+  EXPECT_EQ(scheduler.counters().completed.value(), kClients * kPerClient);
 }
 
 TEST(ServeLoadTest, ShedCompletionUnblocksItsClosedLoopClient) {
@@ -121,7 +121,8 @@ TEST(ServeLoadTest, ShedCompletionUnblocksItsClosedLoopClient) {
   }
   EXPECT_EQ(shed, kClients);
   EXPECT_EQ(finished->size(), kClients * kPerClient);
-  EXPECT_EQ(scheduler.report().completed, kClients * (kPerClient - 1));
+  EXPECT_EQ(scheduler.counters().completed.value(),
+            kClients * (kPerClient - 1));
 }
 
 TEST(ServeLoadTest, OpenSourceArrivalStampReachesLatency) {

@@ -93,11 +93,11 @@ TEST(OverloadShedTest, ShedsBatchThenStandardNeverInteractive) {
     EXPECT_EQ(completion.outcome, Completion::Outcome::kShed);
     EXPECT_NE(completion.deadline, DeadlineClass::kInteractive);
   }
-  EXPECT_EQ(scheduler.report().shed, 4u);
+  EXPECT_EQ(scheduler.counters().shed.value(), 4u);
 
   // The interactive pair survives and completes normally.
   ASSERT_TRUE(scheduler.drain().is_ok());
-  EXPECT_EQ(scheduler.report().completed, 2u);
+  EXPECT_EQ(scheduler.counters().completed.value(), 2u);
   const auto completions = scheduler.take_completions();
   ASSERT_EQ(completions.size(), 2u);
   for (const auto& completion : completions) {
@@ -133,7 +133,8 @@ TEST(OverloadShedTest, ShedRotatesAcrossTenantsAndTakesQueueTails) {
   std::sort(victims.begin(), victims.end());
   EXPECT_EQ(victims, (std::vector<std::uint64_t>{ids[0][1], ids[1][1]}));
   ASSERT_TRUE(scheduler.drain().is_ok());
-  EXPECT_EQ(scheduler.report().completed, 2u);  // each tenant's head survived
+  // Each tenant's head survived.
+  EXPECT_EQ(scheduler.counters().completed.value(), 2u);
 }
 
 TEST(OverloadDrrTest, WeightedSharesFollowWeightsWhileBacklogged) {
@@ -193,7 +194,7 @@ TEST(OverloadEvictionTest, IdleTenantsAgeOutOfThePerTenantMaps) {
                     .is_ok());
   }
   ASSERT_TRUE(scheduler.drain().is_ok());
-  EXPECT_EQ(scheduler.report().completed, kTenants);
+  EXPECT_EQ(scheduler.counters().completed.value(), kTenants);
   EXPECT_EQ(scheduler.tenant_count(), kTenants);  // idle but not yet timed out
   EXPECT_EQ(scheduler.tenant_latency(0).count(), 1u);
 
@@ -215,12 +216,12 @@ TEST(OverloadEvictionTest, IdleTenantsAgeOutOfThePerTenantMaps) {
 
 /// Paced open-loop run at ~3x the measured service rate: batch-heavy flood
 /// from one tenant plus a light interactive stream from another. Returns the
-/// overload-phase interactive p99 and the scheduler report.
+/// overload-phase interactive p99 and the stats at the end of the run.
 struct OverloadOutcome {
   double interactive_p99_ps = 0.0;
   std::uint64_t interactive_done = 0;
   std::uint64_t interactive_shed = 0;
-  ServeReport report;
+  support::StatsSnapshot stats;
 };
 
 void run_overload(bool shed_enabled, std::uint64_t seed,
@@ -306,7 +307,7 @@ void run_overload(bool shed_enabled, std::uint64_t seed,
       drive(scheduler, source, schedule.size(), Advance::kEveryRound);
   ASSERT_TRUE(completions.is_ok()) << completions.status().to_string();
 
-  out->report = scheduler.report();
+  out->stats = fx.platform.system().snapshot();
   const auto interactive = scheduler.class_latency(DeadlineClass::kInteractive);
   out->interactive_p99_ps = interactive.quantile(0.99).picoseconds();
   out->interactive_done = interactive.count();
@@ -327,9 +328,9 @@ TEST(ServeOverloadFuzz, RateTriggeredShedKeepsInteractiveTailBelowNoShed) {
 
   // The arrival-rate trigger fired and shed real work — but never a single
   // interactive request.
-  EXPECT_GT(with_shed.report.shed, 0u);
+  EXPECT_GT(with_shed.stats.counter_or("serve.shed"), 0u);
   EXPECT_EQ(with_shed.interactive_shed, 0u);
-  EXPECT_EQ(no_shed.report.shed, 0u);
+  EXPECT_EQ(no_shed.stats.counter_or("serve.shed"), 0u);
 
   // Every interactive request ran in both runs (shedding only ever touched
   // lower classes), and the shed run's interactive tail strictly beats the

@@ -233,11 +233,11 @@ TEST(SchedulerTest, BatchedLaunchesCoalesceAndMatchReference) {
   }
   ASSERT_TRUE(scheduler.drain().is_ok());
 
-  const auto report = scheduler.report();
-  EXPECT_EQ(report.completed, 8u);
-  EXPECT_GT(report.batched_launches, 0u);
-  EXPECT_GT(report.coalesced_requests, 0u);
-  EXPECT_LT(report.launches, 8u);  // coalescing happened
+  const auto& counters = scheduler.counters();
+  EXPECT_EQ(counters.completed.value(), 8u);
+  EXPECT_GT(counters.batched_launches.value(), 0u);
+  EXPECT_GT(counters.coalesced_requests.value(), 0u);
+  EXPECT_LT(counters.launches.value(), 8u);  // coalescing happened
   const auto completions = scheduler.take_completions();
   EXPECT_EQ(completions.size(), 8u);
   for (const auto& [c, w] : outputs) fx.check_result(c, w);
@@ -264,8 +264,8 @@ TEST(SchedulerTest, AffinityRoutesRepeatsToResidentAccelerator) {
       }
     }
   }
-  const auto report = scheduler.report();
-  EXPECT_GT(report.affinity_routed, 0u);
+  const auto& counters = scheduler.counters();
+  EXPECT_GT(counters.affinity_routed.value(), 0u);
   // After the cold start, each weight set sticks to one accelerator.
   for (const auto& [w, devices] : devices_by_weight) {
     ASSERT_GE(devices.size(), 2u);
@@ -273,8 +273,7 @@ TEST(SchedulerTest, AffinityRoutesRepeatsToResidentAccelerator) {
       EXPECT_EQ(devices[i], devices[1]) << "weight " << w << " migrated";
     }
   }
-  const auto stream = fx.platform.runtime().stream().report();
-  EXPECT_GT(stream.residency_hits, 0u);
+  EXPECT_GT(fx.platform.runtime().residency().counters().hits.value(), 0u);
 }
 
 TEST(SchedulerTest, RejectsBeyondTenantQueueBound) {
@@ -292,9 +291,9 @@ TEST(SchedulerTest, RejectsBeyondTenantQueueBound) {
     }
   }
   EXPECT_EQ(rejected, 4);
-  EXPECT_EQ(scheduler.report().rejected, 4u);
+  EXPECT_EQ(scheduler.counters().rejected.value(), 4u);
   ASSERT_TRUE(scheduler.drain().is_ok());
-  EXPECT_EQ(scheduler.report().completed, 4u);
+  EXPECT_EQ(scheduler.counters().completed.value(), 4u);
 }
 
 TEST(SchedulerTest, ThreadedPathEnforcesTenantBoundAtPump) {
@@ -326,9 +325,10 @@ TEST(SchedulerTest, ThreadedPathEnforcesTenantBoundAtPump) {
   EXPECT_EQ(scheduler.ring_pending(), kTotal);  // the ring accepted them all
   ASSERT_TRUE(scheduler.drain().is_ok());
 
-  const auto report = scheduler.report();
-  EXPECT_EQ(report.rejected, kTotal - 4);  // everything past the bound
-  EXPECT_EQ(report.completed, 4u);
+  const auto& counters = scheduler.counters();
+  // Everything past the bound was rejected.
+  EXPECT_EQ(counters.rejected.value(), kTotal - 4);
+  EXPECT_EQ(counters.completed.value(), 4u);
   std::size_t done = 0;
   std::size_t rejected = 0;
   for (const auto& completion : scheduler.take_completions()) {
@@ -355,8 +355,8 @@ TEST(SchedulerTest, FailedLaunchDoesNotCountAsLaunched) {
                                     fx.k, 0xdead0000, 0xbeef0000, 0xcafe0000);
   ASSERT_TRUE(scheduler.submit(bad).is_ok());
   EXPECT_FALSE(scheduler.pump().is_ok());
-  EXPECT_EQ(scheduler.report().launches, 0u);
-  EXPECT_EQ(scheduler.report().completed, 0u);
+  EXPECT_EQ(scheduler.counters().launches.value(), 0u);
+  EXPECT_EQ(scheduler.counters().completed.value(), 0u);
 }
 
 TEST(SchedulerTest, SecondSchedulerSurvivesFirstSchedulerTeardown) {
@@ -395,9 +395,9 @@ TEST(SchedulerTest, SecondSchedulerSurvivesFirstSchedulerTeardown) {
                                         va, vb, vc))
                   .is_ok());
   ASSERT_TRUE(second.drain().is_ok());
-  EXPECT_EQ(second.report().completed, 1u);
+  EXPECT_EQ(second.counters().completed.value(), 1u);
   // The launch really did ride the pool (pseudo-async split happened).
-  EXPECT_GT(platform.runtime().host_pool().jobs_completed(), 0u);
+  EXPECT_GT(platform.runtime().host_pool().counters().completed.value(), 0u);
   std::vector<float> expected(m * n, 0.0f);
   ref_gemm(m, n, k, 1.0f, input, k, weight_data, n, 0.0f, expected, n);
   const auto got = platform.read_floats(vc, m * n);
@@ -529,9 +529,9 @@ TEST(ServeSchedulerFuzz, RandomizedMultiTenantLoadMatchesReference) {
   for (const auto& [id, record] : pending) {
     fx.check_result(record.c, record.weight);
   }
-  const auto report = scheduler.report();
-  EXPECT_EQ(report.completed, static_cast<std::uint64_t>(total));
-  EXPECT_EQ(report.submitted, static_cast<std::uint64_t>(total));
+  const auto& counters = scheduler.counters();
+  EXPECT_EQ(counters.completed.value(), static_cast<std::uint64_t>(total));
+  EXPECT_EQ(counters.submitted.value(), static_cast<std::uint64_t>(total));
 }
 
 TEST(ServeSchedulerFuzz, ThreadedSubmissionMatchesSingleThreadReference) {
@@ -596,9 +596,9 @@ TEST(ServeSchedulerFuzz, ThreadedSubmissionMatchesSingleThreadReference) {
       }
     }
     EXPECT_TRUE(scheduler.drain().is_ok());
-    const auto report = scheduler.report();
-    EXPECT_EQ(report.submitted, kTotal);
-    EXPECT_EQ(report.completed, kTotal);
+    const auto& counters = scheduler.counters();
+    EXPECT_EQ(counters.submitted.value(), kTotal);
+    EXPECT_EQ(counters.completed.value(), kTotal);
     EXPECT_EQ(scheduler.take_completions().size(), kTotal);
     std::vector<std::vector<float>> results;
     results.reserve(kTotal);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -75,16 +76,21 @@ struct ServeFixture {
 struct ServeOutcome {
   /// (id, done tick, device) per completion, sorted by id.
   std::vector<std::tuple<std::uint64_t, std::uint64_t, int>> completions;
-  serve::ServeReport report;
+  /// The registry at the end of the run, scheduler counters included.
+  support::StatsSnapshot stats;
   sim::Tick end_tick = 0;
 };
+
+/// Looks at the drained scheduler before it is destroyed.
+using SchedulerProbe =
+    std::function<void(ServeFixture&, const serve::Scheduler&)>;
 
 /// Seeded closed-loop serving run with skewed tenant affinity: tenant 0's
 /// five clients hammer weight set 0 (interactive), tenant 1's two clients
 /// serve weight set 1 (standard). Every request's activations arrive through
 /// the measured upload path.
-inline ServeOutcome run_serve_load(ServeFixture& fx,
-                                   topo::Placement placement) {
+inline ServeOutcome run_serve_load(ServeFixture& fx, topo::Placement placement,
+                                   const SchedulerProbe& probe = {}) {
   using serve::DeadlineClass;
   using serve::Scheduler;
   using serve::SchedulerParams;
@@ -126,7 +132,8 @@ inline ServeOutcome run_serve_load(ServeFixture& fx,
     }
   }
   std::sort(out.completions.begin(), out.completions.end());
-  out.report = scheduler.report();
+  out.stats = fx.platform.system().snapshot();
+  if (probe) probe(fx, scheduler);
   out.end_tick = fx.platform.system().events().now();
   return out;
 }
@@ -146,14 +153,15 @@ struct TraceRun {
 /// The far link's counters and energy sink are registered, as the benches
 /// do, so `stats` carries every modeled sink.
 inline TraceRun run_traced_serve_load(rt::RuntimeConfig config,
-                                         std::uint64_t seed,
-                                         topo::Placement placement) {
+                                      std::uint64_t seed,
+                                      topo::Placement placement,
+                                      const SchedulerProbe& probe = {}) {
   auto& tracer = obs::Tracer::instance();
   tracer.start({});
   ServeFixture fx{std::move(config), seed};
   fx.link.register_stats(fx.platform.system().stats());
   TraceRun run;
-  run.serve = run_serve_load(fx, placement);
+  run.serve = run_serve_load(fx, placement, probe);
   tracer.pump();
   run.events = tracer.sorted_events();
   run.paths = obs::decompose(run.events);
