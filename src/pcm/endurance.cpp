@@ -14,16 +14,6 @@ double system_lifetime_years(std::uint64_t cell_endurance_writes,
   return seconds / kSecondsPerYear;
 }
 
-double system_lifetime_years_from_bw(std::uint64_t cell_endurance_writes,
-                                     std::uint64_t crossbar_bytes,
-                                     double write_traffic_gb_per_s) {
-  if (write_traffic_gb_per_s <= 0.0) return 0.0;
-  const double seconds = static_cast<double>(cell_endurance_writes) *
-                         static_cast<double>(crossbar_bytes) /
-                         (write_traffic_gb_per_s * 1e9);
-  return seconds / kSecondsPerYear;
-}
-
 double lifetime_extension(std::uint64_t bytes_written,
                           std::uint64_t bytes_saved) {
   if (bytes_written == 0) {

@@ -32,11 +32,6 @@ struct WriteTraffic {
                                            std::uint64_t crossbar_bytes,
                                            const WriteTraffic& traffic);
 
-/// Same equation with bandwidth given directly in GB/s (the paper's units).
-[[nodiscard]] double system_lifetime_years_from_bw(
-    std::uint64_t cell_endurance_writes, std::uint64_t crossbar_bytes,
-    double write_traffic_gb_per_s);
-
 /// Lifetime multiplier bought by avoided crossbar writes (Eq. (1) is linear
 /// in the inverse write traffic): a kernel that would have programmed
 /// `bytes_written + bytes_saved` but, thanks to stationary-tile reuse (the

@@ -3,10 +3,10 @@
 // The paper's compile-time endurance optimizations are orthogonal to
 // architectural wear leveling; this extension implements the classic
 // start-gap scheme at crossbar-row granularity so the two can be composed
-// and compared (bench/ablation_wear_leveling): one spare row rotates through
-// the array, and after every `gap_move_interval` row writes the gap advances
-// by one position, slowly rotating the logical-to-physical row mapping and
-// spreading hot rows across the device.
+// and compared (the wear-leveling ablation in bench_paper): one spare row
+// rotates through the array, and after every `gap_move_interval` row writes
+// the gap advances by one position, slowly rotating the logical-to-physical
+// row mapping and spreading hot rows across the device.
 #pragma once
 
 #include <cstdint>

@@ -328,9 +328,6 @@ support::StatusOr<double> CimRuntime::operand_max_abs(sim::VirtAddr va,
                                                       std::uint64_t rows,
                                                       std::uint64_t row_len,
                                                       std::uint64_t ld) {
-  if (config_.scale_mode == ScaleMode::kStatic) {
-    return config_.static_max_abs;
-  }
   // Per-buffer granularity: when the operand is a sub-view of one device
   // buffer, scan (and cache) the whole buffer once. A whole-buffer max-abs
   // is a valid (if slightly coarser) scale for any sub-view, and it is what

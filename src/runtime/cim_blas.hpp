@@ -32,14 +32,6 @@
 
 namespace tdo::rt {
 
-/// How quantization scales are obtained before offloading.
-enum class ScaleMode {
-  /// Host scans the operands for max|x| (charged to the host cost model).
-  kHostScan,
-  /// Assume a static data range (free, but may clip).
-  kStatic,
-};
-
 /// DTO-style pseudo-asynchronous work splitting (DTO_CPU_SIZE_FRACTION):
 /// a large GEMM is cut into a host stripe (run on the worker pool) and a
 /// device stripe, executed concurrently and joined at the next sync point.
@@ -59,8 +51,6 @@ struct SplitConfig {
 
 struct RuntimeConfig {
   bool double_buffering = true;
-  ScaleMode scale_mode = ScaleMode::kHostScan;
-  double static_max_abs = 1.0;
   DriverParams driver;
   /// Command-stream behaviour (depth, dynamic CPU-fallback threshold); every
   /// BLAS entry point enqueues into it without draining.

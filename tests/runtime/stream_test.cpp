@@ -1,7 +1,7 @@
 // Tests for the asynchronous command stream: enqueue/drain ordering, the
 // dynamic CPU-fallback policy (intensity threshold and queue-full), the
 // multi-accelerator round robin, and the overlap regression that backs the
-// ablation_double_buffer bench.
+// stream-level double-buffering ablation in bench_paper.
 #include <gtest/gtest.h>
 
 #include "runtime/cim_api.hpp"
@@ -213,10 +213,11 @@ TEST(StreamTest, TiledGemmSpreadsAcrossAccelerators) {
   EXPECT_LT(max_abs_error(p.read_floats(va_c, m * n), want), 0.15);
 }
 
-/// Regression for the ablation_double_buffer bench: with stream depth >= 2
-/// the chained tiles of an oversized GEMM (k = 2 crossbar heights) overlap
-/// submission with execution and prefetch the next tile's weights, so the
-/// simulated runtime is strictly below the depth-1 (serialized) schedule.
+/// Regression for bench_paper's stream-level double-buffering ablation: with
+/// stream depth >= 2 the chained tiles of an oversized GEMM (k = 2 crossbar
+/// heights) overlap submission with execution and prefetch the next tile's
+/// weights, so the simulated runtime is strictly below the depth-1
+/// (serialized) schedule.
 TEST(StreamTest, StreamDepthTwoBeatsSerializedSchedule) {
   auto run = [](std::size_t depth, std::uint64_t* overlap_ticks) {
     RuntimeConfig config;
