@@ -1,7 +1,9 @@
 #include "exec/interpreter.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <memory>
+#include <cstring>
+#include <variant>
 
 #include "support/log.hpp"
 
@@ -14,28 +16,65 @@ using support::StatusOr;
 // Prepared executable form
 // ---------------------------------------------------------------------------
 
-struct Interpreter::PreparedExpr {
+// A host nest compiles to one flat op array in source pre-order: a loop op
+// is followed by its body, which ends at the loop's `end` index, and a
+// statement holds its rhs as postfix expression ops. run_nest() walks the
+// array with a program counter and a stack of open loops.
+
+namespace {
+
+[[nodiscard]] float read_float(const std::uint8_t* data) {
+  float value;
+  std::memcpy(&value, data, sizeof value);
+  return value;
+}
+
+void write_float(std::uint8_t* data, float value) {
+  std::memcpy(data, &value, sizeof value);
+}
+
+}  // namespace
+
+struct Interpreter::PreparedAccess {
+  const ArrayInfo* array = nullptr;
+  std::int64_t elements = 0;
+  PreparedAffine offset;  // flat row-major element index
+
+  /// The addressed element through the array's page table; null data when
+  /// the index falls outside the array.
+  [[nodiscard]] HostMapping resolve(const std::vector<std::int64_t>& env) const {
+    const std::int64_t index = offset.eval(env);
+    if (index < 0 || index >= elements) return {};
+    const auto byte = static_cast<std::uint64_t>(index) * 4;
+    const HostMapping& page = array->pages[byte >> sim::kPageShift];
+    const std::uint64_t in_page = sim::page_offset(byte);
+    return HostMapping{page.pa + in_page, page.data + in_page};
+  }
+
+  [[nodiscard]] Status out_of_range() const {
+    return support::out_of_range("host nest subscript outside array " +
+                                 array->decl.name);
+  }
+};
+
+struct Interpreter::ExprOp {
   enum class Kind { kLoad, kConst, kBin };
   Kind kind = Kind::kConst;
-  // kLoad
-  const ArrayInfo* array = nullptr;
-  PreparedAffine offset;
-  // kConst (also used for scalar params, resolved at prepare time)
+  // kLoad: pushes the element.
+  PreparedAccess access;
+  // kConst (also used for scalar params, resolved at prepare time).
   double value = 0.0;
-  // kBin
+  // kBin: pops rhs then lhs, pushes `lhs op rhs`.
   ir::BinOpKind op = ir::BinOpKind::kAdd;
-  std::unique_ptr<PreparedExpr> lhs;
-  std::unique_ptr<PreparedExpr> rhs;
 };
 
 struct Interpreter::PreparedStmt {
-  const ArrayInfo* array = nullptr;
-  PreparedAffine offset;
+  PreparedAccess lhs;
   bool accumulate = false;
   /// lhs address is invariant in the innermost enclosing loop: -O3 keeps the
   /// accumulator in a register, so no per-iteration lhs load/store occurs.
   bool lhs_promoted = false;
-  std::unique_ptr<PreparedExpr> rhs;
+  std::vector<ExprOp> rhs;  // postfix
   // Static per-execution instruction counts.
   std::uint32_t fp_ops = 0;
   std::uint32_t addr_int_ops = 0;
@@ -46,11 +85,12 @@ struct Interpreter::PreparedLoop {
   PreparedAffine lower;
   PreparedBound upper;
   std::int64_t step = 1;
-  std::vector<PreparedNode> body;
+  std::size_t end = 0;  // op index one past the loop body
 };
 
-struct Interpreter::PreparedNode {
-  std::variant<PreparedLoop, PreparedStmt> value;
+struct Interpreter::PreparedNest {
+  std::vector<std::variant<PreparedLoop, PreparedStmt>> ops;
+  std::size_t stack_depth = 0;  // deepest rhs evaluation
 };
 
 Interpreter::Interpreter(sim::System& system, rt::CimRuntime* runtime,
@@ -73,13 +113,15 @@ Status Interpreter::prepare(const Program& program) {
   for (const ir::ArrayDecl& decl : program.arrays) {
     auto va = system_.mmu().allocate(static_cast<std::uint64_t>(decl.bytes()));
     if (!va.is_ok()) return va.status();
-    arrays_[decl.name] = ArrayInfo{decl, *va, 0};
+    arrays_[decl.name] = ArrayInfo{decl, *va, 0, {}};
   }
   for (const ir::ScalarDecl& s : program.scalars) scalars_[s.name] = s.value;
   prepared_ = true;
   return Status::ok();
 }
 
+// Host arrays start page-aligned, so each page-sized span of the array is
+// one physical frame: copy frame by frame.
 Status Interpreter::set_array(const std::string& name,
                               std::span<const float> data) {
   const ArrayInfo* info = find_array(name);
@@ -87,10 +129,13 @@ Status Interpreter::set_array(const std::string& name,
   if (static_cast<std::int64_t>(data.size()) != info->decl.element_count()) {
     return support::invalid_argument("size mismatch setting " + name);
   }
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    auto pa = system_.mmu().translate(info->host_va + i * 4);
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
+  const std::uint64_t size = data.size_bytes();
+  for (std::uint64_t done = 0; done < size; done += sim::kPageSize) {
+    auto pa = system_.mmu().translate(info->host_va + done);
     if (!pa.is_ok()) return pa.status();
-    system_.memory().write_scalar<float>(*pa, data[i]);
+    system_.memory().write(
+        *pa, {bytes + done, std::min<std::uint64_t>(sim::kPageSize, size - done)});
   }
   return Status::ok();
 }
@@ -99,10 +144,13 @@ StatusOr<std::vector<float>> Interpreter::get_array(const std::string& name) {
   const ArrayInfo* info = find_array(name);
   if (info == nullptr) return support::not_found("unknown array " + name);
   std::vector<float> out(static_cast<std::size_t>(info->decl.element_count()));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    auto pa = system_.mmu().translate(info->host_va + i * 4);
+  auto* bytes = reinterpret_cast<std::uint8_t*>(out.data());
+  const std::uint64_t size = out.size() * sizeof(float);
+  for (std::uint64_t done = 0; done < size; done += sim::kPageSize) {
+    auto pa = system_.mmu().translate(info->host_va + done);
     if (!pa.is_ok()) return pa.status();
-    out[i] = system_.memory().read_scalar<float>(*pa);
+    system_.memory().read(
+        *pa, {bytes + done, std::min<std::uint64_t>(sim::kPageSize, size - done)});
   }
   return out;
 }
@@ -254,224 +302,246 @@ Status Interpreter::exec_item(const ProgramItem& item) {
 // ---------------------------------------------------------------------------
 
 Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
-  // --- prepare: resolve names to slots/addresses once ---
-  struct PrepareContext {
-    std::map<std::string, int> slots;
-  } ctx;
+  SlotMap slots;
+  PreparedNest nest;
+  TDO_RETURN_IF_ERROR(prepare_body(body, 0, &slots, &nest));
+  return run_nest(nest);
+}
 
-  std::function<Status(const ir::AffineExpr&, PreparedAffine*)> prep_affine =
-      [&](const ir::AffineExpr& e, PreparedAffine* out) -> Status {
-    out->constant = e.constant_term();
-    out->terms.clear();
-    for (const auto& [name, coeff] : e.coeffs()) {
-      const auto it = ctx.slots.find(name);
-      if (it == ctx.slots.end()) {
-        return support::internal_error("unbound iv " + name);
+Status Interpreter::map_pages(ArrayInfo* info) {
+  if (!info->pages.empty()) return Status::ok();
+  assert(sim::page_offset(info->host_va) == 0);
+  const auto bytes = static_cast<std::uint64_t>(info->decl.bytes());
+  std::vector<HostMapping> pages;
+  pages.reserve((bytes + sim::kPageSize - 1) / sim::kPageSize);
+  for (std::uint64_t done = 0; done < bytes; done += sim::kPageSize) {
+    auto pa = system_.mmu().translate(info->host_va + done);
+    if (!pa.is_ok()) return pa.status();
+    pages.push_back(HostMapping{*pa, system_.memory().page_data(*pa)});
+  }
+  info->pages = std::move(pages);
+  return Status::ok();
+}
+
+Status Interpreter::prepare_affine(const ir::AffineExpr& e, const SlotMap& slots,
+                                   PreparedAffine* out) {
+  out->constant = e.constant_term();
+  out->terms.clear();
+  for (const auto& [name, coeff] : e.coeffs()) {
+    const auto it = slots.find(name);
+    if (it == slots.end()) return support::internal_error("unbound iv " + name);
+    out->terms.emplace_back(it->second, coeff);
+  }
+  return Status::ok();
+}
+
+Status Interpreter::prepare_access(const std::string& array,
+                                   const std::vector<ir::AffineExpr>& subscripts,
+                                   const SlotMap& slots, PreparedAccess* out) {
+  ArrayInfo* info = find_array(array);
+  if (info == nullptr) return support::not_found("array " + array);
+  TDO_RETURN_IF_ERROR(map_pages(info));
+  out->array = info;
+  out->elements = info->decl.element_count();
+  // offset = sum_d subscripts[d] * stride_d with row-major strides.
+  ir::AffineExpr flat;
+  std::int64_t stride = 1;
+  for (std::size_t d = info->decl.dims.size(); d-- > 0;) {
+    flat += subscripts[d] * stride;
+    stride *= info->decl.dims[d];
+  }
+  return prepare_affine(flat, slots, &out->offset);
+}
+
+StatusOr<std::size_t> Interpreter::prepare_expr(const ir::ExprPtr& e,
+                                                const SlotMap& slots,
+                                                std::vector<ExprOp>* out,
+                                                std::uint32_t* fp_ops,
+                                                std::uint32_t* loads) {
+  ExprOp op;
+  if (const auto* load = std::get_if<ir::LoadExpr>(&e->node)) {
+    op.kind = ExprOp::Kind::kLoad;
+    TDO_RETURN_IF_ERROR(
+        prepare_access(load->array, load->subscripts, slots, &op.access));
+    ++*loads;
+    out->push_back(std::move(op));
+    return std::size_t{1};
+  }
+  if (const auto* c = std::get_if<ir::ConstExpr>(&e->node)) {
+    op.value = c->value;
+    out->push_back(std::move(op));
+    return std::size_t{1};
+  }
+  if (const auto* p = std::get_if<ir::ParamExpr>(&e->node)) {
+    const auto it = scalars_.find(p->name);
+    if (it == scalars_.end()) return support::not_found("scalar " + p->name);
+    op.value = it->second;
+    out->push_back(std::move(op));
+    return std::size_t{1};
+  }
+  if (const auto* bin = std::get_if<ir::BinExpr>(&e->node)) {
+    auto lhs = prepare_expr(bin->lhs, slots, out, fp_ops, loads);
+    if (!lhs.is_ok()) return lhs.status();
+    auto rhs = prepare_expr(bin->rhs, slots, out, fp_ops, loads);
+    if (!rhs.is_ok()) return rhs.status();
+    op.kind = ExprOp::Kind::kBin;
+    op.op = bin->op;
+    out->push_back(std::move(op));
+    ++*fp_ops;
+    return std::max(*lhs, *rhs + 1);
+  }
+  return support::unimplemented("non-affine expression reached the interpreter");
+}
+
+Status Interpreter::prepare_body(const std::vector<ir::Node>& nodes, int depth,
+                                 SlotMap* slots, PreparedNest* nest) {
+  for (const ir::Node& node : nodes) {
+    if (node.is_loop()) {
+      const ir::Loop& loop = node.loop();
+      if (depth >= 30) {
+        return support::invalid_argument("loop nest deeper than 30");
       }
-      out->terms.emplace_back(it->second, coeff);
-    }
-    return Status::ok();
-  };
-
-  auto prep_access = [&](const std::string& array,
-                         const std::vector<ir::AffineExpr>& subs,
-                         const ArrayInfo** info_out,
-                         PreparedAffine* offset) -> Status {
-    const ArrayInfo* info = find_array(array);
-    if (info == nullptr) return support::not_found("array " + array);
-    *info_out = info;
-    // offset = sum_d subs[d] * stride_d with row-major strides.
-    ir::AffineExpr flat;
-    std::int64_t stride = 1;
-    for (std::size_t d = info->decl.dims.size(); d-- > 0;) {
-      flat += subs[d] * stride;
-      stride *= info->decl.dims[d];
-    }
-    return prep_affine(flat, offset);
-  };
-
-  std::function<StatusOr<std::unique_ptr<PreparedExpr>>(const ir::ExprPtr&,
-                                                        std::uint32_t*,
-                                                        std::uint32_t*)>
-      prep_expr = [&](const ir::ExprPtr& e, std::uint32_t* fp_ops,
-                      std::uint32_t* loads)
-      -> StatusOr<std::unique_ptr<PreparedExpr>> {
-    auto out = std::make_unique<PreparedExpr>();
-    if (const auto* load = std::get_if<ir::LoadExpr>(&e->node)) {
-      out->kind = PreparedExpr::Kind::kLoad;
+      PreparedLoop prepared;
+      prepared.slot = depth;
+      TDO_RETURN_IF_ERROR(prepare_affine(loop.lower, *slots, &prepared.lower));
+      (*slots)[loop.iv] = depth;
       TDO_RETURN_IF_ERROR(
-          prep_access(load->array, load->subscripts, &out->array, &out->offset));
-      ++*loads;
-      return out;
-    }
-    if (const auto* c = std::get_if<ir::ConstExpr>(&e->node)) {
-      out->kind = PreparedExpr::Kind::kConst;
-      out->value = c->value;
-      return out;
-    }
-    if (const auto* p = std::get_if<ir::ParamExpr>(&e->node)) {
-      const auto it = scalars_.find(p->name);
-      if (it == scalars_.end()) return support::not_found("scalar " + p->name);
-      out->kind = PreparedExpr::Kind::kConst;
-      out->value = it->second;
-      return out;
-    }
-    if (const auto* bin = std::get_if<ir::BinExpr>(&e->node)) {
-      out->kind = PreparedExpr::Kind::kBin;
-      out->op = bin->op;
-      auto lhs = prep_expr(bin->lhs, fp_ops, loads);
-      if (!lhs.is_ok()) return lhs.status();
-      auto rhs = prep_expr(bin->rhs, fp_ops, loads);
-      if (!rhs.is_ok()) return rhs.status();
-      out->lhs = std::move(lhs).value();
-      out->rhs = std::move(rhs).value();
-      ++*fp_ops;
-      return out;
-    }
-    return support::unimplemented(
-        "non-affine expression reached the interpreter");
-  };
-
-  std::function<StatusOr<std::vector<PreparedNode>>(const std::vector<ir::Node>&,
-                                                    int)>
-      prep_body = [&](const std::vector<ir::Node>& nodes,
-                      int depth) -> StatusOr<std::vector<PreparedNode>> {
-    std::vector<PreparedNode> out;
-    out.reserve(nodes.size());
-    for (const ir::Node& node : nodes) {
-      if (node.is_loop()) {
-        const ir::Loop& loop = node.loop();
-        if (depth >= 30) {
-          return support::invalid_argument("loop nest deeper than 30");
-        }
-        PreparedLoop prepared;
-        prepared.slot = depth;
-        TDO_RETURN_IF_ERROR(prep_affine(loop.lower, &prepared.lower));
-        ctx.slots[loop.iv] = depth;
-        TDO_RETURN_IF_ERROR(prep_affine(loop.upper.expr, &prepared.upper.expr));
-        if (loop.upper.min_with.has_value()) {
-          prepared.upper.has_min = true;
-          TDO_RETURN_IF_ERROR(
-              prep_affine(*loop.upper.min_with, &prepared.upper.min_with));
-        }
-        prepared.step = loop.step;
-        auto body_nodes = prep_body(loop.body, depth + 1);
-        if (!body_nodes.is_ok()) return body_nodes.status();
-        prepared.body = std::move(body_nodes).value();
-        ctx.slots.erase(loop.iv);
-        PreparedNode pn;
-        pn.value = std::move(prepared);
-        out.push_back(std::move(pn));
-      } else {
-        const ir::Stmt& stmt = node.stmt();
-        PreparedStmt prepared;
-        prepared.accumulate = stmt.accumulate;
-        TDO_RETURN_IF_ERROR(prep_access(stmt.lhs.array, stmt.lhs.subscripts,
-                                        &prepared.array, &prepared.offset));
-        std::uint32_t loads = 0;
-        auto rhs = prep_expr(stmt.rhs, &prepared.fp_ops, &loads);
-        if (!rhs.is_ok()) return rhs.status();
-        prepared.rhs = std::move(rhs).value();
-        if (stmt.accumulate) ++prepared.fp_ops;  // the += add
-        if (cost_.promote_accumulators && stmt.accumulate && depth > 0) {
-          const int innermost_slot = depth - 1;
-          prepared.lhs_promoted = true;
-          for (const auto& [slot, coeff] : prepared.offset.terms) {
-            if (slot == innermost_slot && coeff != 0) {
-              prepared.lhs_promoted = false;
-            }
+          prepare_affine(loop.upper.expr, *slots, &prepared.upper.expr));
+      if (loop.upper.min_with.has_value()) {
+        prepared.upper.has_min = true;
+        TDO_RETURN_IF_ERROR(prepare_affine(*loop.upper.min_with, *slots,
+                                           &prepared.upper.min_with));
+      }
+      prepared.step = loop.step;
+      const std::size_t index = nest->ops.size();
+      nest->ops.emplace_back(std::move(prepared));
+      TDO_RETURN_IF_ERROR(prepare_body(loop.body, depth + 1, slots, nest));
+      std::get<PreparedLoop>(nest->ops[index]).end = nest->ops.size();
+      slots->erase(loop.iv);
+    } else {
+      const ir::Stmt& stmt = node.stmt();
+      PreparedStmt prepared;
+      prepared.accumulate = stmt.accumulate;
+      TDO_RETURN_IF_ERROR(prepare_access(stmt.lhs.array, stmt.lhs.subscripts,
+                                         *slots, &prepared.lhs));
+      std::uint32_t loads = 0;
+      auto stack = prepare_expr(stmt.rhs, *slots, &prepared.rhs,
+                                &prepared.fp_ops, &loads);
+      if (!stack.is_ok()) return stack.status();
+      nest->stack_depth = std::max(nest->stack_depth, *stack);
+      if (stmt.accumulate) ++prepared.fp_ops;  // the += add
+      if (cost_.promote_accumulators && stmt.accumulate && depth > 0) {
+        const int innermost_slot = depth - 1;
+        prepared.lhs_promoted = true;
+        for (const auto& [slot, coeff] : prepared.lhs.offset.terms) {
+          if (slot == innermost_slot && coeff != 0) {
+            prepared.lhs_promoted = false;
           }
         }
-        const std::uint32_t lhs_accesses = prepared.lhs_promoted ? 0 : 1;
-        prepared.addr_int_ops = (loads + lhs_accesses) * cost_.int_ops_per_access;
-        PreparedNode pn;
-        pn.value = std::move(prepared);
-        out.push_back(std::move(pn));
       }
+      const std::uint32_t lhs_accesses = prepared.lhs_promoted ? 0 : 1;
+      prepared.addr_int_ops = (loads + lhs_accesses) * cost_.int_ops_per_access;
+      nest->ops.emplace_back(std::move(prepared));
     }
-    return out;
-  };
+  }
+  return Status::ok();
+}
 
-  auto prepared = prep_body(body, 0);
-  if (!prepared.is_ok()) return prepared.status();
-
-  // --- execute ---
-  auto& cpu = system_.cpu();
-  auto& mmu = system_.mmu();
-  auto& mem = system_.memory();
+Status Interpreter::run_nest(const PreparedNest& nest) {
+  sim::HostCpu& cpu = system_.cpu();
   std::vector<std::int64_t> env(32, 0);
+  std::vector<double> stack(nest.stack_depth);
+  struct OpenLoop {
+    const PreparedLoop* loop;
+    std::size_t body;  // op index of the first body op
+    std::uint32_t unroll_phase;
+  };
+  std::vector<OpenLoop> open;
+  open.reserve(32);
 
-  std::function<double(const PreparedExpr&)> eval =
-      [&](const PreparedExpr& e) -> double {
-    switch (e.kind) {
-      case PreparedExpr::Kind::kConst:
-        return e.value;
-      case PreparedExpr::Kind::kLoad: {
-        const std::int64_t off = e.offset.eval(env);
-        const auto pa = mmu.translate(e.array->host_va +
-                                      static_cast<std::uint64_t>(off) * 4);
-        assert(pa.is_ok());
-        cpu.load(*pa);
-        return static_cast<double>(mem.read_scalar<float>(*pa));
-      }
-      case PreparedExpr::Kind::kBin: {
-        const double l = eval(*e.lhs);
-        const double r = eval(*e.rhs);
-        switch (e.op) {
-          case ir::BinOpKind::kAdd: return l + r;
-          case ir::BinOpKind::kSub: return l - r;
-          case ir::BinOpKind::kMul: return l * r;
-          case ir::BinOpKind::kDiv: return l / r;
-        }
-        return 0.0;
-      }
+  // Starts the iteration of `loop` at `i`, or returns false past its bound.
+  const auto iterate = [&](const PreparedLoop& loop, std::int64_t i,
+                           std::uint32_t* unroll_phase) {
+    std::int64_t hi = loop.upper.expr.eval(env);
+    if (loop.upper.has_min) hi = std::min(hi, loop.upper.min_with.eval(env));
+    if (i >= hi) return false;
+    env[static_cast<std::size_t>(loop.slot)] = i;
+    // Loop bookkeeping amortizes across the unroll factor at -O3.
+    if (*unroll_phase == 0) {
+      cpu.issue(sim::InstBundle{.int_alu = cost_.loop_int_ops,
+                                .branches = cost_.loop_branches});
     }
-    return 0.0;
+    if (++*unroll_phase >= cost_.unroll_factor) *unroll_phase = 0;
+    return true;
   };
 
-  std::function<Status(const std::vector<PreparedNode>&)> run_nodes =
-      [&](const std::vector<PreparedNode>& nodes) -> Status {
-    for (const PreparedNode& node : nodes) {
-      if (const auto* loop = std::get_if<PreparedLoop>(&node.value)) {
-        const std::int64_t lo = loop->lower.eval(env);
-        std::uint32_t unroll_phase = 0;
-        for (std::int64_t i = lo;; i += loop->step) {
-          std::int64_t hi = loop->upper.expr.eval(env);
-          if (loop->upper.has_min) {
-            hi = std::min(hi, loop->upper.min_with.eval(env));
-          }
-          if (i >= hi) break;
-          env[static_cast<std::size_t>(loop->slot)] = i;
-          // Loop bookkeeping amortizes across the unroll factor at -O3.
-          if (unroll_phase == 0) {
-            cpu.issue(sim::InstBundle{.int_alu = cost_.loop_int_ops,
-                                      .branches = cost_.loop_branches});
-          }
-          if (++unroll_phase >= cost_.unroll_factor) unroll_phase = 0;
-          TDO_RETURN_IF_ERROR(run_nodes(loop->body));
-        }
+  std::size_t pc = 0;
+  for (;;) {
+    // At the end of the innermost open loop's body: next iteration or exit.
+    if (pc == (open.empty() ? nest.ops.size() : open.back().loop->end)) {
+      if (open.empty()) return Status::ok();
+      OpenLoop& top = open.back();
+      const PreparedLoop& loop = *top.loop;
+      const std::int64_t next =
+          env[static_cast<std::size_t>(loop.slot)] + loop.step;
+      if (iterate(loop, next, &top.unroll_phase)) {
+        pc = top.body;
       } else {
-        const auto& stmt = std::get<PreparedStmt>(node.value);
-        ++stmts_executed_;
-        double value = eval(*stmt.rhs);
-        const std::int64_t off = stmt.offset.eval(env);
-        const auto pa = mmu.translate(stmt.array->host_va +
-                                      static_cast<std::uint64_t>(off) * 4);
-        if (!pa.is_ok()) return pa.status();
-        if (stmt.accumulate) {
-          if (!stmt.lhs_promoted) cpu.load(*pa);
-          value += static_cast<double>(mem.read_scalar<float>(*pa));
+        open.pop_back();
+      }
+      continue;
+    }
+    if (const auto* loop = std::get_if<PreparedLoop>(&nest.ops[pc])) {
+      std::uint32_t unroll_phase = 0;
+      if (iterate(*loop, loop->lower.eval(env), &unroll_phase)) {
+        open.push_back(OpenLoop{loop, pc + 1, unroll_phase});
+        ++pc;
+      } else {
+        pc = loop->end;
+      }
+      continue;
+    }
+    const auto& stmt = std::get<PreparedStmt>(nest.ops[pc]);
+    ++pc;
+    ++stmts_executed_;
+    double* top = stack.data();  // one past the last pushed value
+    for (const ExprOp& op : stmt.rhs) {
+      switch (op.kind) {
+        case ExprOp::Kind::kConst:
+          *top++ = op.value;
+          break;
+        case ExprOp::Kind::kLoad: {
+          const HostMapping at = op.access.resolve(env);
+          if (at.data == nullptr) return op.access.out_of_range();
+          cpu.load(at.pa);
+          *top++ = static_cast<double>(read_float(at.data));
+          break;
         }
-        mem.write_scalar<float>(*pa, static_cast<float>(value));
-        if (!stmt.lhs_promoted) cpu.store(*pa);
-        cpu.issue(sim::InstBundle{.int_alu = stmt.addr_int_ops,
-                                  .fp_ops = stmt.fp_ops});
+        case ExprOp::Kind::kBin: {
+          const double r = *--top;
+          double& l = top[-1];
+          switch (op.op) {
+            case ir::BinOpKind::kAdd: l = l + r; break;
+            case ir::BinOpKind::kSub: l = l - r; break;
+            case ir::BinOpKind::kMul: l = l * r; break;
+            case ir::BinOpKind::kDiv: l = l / r; break;
+          }
+          break;
+        }
       }
     }
-    return Status::ok();
-  };
-
-  return run_nodes(*prepared);
+    double value = stack[0];
+    const HostMapping lhs = stmt.lhs.resolve(env);
+    if (lhs.data == nullptr) return stmt.lhs.out_of_range();
+    if (stmt.accumulate) {
+      if (!stmt.lhs_promoted) cpu.load(lhs.pa);
+      value += static_cast<double>(read_float(lhs.data));
+    }
+    write_float(lhs.data, static_cast<float>(value));
+    if (!stmt.lhs_promoted) cpu.store(lhs.pa);
+    cpu.issue(sim::InstBundle{.int_alu = stmt.addr_int_ops,
+                              .fp_ops = stmt.fp_ops});
+  }
 }
 
 }  // namespace tdo::exec

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,10 +60,20 @@ class Interpreter {
   [[nodiscard]] std::uint64_t statements_executed() const { return stmts_executed_; }
 
  private:
+  /// A host physical address and the SimMemory bytes that back it.
+  struct HostMapping {
+    sim::PhysAddr pa = 0;
+    std::uint8_t* data = nullptr;
+  };
+
   struct ArrayInfo {
     ir::ArrayDecl decl;
     sim::VirtAddr host_va = 0;
     sim::VirtAddr dev_va = 0;  // 0 until CimMallocOp
+    /// One entry per VA page of host_va (its frame and backing), built by
+    /// the first host nest that touches the array. A host array's mapping
+    /// never changes after prepare(), so later nests reuse it.
+    std::vector<HostMapping> pages;
   };
 
   // --- prepared (slot-resolved) executable form of a host nest ---
@@ -80,13 +91,33 @@ class Interpreter {
     bool has_min = false;
     PreparedAffine min_with;
   };
-  struct PreparedExpr;  // tree
+  struct PreparedAccess;
+  struct ExprOp;
   struct PreparedStmt;
   struct PreparedLoop;
-  struct PreparedNode;
+  struct PreparedNest;  // flat op array
+  using SlotMap = std::map<std::string, int>;  // iv name -> env slot
 
   support::Status exec_item(const ProgramItem& item);
   support::Status exec_nest(const std::vector<ir::Node>& body);
+
+  // Nest preparation: names resolve to env slots, arrays to page tables.
+  [[nodiscard]] support::Status map_pages(ArrayInfo* info);
+  [[nodiscard]] static support::Status prepare_affine(const ir::AffineExpr& e,
+                                                      const SlotMap& slots,
+                                                      PreparedAffine* out);
+  [[nodiscard]] support::Status prepare_access(
+      const std::string& array, const std::vector<ir::AffineExpr>& subscripts,
+      const SlotMap& slots, PreparedAccess* out);
+  /// Appends `e` in postfix order to `out`; returns its evaluation depth.
+  [[nodiscard]] support::StatusOr<std::size_t> prepare_expr(
+      const ir::ExprPtr& e, const SlotMap& slots, std::vector<ExprOp>* out,
+      std::uint32_t* fp_ops, std::uint32_t* loads);
+  [[nodiscard]] support::Status prepare_body(const std::vector<ir::Node>& nodes,
+                                             int depth, SlotMap* slots,
+                                             PreparedNest* nest);
+
+  [[nodiscard]] support::Status run_nest(const PreparedNest& nest);
 
   [[nodiscard]] ArrayInfo* find_array(const std::string& name);
   [[nodiscard]] const ArrayInfo* find_array(const std::string& name) const;

@@ -14,35 +14,16 @@ Cache::Cache(CacheParams params) : params_{std::move(params)} {
       params_.size_bytes / (static_cast<std::uint64_t>(params_.line_bytes) *
                             params_.ways));
   assert(std::has_single_bit(num_sets_));
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(params_.line_bytes));
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
   lines_.resize(static_cast<std::size_t>(num_sets_) * params_.ways);
 }
 
-std::uint64_t Cache::set_index(PhysAddr addr) const {
-  return (addr / params_.line_bytes) & (num_sets_ - 1);
-}
-
-std::uint64_t Cache::tag_of(PhysAddr addr) const {
-  return (addr / params_.line_bytes) / num_sets_;
-}
-
-CacheOutcome Cache::access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
-  if (evicted_dirty != nullptr) *evicted_dirty = false;
-  const std::uint64_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  Line* begin = &lines_[set * params_.ways];
-
-  Line* victim = begin;
+void Cache::fill(Line* set, std::uint64_t tag, bool is_write,
+                 bool* evicted_dirty) {
+  Line* victim = set;
   for (std::uint32_t w = 0; w < params_.ways; ++w) {
-    Line& line = begin[w];
-    if (valid(line) && line.tag == tag) {
-      line.lru_stamp = ++stamp_;
-      if (is_write && !line.dirty) {
-        line.dirty = true;
-        ++dirty_lines_;
-      }
-      hits_.add();
-      return CacheOutcome::kHit;
-    }
+    Line& line = set[w];
     if (!valid(line)) {
       victim = &line;  // prefer an invalid way
     } else if (valid(*victim) && line.lru_stamp < victim->lru_stamp) {
@@ -50,10 +31,10 @@ CacheOutcome Cache::access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
     }
   }
 
-  misses_.add();
+  misses_.add_local();
   if (valid(*victim) && victim->dirty) {
     --dirty_lines_;
-    writebacks_.add();
+    writebacks_.add_local();
     if (evicted_dirty != nullptr) *evicted_dirty = true;
   }
   victim->epoch = epoch_;
@@ -61,7 +42,6 @@ CacheOutcome Cache::access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
   if (is_write) ++dirty_lines_;
   victim->tag = tag;
   victim->lru_stamp = ++stamp_;
-  return CacheOutcome::kMiss;
 }
 
 std::uint64_t Cache::flush_all() {
@@ -73,17 +53,17 @@ std::uint64_t Cache::flush_all() {
     for (Line& line : lines_) line.epoch = kInvalidEpoch;
     epoch_ = kInvalidEpoch + 1;
   }
-  flushes_.add();
-  writebacks_.add(dirty);
+  flushes_.add_local();
+  writebacks_.add_local(dirty);
   return dirty;
 }
 
 std::uint64_t Cache::flush_range(PhysAddr addr, std::uint64_t bytes) {
   std::uint64_t dirty = 0;
-  const PhysAddr first_line = addr / params_.line_bytes;
-  const PhysAddr last_line = (addr + bytes + params_.line_bytes - 1) / params_.line_bytes;
+  const PhysAddr first_line = addr >> line_shift_;
+  const PhysAddr last_line = (addr + bytes + params_.line_bytes - 1) >> line_shift_;
   for (PhysAddr lineno = first_line; lineno < last_line; ++lineno) {
-    const PhysAddr line_addr = lineno * params_.line_bytes;
+    const PhysAddr line_addr = lineno << line_shift_;
     const std::uint64_t set = set_index(line_addr);
     const std::uint64_t tag = tag_of(line_addr);
     Line* begin = &lines_[set * params_.ways];
@@ -97,8 +77,8 @@ std::uint64_t Cache::flush_range(PhysAddr addr, std::uint64_t bytes) {
     }
   }
   dirty_lines_ -= dirty;
-  flushes_.add();
-  writebacks_.add(dirty);
+  flushes_.add_local();
+  writebacks_.add_local(dirty);
   return dirty;
 }
 
@@ -114,24 +94,20 @@ CacheHierarchy::CacheHierarchy(CacheParams l1i, CacheParams l1d, CacheParams l2,
     : l1i_{std::move(l1i)}, l1d_{std::move(l1d)}, l2_{std::move(l2)},
       latencies_{latencies} {}
 
-std::uint64_t CacheHierarchy::data_access(PhysAddr addr, bool is_write) {
-  bool dirty_victim = false;
-  if (l1d_.access(addr, is_write, &dirty_victim) == CacheOutcome::kHit) {
-    return 0;
-  }
+std::uint64_t CacheHierarchy::l1d_miss(PhysAddr addr, bool dirty_victim) {
   // L1 victim write-back installs into L2 (traffic only, no extra stall:
   // write-back buffers hide it from the load path).
   if (dirty_victim) {
     bool l2_victim = false;
     (void)l2_.access(addr, /*is_write=*/true, &l2_victim);
-    if (l2_victim) dram_accesses_.add();
+    if (l2_victim) dram_accesses_.add_local();
   }
   bool l2_dirty_victim = false;
   if (l2_.access(addr, /*is_write=*/false, &l2_dirty_victim) == CacheOutcome::kHit) {
     return latencies_.l2_hit_cycles;
   }
-  if (l2_dirty_victim) dram_accesses_.add();
-  dram_accesses_.add();
+  if (l2_dirty_victim) dram_accesses_.add_local();
+  dram_accesses_.add_local();
   return latencies_.l2_hit_cycles + latencies_.dram_cycles;
 }
 
@@ -144,8 +120,8 @@ std::uint64_t CacheHierarchy::inst_fetch(PhysAddr addr) {
   if (l2_.access(addr, /*is_write=*/false, &l2_dirty_victim) == CacheOutcome::kHit) {
     return latencies_.l2_hit_cycles;
   }
-  if (l2_dirty_victim) dram_accesses_.add();
-  dram_accesses_.add();
+  if (l2_dirty_victim) dram_accesses_.add_local();
+  dram_accesses_.add_local();
   return latencies_.l2_hit_cycles + latencies_.dram_cycles;
 }
 

@@ -32,8 +32,27 @@ class Cache {
   explicit Cache(CacheParams params);
 
   /// Looks up `addr`; on miss installs the line (write-allocate) and reports
-  /// whether a dirty victim was evicted through `evicted_dirty`.
-  CacheOutcome access(PhysAddr addr, bool is_write, bool* evicted_dirty);
+  /// whether a dirty victim was evicted through `evicted_dirty`. The hit path
+  /// is inline: it is the host model's per-load common case.
+  CacheOutcome access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
+    if (evicted_dirty != nullptr) *evicted_dirty = false;
+    Line* set = &lines_[set_index(addr) * params_.ways];
+    const std::uint64_t tag = tag_of(addr);
+    for (std::uint32_t w = 0; w < params_.ways; ++w) {
+      Line& line = set[w];
+      if (valid(line) && line.tag == tag) {
+        line.lru_stamp = ++stamp_;
+        if (is_write && !line.dirty) {
+          line.dirty = true;
+          ++dirty_lines_;
+        }
+        hits_.add_local();
+        return CacheOutcome::kHit;
+      }
+    }
+    fill(set, tag, is_write, evicted_dirty);
+    return CacheOutcome::kMiss;
+  }
 
   /// Invalidates the whole cache, counting dirty lines written back.
   /// Returns the number of dirty lines flushed. O(1): the dirty lines are
@@ -64,16 +83,28 @@ class Cache {
   };
 
   [[nodiscard]] bool valid(const Line& line) const { return line.epoch == epoch_; }
-  [[nodiscard]] std::uint64_t set_index(PhysAddr addr) const;
-  [[nodiscard]] std::uint64_t tag_of(PhysAddr addr) const;
+  [[nodiscard]] std::uint64_t set_index(PhysAddr addr) const {
+    return (addr >> line_shift_) & (num_sets_ - 1);
+  }
+  [[nodiscard]] std::uint64_t tag_of(PhysAddr addr) const {
+    return addr >> (line_shift_ + set_shift_);
+  }
+  /// Miss in `set`: installs `tag` over an invalid way, else the LRU one.
+  void fill(Line* set, std::uint64_t tag, bool is_write, bool* evicted_dirty);
 
   CacheParams params_;
   std::uint32_t num_sets_;
+  // log2(line_bytes) and log2(num_sets_): both are powers of two, so a
+  // lookup indexes with shifts instead of dividing by runtime values.
+  std::uint32_t line_shift_;
+  std::uint32_t set_shift_;
   std::vector<Line> lines_;  // num_sets_ * ways, row-major by set
   std::uint64_t stamp_ = 0;
   std::uint32_t epoch_ = kInvalidEpoch + 1;
   std::uint64_t dirty_lines_ = 0;  // valid lines with `dirty` set
 
+  // Single-writer counters (Counter::add_local): lookups and flushes come
+  // from the serialized host model and driver, never concurrently.
   support::Counter hits_;
   support::Counter misses_;
   support::Counter writebacks_;
@@ -94,7 +125,13 @@ class CacheHierarchy {
                  Latencies latencies);
 
   /// Data access; returns stall cycles.
-  [[nodiscard]] std::uint64_t data_access(PhysAddr addr, bool is_write);
+  [[nodiscard]] std::uint64_t data_access(PhysAddr addr, bool is_write) {
+    bool dirty_victim = false;
+    if (l1d_.access(addr, is_write, &dirty_victim) == CacheOutcome::kHit) {
+      return 0;
+    }
+    return l1d_miss(addr, dirty_victim);
+  }
 
   /// Instruction fetch; returns stall cycles.
   [[nodiscard]] std::uint64_t inst_fetch(PhysAddr addr);
@@ -114,6 +151,9 @@ class CacheHierarchy {
   void register_stats(support::StatsRegistry& registry) const;
 
  private:
+  /// The rest of a data access that missed L1D; returns stall cycles.
+  [[nodiscard]] std::uint64_t l1d_miss(PhysAddr addr, bool dirty_victim);
+
   Cache l1i_;
   Cache l1d_;
   Cache l2_;

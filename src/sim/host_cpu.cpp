@@ -7,38 +7,6 @@ namespace tdo::sim {
 HostCpu::HostCpu(HostParams params, CacheHierarchy& caches)
     : params_{params}, caches_{caches} {}
 
-void HostCpu::retire(std::uint32_t insts) {
-  insts_.add(insts);
-  energy_.add(params_.energy_per_inst * static_cast<double>(insts));
-  const double cycles = params_.base_cpi * insts + cycle_fraction_;
-  const auto whole = static_cast<std::uint64_t>(cycles);
-  cycle_fraction_ = cycles - static_cast<double>(whole);
-  cycles_.add(whole);
-}
-
-void HostCpu::issue(const InstBundle& bundle) {
-  fp_insts_.add(bundle.fp_ops);
-  retire(bundle.total());
-}
-
-void HostCpu::load(PhysAddr addr, std::uint32_t bytes) {
-  (void)bytes;  // sub-line accesses cost one lookup regardless of width
-  mem_insts_.add();
-  retire(1);
-  const std::uint64_t stalls = caches_.data_access(addr, /*is_write=*/false);
-  stall_cycles_.add(stalls);
-  cycles_.add(stalls);
-}
-
-void HostCpu::store(PhysAddr addr, std::uint32_t bytes) {
-  (void)bytes;
-  mem_insts_.add();
-  retire(1);
-  const std::uint64_t stalls = caches_.data_access(addr, /*is_write=*/true);
-  stall_cycles_.add(stalls);
-  cycles_.add(stalls);
-}
-
 void HostCpu::charge_instructions(std::uint64_t n) {
   while (n > 0) {
     const auto chunk = static_cast<std::uint32_t>(
@@ -49,8 +17,8 @@ void HostCpu::charge_instructions(std::uint64_t n) {
 }
 
 void HostCpu::charge_cycles(std::uint64_t cycles) {
-  stall_cycles_.add(cycles);
-  cycles_.add(cycles);
+  stall_cycles_.add_local(cycles);
+  cycles_.add_local(cycles);
 }
 
 std::uint64_t HostCpu::spin_until(Tick target, std::uint64_t poll_period_cycles) {
@@ -62,7 +30,7 @@ std::uint64_t HostCpu::spin_until(Tick target, std::uint64_t poll_period_cycles)
       std::ceil(remaining_cycles / static_cast<double>(poll_period_cycles)));
   // Each poll is a handful of instructions: load status register (uncached,
   // folded into the poll period), compare, branch.
-  spin_polls_.add(polls);
+  spin_polls_.add_local(polls);
   charge_instructions(polls * 3);
   // The dominant cost of spinning is the dead time itself: pad cycles until
   // the local clock has caught up with the completion tick exactly.
@@ -77,7 +45,7 @@ std::uint64_t HostCpu::spin_until(Tick target, std::uint64_t poll_period_cycles)
 
 std::uint64_t HostCpu::block_until(Tick target) {
   if (elapsed().ticks() >= target) return 0;
-  irq_waits_.add();
+  irq_waits_.add_local();
   // Interrupt entry + handler + context restore.
   charge_instructions(400);
   // Sleep: dead cycles until the completion interrupt fires.

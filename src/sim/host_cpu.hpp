@@ -45,13 +45,24 @@ class HostCpu {
  public:
   HostCpu(HostParams params, CacheHierarchy& caches);
 
+  // issue(), load() and store() are the interpreter's per-statement calls,
+  // so they are defined here, where they inline into it.
+
   /// Retires non-memory work (ALU/FP/branch) without cache traffic.
-  void issue(const InstBundle& bundle);
+  void issue(const InstBundle& bundle) {
+    fp_insts_.add_local(bundle.fp_ops);
+    retire(bundle.total());
+  }
 
   /// Retires one load/store of `bytes` at physical address `addr`, including
-  /// its stall cycles from the cache hierarchy.
-  void load(PhysAddr addr, std::uint32_t bytes = 4);
-  void store(PhysAddr addr, std::uint32_t bytes = 4);
+  /// its stall cycles from the cache hierarchy. Sub-line accesses cost one
+  /// lookup regardless of width.
+  void load(PhysAddr addr, std::uint32_t /*bytes*/ = 4) {
+    access(addr, /*is_write=*/false);
+  }
+  void store(PhysAddr addr, std::uint32_t /*bytes*/ = 4) {
+    access(addr, /*is_write=*/true);
+  }
 
   /// Charges `n` generic instructions (driver / syscall overhead modelling).
   void charge_instructions(std::uint64_t n);
@@ -82,12 +93,33 @@ class HostCpu {
   void register_stats(support::StatsRegistry& registry) const;
 
  private:
-  void retire(std::uint32_t insts);
+  void retire(std::uint32_t insts) { cycles_.add_local(retire_cycles(insts)); }
+
+  /// Counts `insts` retired instructions and their energy, and returns
+  /// their whole cycles, carrying the sub-cycle remainder to the next call.
+  [[nodiscard]] std::uint64_t retire_cycles(std::uint32_t insts) {
+    insts_.add_local(insts);
+    energy_.add(params_.energy_per_inst * static_cast<double>(insts));
+    const double cycles = params_.base_cpi * insts + cycle_fraction_;
+    const auto whole = static_cast<std::uint64_t>(cycles);
+    cycle_fraction_ = cycles - static_cast<double>(whole);
+    return whole;
+  }
+
+  void access(PhysAddr addr, bool is_write) {
+    mem_insts_.add_local();
+    const std::uint64_t whole = retire_cycles(1);
+    const std::uint64_t stalls = caches_.data_access(addr, is_write);
+    stall_cycles_.add_local(stalls);
+    cycles_.add_local(whole + stalls);  // one store for both
+  }
 
   HostParams params_;
   CacheHierarchy& caches_;
   double cycle_fraction_ = 0.0;  // carries sub-cycle CPI remainders
 
+  // Single-writer counters (Counter::add_local): callers serialize every
+  // HostCpu call, which cycle_fraction_ and energy_ already require.
   support::Counter cycles_;
   support::Counter insts_;
   support::Counter fp_insts_;

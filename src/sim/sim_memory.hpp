@@ -60,6 +60,13 @@ class SimMemory {
     write(addr, buf);
   }
 
+  /// Backing bytes of the page holding `addr`, materialized (zeroed) if
+  /// untouched. Pages are never freed, so the pointer stays valid for the
+  /// memory's lifetime; it addresses the page's first byte.
+  [[nodiscard]] std::uint8_t* page_data(PhysAddr addr) {
+    return page_for(addr).data();
+  }
+
   /// Number of pages currently materialized (for footprint assertions).
   [[nodiscard]] std::size_t resident_pages() const { return pages_.size(); }
 

@@ -71,6 +71,12 @@ class LatencyHistogram {
 /// snapshots running on different threads never tear or drop counts. For
 /// counters on genuinely contended hot paths prefer ShardedCounter
 /// (support/threading.hpp), which avoids the shared cache line entirely.
+///
+/// add_local() is the single-writer form for the host model's per-access
+/// counters: a relaxed load plus a relaxed store, with no read-modify-write.
+/// It is exact as long as the owner serializes its writers (HostCpu and the
+/// caches already must, since they also accumulate plain doubles), and a
+/// snapshot on another thread still reads an untorn value.
 class Counter {
  public:
   Counter() = default;
@@ -83,6 +89,10 @@ class Counter {
   }
 
   void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void add_local(std::uint64_t n = 1) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
   void reset() { value_.store(0, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -93,14 +103,24 @@ class Counter {
 };
 
 /// Accumulated energy attributable to one component.
+///
+/// Single writer, like Counter::add_local(): add() is a relaxed load plus a
+/// relaxed store of the picojoule total, so the owner serializes its
+/// writers and a snapshot on another thread reads an untorn value.
 class EnergyAccumulator {
  public:
-  void add(Energy e) { total_ += e; }
-  void reset() { total_ = Energy::zero(); }
-  [[nodiscard]] Energy total() const { return total_; }
+  void add(Energy e) {
+    Energy total = this->total();
+    total += e;
+    pj_.store(total.picojoules(), std::memory_order_relaxed);
+  }
+  void reset() { pj_.store(0.0, std::memory_order_relaxed); }
+  [[nodiscard]] Energy total() const {
+    return Energy::from_pj(pj_.load(std::memory_order_relaxed));
+  }
 
  private:
-  Energy total_;
+  std::atomic<double> pj_{0.0};
 };
 
 /// A named snapshot of every counter/energy in a registry.

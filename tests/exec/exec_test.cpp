@@ -1,7 +1,11 @@
 // Interpreter tests: functional loop-nest execution (bounds, steps, min
-// clamps, accumulation) and host cost-model behaviour (register promotion,
-// unroll amortization, cache-stall accounting).
+// clamps, accumulation, out-of-range subscripts), host cost-model behaviour
+// (register promotion, unroll amortization, cache-stall accounting) and
+// snapshots of the host model's counters from a second thread.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "exec/interpreter.hpp"
 #include "exec/program.hpp"
@@ -115,6 +119,47 @@ kernel k(N = 4) {
   EXPECT_FALSE(interp.set_array("A", std::vector<float>(5)).is_ok());
 }
 
+TEST(InterpreterTest, OutOfRangeLoadFails) {
+  // B[i] = A[i + shift] over i in [0, 8) with an 8-element A: far past A's
+  // pages, just past its end (still inside its page) and negative. Each
+  // fails with a status on the first statement; none crashes or reads the
+  // neighbouring array.
+  using namespace ir;  // NOLINT: builder DSL
+  for (const std::int64_t shift : {std::int64_t{1} << 20, std::int64_t{8},
+                                   std::int64_t{-9}}) {
+    Function fn;
+    fn.name = "oob";
+    fn.arrays.push_back(ArrayDecl{"A", {8}});
+    fn.arrays.push_back(ArrayDecl{"B", {8}});
+    fn.body.push_back(make_loop(
+        "i", 8,
+        {make_assign(ref("B", {iv("i")}), make_load("A", {iv("i") + cst(shift)}))}));
+    sim::System system;
+    Interpreter interp{system, nullptr};
+    const support::Status status = interp.run(host_only_program(fn));
+    EXPECT_EQ(status.code(), support::StatusCode::kOutOfRange)
+        << "shift " << shift << ": " << status.to_string();
+    EXPECT_EQ(interp.statements_executed(), 1u) << "shift " << shift;
+    EXPECT_EQ(system.snapshot().counter_or("host.mem_instructions"), 0u)
+        << "shift " << shift;
+  }
+}
+
+TEST(InterpreterTest, OutOfRangeStoreFails) {
+  using namespace ir;  // NOLINT: builder DSL
+  Function fn;
+  fn.name = "oob";
+  fn.arrays.push_back(ArrayDecl{"A", {8}});
+  fn.body.push_back(make_loop(
+      "i", 8, {make_assign(ref("A", {iv("i") * 2}), make_const(1.0))}));
+  sim::System system;
+  Interpreter interp{system, nullptr};
+  EXPECT_EQ(interp.run(host_only_program(fn)).code(),
+            support::StatusCode::kOutOfRange);
+  // A[0], A[2], A[4] and A[6] were stored before A[8] failed.
+  EXPECT_EQ(interp.statements_executed(), 5u);
+}
+
 // --- cost model behaviour ---
 
 [[nodiscard]] std::uint64_t run_and_count_insts(const std::string& source,
@@ -203,6 +248,79 @@ kernel k(N = 512) {
     return system.cpu().cycles();
   };
   EXPECT_GT(cycles(col_major), cycles(row_major) * 2);
+}
+
+// --- single-writer host counters ---
+
+[[nodiscard]] bool is_host_model_stat(const std::string& name) {
+  return name.starts_with("host.") || name.starts_with("l1d.") ||
+         name.starts_with("l2.") || name == "mem.dram_accesses";
+}
+
+/// Runs a 32^3 matrix-multiply host nest and returns the host model's final
+/// counters and energy. With `reader`, a second thread snapshots the
+/// registry in a loop for the whole run and checks each counter never
+/// decreases between its snapshots.
+[[nodiscard]] support::StatsSnapshot host_stats_of_run(bool reader) {
+  sim::System system;
+  Interpreter interp{system, nullptr};
+  const Program program = program_from(R"(
+kernel k(N = 32) {
+  array float A[N][N];
+  array float B[N][N];
+  array float C[N][N];
+  for (i = 0; i < N; i++)
+    for (j = 0; j < N; j++)
+      for (k = 0; k < N; k++)
+        C[i][j] += A[i][k] * B[k][j];
+}
+)");
+  std::atomic<bool> done{false};
+  std::atomic<bool> started{false};
+  std::thread snapshots;
+  if (reader) {
+    snapshots = std::thread([&] {
+      support::StatsSnapshot last = system.snapshot();
+      started.store(true);
+      while (!done.load()) {
+        support::StatsSnapshot now = system.snapshot();
+        for (const auto& [name, value] : now.counters) {
+          EXPECT_GE(value, last.counter_or(name)) << name;
+        }
+        last = std::move(now);
+      }
+    });
+    while (!started.load()) std::this_thread::yield();
+  }
+  const support::Status status = interp.run(program);
+  done.store(true);
+  if (snapshots.joinable()) snapshots.join();
+  EXPECT_TRUE(status.is_ok()) << status.to_string();
+
+  const support::StatsSnapshot all = system.snapshot();
+  support::StatsSnapshot out;
+  for (const auto& [name, value] : all.counters) {
+    if (is_host_model_stat(name)) out.counters[name] = value;
+  }
+  for (const auto& [name, value] : all.energies_pj) {
+    if (is_host_model_stat(name)) out.energies_pj[name] = value;
+  }
+  return out;
+}
+
+// HostCpu and the caches count with single-writer relaxed stores
+// (Counter::add_local) and accumulate energy the same way. A snapshot on
+// another thread reads untorn values and changes no total. The TSan CI job
+// runs this test, so a plain (non-atomic) write to a registered stat fails
+// there.
+TEST(HostStatsTest, ConcurrentSnapshotsLeaveTotalsExact) {
+  const support::StatsSnapshot quiet = host_stats_of_run(/*reader=*/false);
+  const support::StatsSnapshot observed = host_stats_of_run(/*reader=*/true);
+  EXPECT_GT(quiet.counter_or("host.instructions"), 0u);
+  EXPECT_GT(quiet.counter_or("l1d.misses"), 0u);
+  EXPECT_GT(quiet.counter_or("l2.misses"), 0u);
+  EXPECT_EQ(observed.counters, quiet.counters);
+  EXPECT_EQ(observed.energies_pj, quiet.energies_pj);
 }
 
 TEST(ProgramTest, HostOnlyProgramCarriesDeclarations) {

@@ -258,19 +258,24 @@ class ReferenceCache {
   std::uint64_t stamp_ = 0;
 };
 
+// Each round draws a geometry (16-256 B lines, 1-16 ways, 1-16 sets), so
+// Cache's shift-based set and tag indexing is checked against the
+// reference's divides for every line and set size.
 TEST(CacheFlushFuzz, MatchesFullScanReference) {
   support::Rng rng{testing::fuzz_seed()};
-  constexpr std::uint32_t kLineBytes = 64;
   for (int round = 0; round < 30; ++round) {
+    const auto line_bytes = std::uint32_t{16} << rng.uniform_int(0, 4);
     const auto sets = std::uint64_t{1} << rng.uniform_int(0, 4);
-    const auto ways = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
+    const auto ways = static_cast<std::uint32_t>(rng.uniform_int(1, 16));
     Cache cache{CacheParams{.name = "fuzz",
-                            .size_bytes = sets * ways * kLineBytes,
-                            .line_bytes = kLineBytes,
+                            .size_bytes = sets * ways * line_bytes,
+                            .line_bytes = line_bytes,
                             .ways = ways}};
-    ReferenceCache ref{sets, ways, kLineBytes};
+    ReferenceCache ref{sets, ways, line_bytes};
+    SCOPED_TRACE(::testing::Message() << "line_bytes " << line_bytes << " sets "
+                                      << sets << " ways " << ways);
     // Three times the capacity, so sets overflow and lines get evicted.
-    const auto span = static_cast<std::int64_t>(3 * sets * ways * kLineBytes);
+    const auto span = static_cast<std::int64_t>(3 * sets * ways * line_bytes);
 
     for (int op = 0; op < 2000; ++op) {
       const double pick = rng.uniform(0.0, 1.0);
@@ -287,7 +292,8 @@ TEST(CacheFlushFuzz, MatchesFullScanReference) {
         ASSERT_EQ(cache.flush_all(), ref.flush_all())
             << "round " << round << " op " << op;
       } else {
-        const auto bytes = static_cast<std::uint64_t>(rng.uniform_int(0, 4 * kLineBytes));
+        const auto bytes =
+            static_cast<std::uint64_t>(rng.uniform_int(0, 4 * line_bytes));
         ASSERT_EQ(cache.flush_range(addr, bytes), ref.flush_range(addr, bytes))
             << "round " << round << " op " << op;
       }
