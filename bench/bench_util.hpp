@@ -1,12 +1,15 @@
 // Shared load-generation helpers for the serving/sweep benches.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -22,6 +25,40 @@
 #include "topo/topology.hpp"
 
 namespace tdo::benchutil {
+
+// --- command-line values ---
+//
+// Every numeric bench flag goes through these checked parsers, so a bad
+// value prints the bench's usage message instead of running a zero-sized
+// or garbage configuration (or dividing by zero).
+
+/// Upper bound for count-valued flags (tenants, requests, weight sets, ...).
+inline constexpr std::uint64_t kMaxFlagCount = 1u << 20;
+
+/// Parses a whole decimal integer in [min, max].
+[[nodiscard]] inline std::optional<std::uint64_t> parse_count(
+    const char* text, std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Parses a finite real >= 0 (> 0 when `positive`, for values a zero would
+/// divide by).
+[[nodiscard]] inline std::optional<double> parse_real(const char* text,
+                                                      bool positive) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) ||
+      (positive ? value <= 0.0 : value < 0.0)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 /// Scoped `--trace out.json` support for a whole bench run: starts the
 /// tracer on construction (when a path was given) and exports + stops on

@@ -200,7 +200,27 @@ pb::Workload make_listing2(std::int64_t n) {
   w.inputs["E"] = fill(3);
   w.inputs["C"] = std::vector<float>(static_cast<std::size_t>(n * n), 0.0f);
   w.inputs["D"] = std::vector<float>(static_cast<std::size_t>(n * n), 0.0f);
-  // No outputs: this section measures write traffic, not results.
+  // Native double-precision reference: C = A * B and D = A * E.
+  const auto product = [n = static_cast<std::size_t>(n)](
+                           const std::vector<float>& x,
+                           const std::vector<float>& y) {
+    std::vector<float> out(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < n; ++k) {
+          acc += static_cast<double>(x[i * n + k]) * y[k * n + j];
+        }
+        out[i * n + j] = static_cast<float>(acc);
+      }
+    }
+    return out;
+  };
+  w.expected["C"] = product(w.inputs["A"], w.inputs["B"]);
+  w.expected["D"] = product(w.inputs["A"], w.inputs["E"]);
+  w.outputs = {"C", "D"};
+  // Every input lies in [-1, 1].
+  w.tolerance = pb::gemm_tolerance(1.0, n);
   return w;
 }
 

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
@@ -61,6 +60,9 @@
 namespace {
 
 using tdo::benchutil::Json;
+using tdo::benchutil::kMaxFlagCount;
+using tdo::benchutil::parse_count;
+using tdo::benchutil::parse_real;
 using tdo::benchutil::ZipfSampler;
 using tdo::benchutil::random_matrix;
 using tdo::serve::ClosedSource;
@@ -907,9 +909,10 @@ struct SquareGemm {
   }
   const Duration elapsed = platform.system.global_time() - t0;
   if (opts.dump) {
-    const auto& stats = platform.runtime->stats();
     const auto& pool = platform.runtime->host_pool().counters();
+    // One stripe per split call: the device ran the rest of each split GEMM.
     const std::uint64_t stripes = pool.jobs.value();
+    const std::uint64_t dev_macs = stripes * d * d * d - pool.macs.value();
     // Mean host-stripe span: the join latency per stripe.
     const Duration stripe_mean =
         stripes > 0 ? tdo::sim::from_ticks(pool.busy_ticks.value() / stripes)
@@ -918,9 +921,9 @@ struct SquareGemm {
         "  static split %-7.4f -> %-12s (stripes %llu, host/dev MACs "
         "%llu/%llu, stripe mean %s)\n",
         fraction, elapsed.to_string().c_str(),
-        static_cast<unsigned long long>(stats.split_calls),
-        static_cast<unsigned long long>(stats.split_host_macs),
-        static_cast<unsigned long long>(stats.split_device_macs),
+        static_cast<unsigned long long>(stripes),
+        static_cast<unsigned long long>(pool.macs.value()),
+        static_cast<unsigned long long>(dev_macs),
         stripe_mean.to_string().c_str());
   }
   return elapsed;
@@ -1726,19 +1729,6 @@ constexpr Experiment kOverloadSuite[] = {
 
 // --- command line ---
 
-/// Parses a whole decimal integer in [min, max].
-[[nodiscard]] std::optional<std::uint64_t> parse_count(const char* text,
-                                                       std::uint64_t min,
-                                                       std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end || value < min || value > max) {
-    return std::nullopt;
-  }
-  return value;
-}
-
 enum class Parsed { kRun, kHelp, kBad };
 
 [[nodiscard]] Parsed parse_options(int argc, char** argv, Options& opts) {
@@ -1753,7 +1743,6 @@ enum class Parsed { kRun, kHelp, kBad };
       opts.weight_sets = 4;
     }
   }
-  constexpr std::uint64_t kMaxCount = 1u << 20;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") continue;
@@ -1777,26 +1766,23 @@ enum class Parsed { kRun, kHelp, kBad };
       return parsed.has_value();
     };
     const auto real = [&](double& out, bool positive) {
-      char* end = nullptr;
-      const double parsed = std::strtod(value, &end);
-      const bool ok = end != value && *end == '\0' && std::isfinite(parsed) &&
-                      (positive ? parsed > 0.0 : parsed >= 0.0);
-      if (ok) out = parsed;
-      return ok;
+      const auto parsed = parse_real(value, positive);
+      if (parsed) out = *parsed;
+      return parsed.has_value();
     };
     bool ok = true;
     if (arg == "--tenants") {
-      ok = count(opts.tenants, 1, kMaxCount);
+      ok = count(opts.tenants, 1, kMaxFlagCount);
     } else if (arg == "--clients") {
-      ok = count(opts.clients_per_tenant, 1, kMaxCount);
+      ok = count(opts.clients_per_tenant, 1, kMaxFlagCount);
     } else if (arg == "--requests") {
-      ok = count(opts.requests_per_client, 1, kMaxCount);
+      ok = count(opts.requests_per_client, 1, kMaxFlagCount);
     } else if (arg == "--weights") {
-      ok = count(opts.weight_sets, 1, kMaxCount);
+      ok = count(opts.weight_sets, 1, kMaxFlagCount);
     } else if (arg == "--accels") {
-      ok = count(opts.accelerators, 1, kMaxCount);
+      ok = count(opts.accelerators, 1, kMaxFlagCount);
     } else if (arg == "--batch-max") {
-      ok = count(opts.batch_max, 1, kMaxCount);
+      ok = count(opts.batch_max, 1, kMaxFlagCount);
     } else if (arg == "--threads") {
       ok = count(opts.threads, 0, 1024);
     } else if (arg == "--seed") {

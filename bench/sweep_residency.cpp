@@ -16,8 +16,6 @@
 // `--smoke` runs a single tiny configuration (CI bench-rot guard).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -35,6 +33,9 @@
 
 namespace {
 
+using tdo::benchutil::kMaxFlagCount;
+using tdo::benchutil::parse_count;
+using tdo::benchutil::parse_real;
 using tdo::benchutil::ZipfSampler;
 using tdo::benchutil::random_matrix;
 using tdo::support::Duration;
@@ -190,25 +191,39 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--dump") {
+      continue;
+    }
+    if (arg == "--dump") {
       dump = true;
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--alpha" && i + 1 < argc) {
-      alpha = std::atof(argv[++i]);
-    } else if (arg == "--weight-sets" && i + 1 < argc) {
-      weight_sets = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--requests" && i + 1 < argc) {
-      requests = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--topology" && i + 1 < argc) {
-      const auto spec = tdo::topo::parse_topology_spec(argv[++i]);
-      if (!spec.has_value()) {
-        std::fprintf(stderr, "bad --topology (want near:N,far:M[xL]): %s\n",
-                     argv[i]);
-        return 1;
+      continue;
+    }
+    bool ok = arg != "--help" && i + 1 < argc;
+    if (ok) {
+      const char* value = argv[++i];
+      if (arg == "--trace") {
+        trace_path = value;
+      } else if (arg == "--alpha") {
+        const auto parsed = parse_real(value, /*positive=*/false);
+        ok = parsed.has_value();
+        if (ok) alpha = *parsed;
+      } else if (arg == "--weight-sets") {
+        const auto count = parse_count(value, 1, kMaxFlagCount);
+        ok = count.has_value();
+        if (ok) weight_sets = *count;
+      } else if (arg == "--requests") {
+        const auto count = parse_count(value, 1, kMaxFlagCount);
+        ok = count.has_value();
+        if (ok) requests = *count;
+      } else if (arg == "--topology") {
+        const auto spec = tdo::topo::parse_topology_spec(value);
+        ok = spec.has_value() && spec->device_count() > 0;
+        if (ok) topology = *spec;
+      } else {
+        ok = false;
       }
-      topology = *spec;
-    } else {
+      if (!ok) std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), value);
+    }
+    if (!ok) {
       std::printf(
           "usage: bench_sweep_residency [--smoke] [--dump] [--alpha Z] "
           "[--weight-sets W]\n"

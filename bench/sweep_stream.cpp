@@ -16,7 +16,6 @@
 // `--smoke` runs a reduced grid on the test-size workload (CI bench-rot
 // guard for the copy path).
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -41,10 +40,14 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+    } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
+    } else {
+      std::printf("usage: bench_sweep_stream [--smoke] [--trace out.json]\n");
+      return arg == "--help" ? 0 : 1;
     }
   }
   tdo::benchutil::TraceSession trace{trace_path};

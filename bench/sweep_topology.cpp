@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -42,6 +41,8 @@
 namespace {
 
 using tdo::benchutil::Fabric;
+using tdo::benchutil::kMaxFlagCount;
+using tdo::benchutil::parse_count;
 using tdo::benchutil::ZipfSampler;
 using tdo::benchutil::random_matrix;
 using tdo::support::Duration;
@@ -281,20 +282,31 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--requests" && i + 1 < argc) {
-      requests = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--weight-sets" && i + 1 < argc) {
-      weight_sets = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--topology" && i + 1 < argc) {
-      const auto parsed = tdo::topo::parse_topology_spec(argv[++i]);
-      if (!parsed) {
-        std::fprintf(stderr, "bad --topology spec (near:N,far:M[xL])\n");
-        return 1;
+      continue;
+    }
+    bool ok = arg != "--help" && i + 1 < argc;
+    if (ok) {
+      const char* value = argv[++i];
+      if (arg == "--trace") {
+        trace_path = value;
+      } else if (arg == "--requests") {
+        const auto count = parse_count(value, 1, kMaxFlagCount);
+        ok = count.has_value();
+        if (ok) requests = *count;
+      } else if (arg == "--weight-sets") {
+        const auto count = parse_count(value, 1, kMaxFlagCount);
+        ok = count.has_value();
+        if (ok) weight_sets = *count;
+      } else if (arg == "--topology") {
+        const auto parsed = tdo::topo::parse_topology_spec(value);
+        ok = parsed.has_value();
+        if (ok) spec = *parsed;
+      } else {
+        ok = false;
       }
-      spec = *parsed;
-    } else {
+      if (!ok) std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), value);
+    }
+    if (!ok) {
       std::printf(
           "usage: bench_sweep_topology [--smoke] [--requests R] "
           "[--weight-sets W] [--topology near:N,far:M[xL]] "

@@ -79,28 +79,15 @@ support::Status Accelerator::mmio_write(std::uint64_t offset,
   std::uint64_t value = 0;
   std::memcpy(&value, in.data(), sizeof value);
 
-  const Reg reg = static_cast<Reg>(index);
-  if (reg == Reg::kCompleted) {
-    return support::failed_precondition("completed-jobs register is read-only");
-  }
-  if (reg == Reg::kCommand) {
-    if (value == 1) {
-      if (regs_.status() == DeviceStatus::kBusy) {
-        return support::failed_precondition("accelerator busy");
-      }
-      trigger();
-    }
-    return support::Status::ok();
-  }
-  if (reg == Reg::kStatus && regs_.status() != DeviceStatus::kBusy) {
-    // Host may acknowledge DONE/ERROR by resetting to IDLE.
-    regs_.write(Reg::kStatus, value);
-    return support::Status::ok();
+  // Jobs enter only through the work queue (enqueue_job); the one register
+  // the host writes is kStatus, to acknowledge DONE/ERROR back to IDLE.
+  if (static_cast<Reg>(index) != Reg::kStatus) {
+    return support::failed_precondition("only the status register is writable");
   }
   if (regs_.status() == DeviceStatus::kBusy) {
-    return support::failed_precondition("context registers locked while busy");
+    return support::failed_precondition("accelerator busy");
   }
-  regs_.write(reg, value);
+  regs_.write(Reg::kStatus, value);
   return support::Status::ok();
 }
 
@@ -127,7 +114,10 @@ support::Status Accelerator::enqueue_job(const ContextRegs& image) {
     return support::Status::ok();
   }
   apply_image(image);
-  trigger();
+  TDO_LOG(kDebug, "cim.accel") << "job triggered, opcode="
+                               << regs_.read(Reg::kOpcode);
+  current_job_enqueued_ = system_.events().now();
+  start_job(support::Duration::zero());
   return support::Status::ok();
 }
 
@@ -140,19 +130,6 @@ void Accelerator::apply_image(const ContextRegs& image) {
     }
     regs_.write(reg, image.read(reg));
   }
-}
-
-void Accelerator::trigger() {
-  TDO_LOG(kDebug, "cim.accel") << "job triggered, opcode="
-                               << regs_.read(Reg::kOpcode);
-  if (static_cast<Opcode>(regs_.read(Reg::kOpcode)) == Opcode::kCopy) {
-    // MMIO-triggered copies route to the DMA channel like queued ones; the
-    // engine (and the status register) stay untouched.
-    (void)start_copy(regs_);
-    return;
-  }
-  current_job_enqueued_ = system_.events().now();
-  start_job(support::Duration::zero());
 }
 
 support::Status Accelerator::start_copy(const ContextRegs& image) {
@@ -257,7 +234,7 @@ void Accelerator::credit_copy_overlap(sim::Tick win_start, sim::Tick win_end) {
 }
 
 void Accelerator::reserve_queue_prefetch() {
-  if (!params_.queue_prefetch || queue_.empty()) return;
+  if (queue_.empty()) return;
   if (busy_until_ <= last_timeline_.weights_programmed) return;
   const QueuedJob& front = queue_.front();
   // Mirror the credit the chain launch will grant: the prefetch runs in the
@@ -333,9 +310,7 @@ void Accelerator::start_job(support::Duration prefetch_credit) {
 
   // Completion chain: the engine's own done/error event (same tick, earlier
   // sequence) has already updated kStatus/kResult when this runs.
-  const support::Duration stream_phase =
-      params_.queue_prefetch ? last_timeline_.stream_phase()
-                             : support::Duration::zero();
+  const support::Duration stream_phase = last_timeline_.stream_phase();
   system_.events().schedule_at(busy_until_, params_.name + ".advance",
                                [this, stream_phase,
                                 timeline = last_timeline_,

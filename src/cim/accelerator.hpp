@@ -2,14 +2,16 @@
 //
 // A CIM tile, a micro-engine and a DMA unit form a standalone accelerator
 // that attaches to the system bus through a port-mapped IO window exposing
-// its context registers. The host driver writes job parameters, writes 1 to
-// the command register, and polls the status register.
+// its context registers. The host reads status through the window and
+// acknowledges a finished job by writing kStatus back to IDLE; every other
+// register is device-owned or latched from a job image.
 //
-// Beyond the paper's single-shot protocol, the accelerator carries a small
-// hardware work queue (DSA-style): the driver may enqueue a job while the
-// engine is busy, and the completion event chains straight into the next job
-// without a host round trip. A chained job's weight-load DMA overlaps the
-// previous job's stream phase (stream-level double buffering).
+// Jobs enter through a small hardware work queue (DSA-style, enqueue_job):
+// the driver may enqueue a job while the engine is busy, and the completion
+// event chains straight into the next job without a host round trip. A
+// chained job's weight-load DMA overlaps the previous job's stream phase
+// (stream-level double buffering). The paper's single-shot protocol is this
+// queue at depth one.
 #pragma once
 
 #include <algorithm>
@@ -47,9 +49,6 @@ struct AcceleratorParams {
   /// Capacity of the hardware job FIFO behind the running job. The stream
   /// layer keeps at most `work_queue_depth + 1` commands in flight here.
   std::size_t work_queue_depth = 8;
-  /// Overlap a chained job's weight-load DMA with the running job's stream
-  /// phase (requires the job's double-buffering flag).
-  bool queue_prefetch = true;
   /// Queue-aware channel reservation: book an advisory busy window for each
   /// queued job's estimated stream-body DMA at enqueue time, so stream
   /// copies submitted while jobs wait cannot first-fit into channel time
@@ -192,7 +191,6 @@ class Accelerator final : public sim::BusDevice {
   [[nodiscard]] AcceleratorReport report() const;
 
  private:
-  void trigger();
   /// Launches the image currently in `regs_` and schedules the completion
   /// chain that pops the next queued job.
   void start_job(support::Duration prefetch_credit);

@@ -16,7 +16,7 @@ namespace tdo::cim {
 
 /// Register indices (word offsets inside the PMIO window).
 enum class Reg : std::uint32_t {
-  kCommand = 0,     // write 1 to trigger the micro-engine
+  kCommand = 0,     // reserved: jobs enter through the hardware work queue
   kStatus,          // DeviceStatus
   kOpcode,          // Opcode
   kM, kN, kK,       // GEMM/GEMV dimensions

@@ -224,7 +224,6 @@ void emit_gemm(Emitter& emitter, const ir::Function& fn, const GemmKernel& g,
     op.b = OperandRef{g.b, 0, 0, ldb};
     op.c = OperandRef{g.c, 0, 0, ldc};
     op.stationary = cim::StationaryOperand::kB;
-    op.cacheable = options.cache_weights;
     emitter.emit_device_op(std::move(op), reads, writes);
     if (tiled_out != nullptr) *tiled_out = false;
     return;
@@ -252,9 +251,6 @@ void emit_gemm(Emitter& emitter, const ir::Function& fn, const GemmKernel& g,
         op.b = OperandRef{g.b, static_cast<std::uint64_t>(kk), 0, ldb};
         op.c = OperandRef{g.c, static_cast<std::uint64_t>(ii), 0, ldc};
         op.stationary = cim::StationaryOperand::kA;
-        // Listing-3 order reuses each stationary tile; mark it cacheable so
-        // a re-run of the program finds the tiles still resident.
-        op.cacheable = options.cache_weights;
         emitter.emit_device_op(std::move(op), reads, writes);
       }
     }
@@ -290,8 +286,7 @@ void emit_gemm(Emitter& emitter, const ir::Function& fn, const GemmKernel& g,
   }
 }
 
-void emit_gemv(Emitter& emitter, const ir::Function& fn, const GemvKernel& g,
-               const CompileOptions& options) {
+void emit_gemv(Emitter& emitter, const ir::Function& fn, const GemvKernel& g) {
   CimGemvOp op;
   op.transpose = g.transpose;
   op.m = static_cast<std::uint64_t>(g.m);
@@ -301,7 +296,6 @@ void emit_gemv(Emitter& emitter, const ir::Function& fn, const GemvKernel& g,
   op.a = OperandRef{g.a, 0, 0, array_ld(fn, g.a)};
   op.x = g.x;
   op.y = g.y;
-  op.cacheable = options.cache_weights;
   emitter.emit_device_op(std::move(op), {g.a, g.x, g.y}, {g.y});
 }
 
@@ -367,7 +361,6 @@ void emit_conv(Emitter& emitter, const ir::Function& fn, const ConvKernel& c,
       op.ldb = static_cast<std::uint64_t>(ws);
       op.ldc = ld_out;
       op.stationary = cim::StationaryOperand::kB;
-      op.cacheable = options.cache_weights;
       for (const std::int64_t j0 : offsets) {
         op.a.push_back(OperandRef{c.in,
                                   static_cast<std::uint64_t>(c.i_offset + di),
@@ -485,12 +478,6 @@ CompileResult compile(const ir::Function& fn, const CompileOptions& options) {
   result.host_program = exec::host_only_program(fn);
   result.schedule_tree_dump = build_schedule_tree(fn).to_string();
 
-  if (!options.enable_detection) {
-    result.cim_program = result.host_program;
-    result.cim_program.name = fn.name + "_cim";
-    return result;
-  }
-
   result.detection = detect_kernels(fn);
   const auto& kernels = result.detection.kernels;
 
@@ -569,7 +556,6 @@ CompileResult compile(const ir::Function& fn, const CompileOptions& options) {
         op.ldb = array_ld(fn, first.b);
         op.ldc = array_ld(fn, first.c);
         op.stationary = group.stationary;
-        op.cacheable = options.cache_weights;
         std::set<std::string> reads;
         std::set<std::string> writes;
         for (const std::size_t m : group.members) {
@@ -589,7 +575,7 @@ CompileResult compile(const ir::Function& fn, const CompileOptions& options) {
         emit_gemm(emitter, fn, kernels[i].gemm(), options, &tiled);
         result.reports[i].tiled = tiled;
       } else if (kernels[i].is_gemv()) {
-        emit_gemv(emitter, fn, kernels[i].gemv(), options);
+        emit_gemv(emitter, fn, kernels[i].gemv());
       } else {
         emit_conv(emitter, fn, kernels[i].conv(), i, options);
       }

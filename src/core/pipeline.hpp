@@ -39,18 +39,11 @@ enum class OffloadPolicy {
 };
 
 struct CompileOptions {
-  bool enable_detection = true;
   bool enable_fusion = true;
   /// Reuse-friendly tiled call order (Listing 3 interchange). When false,
   /// oversized kernels are emitted in the naive jj-innermost order that
   /// reprograms the stationary tile per column chunk.
   bool enable_tiling = true;
-  /// Mark batched and stationary-reuse call sites cacheable so the runtime's
-  /// weight-residency cache may keep their stationary operands programmed
-  /// across calls (serving loops re-running the program amortize the
-  /// crossbar writes to zero). Off by default: the paper's ablations measure
-  /// the reprogramming cost this cache would otherwise hide.
-  bool cache_weights = false;
   OffloadPolicy policy = OffloadPolicy::kAlways;
   double min_macs_per_write = 16.0;
   /// Crossbar geometry the compiler plans against.

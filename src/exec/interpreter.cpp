@@ -263,7 +263,7 @@ Status Interpreter::exec_item(const ProgramItem& item) {
     if (!c.is_ok()) return c.status();
     return runtime_->sgemm_async(gemm->m, gemm->n, gemm->k, gemm->alpha, *a,
                                  gemm->a.ld, *b, gemm->b.ld, gemm->beta, *c,
-                                 gemm->c.ld, gemm->stationary, gemm->cacheable);
+                                 gemm->c.ld, gemm->stationary);
   }
   if (const auto* gemv = std::get_if<CimGemvOp>(&item)) {
     auto a = dev_operand(gemv->a);
@@ -276,7 +276,7 @@ Status Interpreter::exec_item(const ProgramItem& item) {
     }
     return runtime_->sgemv_async(gemv->transpose, gemv->m, gemv->n, gemv->alpha,
                                  *a, gemv->a.ld, x->dev_va, gemv->beta,
-                                 y->dev_va, gemv->cacheable);
+                                 y->dev_va);
   }
   if (const auto* batched = std::get_if<CimGemmBatchedOp>(&item)) {
     std::vector<rt::GemmBatchItem> items(batched->a.size());
@@ -292,7 +292,7 @@ Status Interpreter::exec_item(const ProgramItem& item) {
     return runtime_->sgemm_batched_async(
         batched->m, batched->n, batched->k, batched->alpha, items,
         batched->lda, batched->ldb, batched->beta, batched->ldc,
-        batched->stationary, batched->cacheable);
+        batched->stationary);
   }
   return support::unimplemented("unknown program item");
 }

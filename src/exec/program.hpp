@@ -78,9 +78,6 @@ struct CimGemmOp {
   float alpha = 1.0f, beta = 0.0f;
   OperandRef a, b, c;
   cim::StationaryOperand stationary = cim::StationaryOperand::kB;
-  /// Stationary operand expected to recur: the runtime's weight-residency
-  /// cache may keep it programmed across calls (CompileOptions::cache_weights).
-  bool cacheable = false;
 };
 
 /// polly_cimBlasSGemv(...): y = alpha*op(A)*x + beta*y.
@@ -90,7 +87,6 @@ struct CimGemvOp {
   float alpha = 1.0f, beta = 0.0f;
   OperandRef a;
   std::string x, y;
-  bool cacheable = false;
 };
 
 /// polly_cimBlasGemmBatched(...): same-shape GEMMs, shared stationary reuse.
@@ -100,7 +96,6 @@ struct CimGemmBatchedOp {
   std::vector<OperandRef> a, b, c;  // parallel arrays
   std::uint64_t lda = 0, ldb = 0, ldc = 0;
   cim::StationaryOperand stationary = cim::StationaryOperand::kB;
-  bool cacheable = false;
 };
 
 /// A host-executed loop nest (interpreted with the cost model).

@@ -43,15 +43,13 @@ void dgemm(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
   }
 }
 
-/// Analytic quantization tolerance for one chained-GEMM output element.
-[[nodiscard]] double gemm_tolerance(double alpha, std::int64_t k,
-                                    double range = 1.0) {
+}  // namespace
+
+double gemm_tolerance(double alpha, std::int64_t k, double range) {
   const double e = range / 127.0;  // quantization step at max-abs `range`
   return std::abs(alpha) * static_cast<double>(k) * (2.0 * range * e + e * e) +
          1e-3;
 }
-
-}  // namespace
 
 Workload make_gemm(Preset preset) {
   const std::int64_t n = preset == Preset::kTest ? 48 : 256;

@@ -8,6 +8,7 @@
 // the quantization error bounds.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,6 +25,12 @@ struct Workload {
   std::vector<std::string> outputs;  // arrays checked / copied back
   double tolerance = 1e-3;           // max |got - expected| accepted
 };
+
+/// Analytic quantization tolerance for one output element of a GEMM with
+/// reduction length `k`, scaled by `alpha`, whose operands lie in
+/// [-range, range] and are quantized to 8 bits.
+[[nodiscard]] double gemm_tolerance(double alpha, std::int64_t k,
+                                    double range = 1.0);
 
 /// Size preset: kTest keeps unit tests fast; kPaper is the bench default.
 enum class Preset { kTest, kPaper };

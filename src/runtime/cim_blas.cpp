@@ -187,7 +187,6 @@ support::Status CimRuntime::copy_view(CopyDesc::Dir dir, sim::VirtAddr dst,
     if (!stream_->idle()) TDO_RETURN_IF_ERROR(synchronize());
     TDO_RETURN_IF_ERROR(xfer_->host_copy_2d(dst, src, pitch, width, rows));
   }
-  stats_.bytes_copied += bytes;
   const std::uint64_t span = (rows - 1) * pitch + width;
   invalidate_scales(dst, span);
   // Epoch-based residency invalidation: the destination just received a
@@ -346,7 +345,6 @@ support::StatusOr<double> CimRuntime::operand_max_abs(sim::VirtAddr va,
   if (const auto it = scale_cache_.find(key); it != scale_cache_.end()) {
     return it->second;
   }
-  stats_.scale_scans += 1;
   auto& cpu = system_.cpu();
   auto& mem = system_.memory();
   const auto base_pa = translate_checked(va, ((rows - 1) * ld + row_len) * kElem);
@@ -636,7 +634,6 @@ support::Status CimRuntime::enqueue_job(const cim::ContextRegs& image,
                                         std::uint64_t macs,
                                         std::uint64_t cim_writes, int device,
                                         bool allow_cpu_fallback) {
-  stats_.tile_jobs += 1;
   CimStream::Command command;
   command.image = image;
   command.macs = macs;
@@ -721,7 +718,6 @@ support::Status CimRuntime::sgemm_async(std::uint64_t m, std::uint64_t n,
   if (m == 0 || n == 0 || k == 0) {
     return support::invalid_argument("zero GEMM dimension");
   }
-  stats_.offload_calls += 1;
 
   const std::uint64_t a_bytes = ((m - 1) * lda + k) * kElem;
   const std::uint64_t b_bytes = ((k - 1) * ldb + n) * kElem;
@@ -789,9 +785,6 @@ support::Status CimRuntime::sgemm_async(std::uint64_t m, std::uint64_t n,
         const HostPoolTicket ticket = pool_->submit(job);
         if (ticket.accepted) {
           m_dev = m - m_host;
-          stats_.split_calls += 1;
-          stats_.split_host_macs += m_host * n * k;
-          stats_.split_device_macs += m_dev * n * k;
           // The stripe read A/B eagerly, so it leaves no deferred-read
           // hazard; its C rows stay tracked until the join so later
           // consumers order behind the pool.
@@ -839,7 +832,6 @@ support::Status CimRuntime::sgemv_async(bool transpose, std::uint64_t m,
     return support::failed_precondition("polly_cimInit must be called first");
   }
   if (m == 0 || n == 0) return support::invalid_argument("zero GEMV dimension");
-  stats_.offload_calls += 1;
 
   const std::uint64_t xlen = transpose ? m : n;
   const std::uint64_t ylen = transpose ? n : m;
@@ -965,9 +957,6 @@ support::Status CimRuntime::sgemm_batched_async(
   }
   const bool use_cache =
       cacheable && shared_stationary && residency_->enabled();
-
-  stats_.offload_calls += 1;
-  stats_.batched_calls += 1;
 
   // Translate every operand once, order against in-flight producers from
   // earlier calls, then register this call's ranges.

@@ -65,19 +65,6 @@ struct RuntimeConfig {
   SplitConfig split;
 };
 
-/// Aggregate host-side costs attributable to the runtime (for reporting).
-struct RuntimeStats {
-  std::uint64_t offload_calls = 0;
-  std::uint64_t tile_jobs = 0;
-  std::uint64_t batched_calls = 0;
-  std::uint64_t bytes_copied = 0;
-  std::uint64_t scale_scans = 0;
-  // Pseudo-async splitting.
-  std::uint64_t split_calls = 0;
-  std::uint64_t split_host_macs = 0;
-  std::uint64_t split_device_macs = 0;
-};
-
 /// One GEMM in a batched call (virtual addresses; dims shared by the batch).
 struct GemmBatchItem {
   sim::VirtAddr a = 0;
@@ -219,7 +206,6 @@ class CimRuntime {
   [[nodiscard]] HostWorkerPool& host_pool() { return *pool_; }
   [[nodiscard]] CimDriver& driver() { return *driver_; }
   [[nodiscard]] cim::Accelerator& accelerator() { return accel_; }
-  [[nodiscard]] const RuntimeStats& stats() const { return stats_; }
   [[nodiscard]] const RuntimeConfig& config() const { return config_; }
   [[nodiscard]] bool initialized() const { return initialized_; }
 
@@ -372,7 +358,6 @@ class CimRuntime {
   /// destination crossbar validates future hits against their addresses.
   std::vector<DeviceBuffer> migration_staging_;
   std::map<ScaleKey, double> scale_cache_;
-  RuntimeStats stats_;
   bool initialized_ = false;
 };
 

@@ -66,67 +66,10 @@ support::Status CimDriver::free_buffer(const DeviceBuffer& buffer) {
   return cma_.release(buffer.pa);
 }
 
-void CimDriver::charge_submit_costs() {
-  // Coherence: clean the host data caches so the accelerator's uncacheable
-  // reads observe the latest data (Section II-E). A full clean is what the
-  // reference driver does; the cost model charges the loop instructions and
-  // the write-back traffic is counted by the cache model.
-  const std::uint64_t dirty_lines = system_.caches().flush_data_caches();
-  flushes_.add();
-  const std::uint64_t touched_lines =
-      system_.caches().l1d().params().size_bytes / 64 +
-      system_.caches().l2().params().size_bytes / 64;
-  system_.cpu().charge_instructions(params_.flush_instructions_per_line *
-                                    touched_lines);
-  // Write-back drain time: dirty lines leave at DRAM bandwidth; the CPU
-  // stalls on the barrier that ends the clean sequence.
-  system_.cpu().charge_cycles(dirty_lines * 4);
-}
-
-support::Status CimDriver::submit(const cim::ContextRegs& image,
-                                  std::size_t device) {
-  charge_syscall();
-  charge_submit_costs();
-
-  // Program every context register, then hit the command register.
-  for (std::uint32_t i = 0; i < cim::kRegCount; ++i) {
-    const auto reg = static_cast<cim::Reg>(i);
-    if (reg == cim::Reg::kCommand || reg == cim::Reg::kStatus ||
-        reg == cim::Reg::kResult || reg == cim::Reg::kCompleted) {
-      continue;
-    }
-    TDO_RETURN_IF_ERROR(write_reg(reg, image.read(reg), device));
-  }
-
-  // The accelerator timeline starts no earlier than the host's current time.
-  system_.settle_to_host_time();
-  return write_reg(cim::Reg::kCommand, 1, device);
-}
-
-support::StatusOr<cim::DeviceStatus> CimDriver::wait(std::size_t device) {
-  charge_syscall();
-  // Drain the accelerator's event schedule to find completion time, then
-  // charge the host for spinning until that moment ("The host can either
-  // wait on spinlock or continue with other tasks", Section II-E).
-  const sim::Tick done = system_.events().run_to_completion();
-  (void)system_.cpu().spin_until(done, params_.poll_period_cycles);
-
-  auto status = read_reg(cim::Reg::kStatus, device);
-  if (!status.is_ok()) return status.status();
-  const auto device_status = static_cast<cim::DeviceStatus>(*status);
-  if (device_status == cim::DeviceStatus::kDone ||
-      device_status == cim::DeviceStatus::kError) {
-    // Acknowledge: return the device to IDLE for the next job.
-    TDO_RETURN_IF_ERROR(
-        write_reg(cim::Reg::kStatus,
-                  static_cast<std::uint64_t>(cim::DeviceStatus::kIdle), device));
-  }
-  return device_status;
-}
-
 support::Status CimDriver::submit_queued(const cim::ContextRegs& image,
                                          std::size_t device) {
   charge_syscall();
+  flushes_.add();
   const auto op = static_cast<cim::Opcode>(image.read(cim::Reg::kOpcode));
   if (op == cim::Opcode::kProgram) {
     // A program-only job reads nothing but its stationary tile, so the
@@ -139,11 +82,22 @@ support::Status CimDriver::submit_queued(const cim::ContextRegs& image,
     const std::uint64_t cols =
         stationary_b ? image.read(cim::Reg::kN) : image.read(cim::Reg::kM);
     const std::uint64_t bytes = image.read(cim::Reg::kK) * cols * 4;
-    flushes_.add();
     system_.cpu().charge_instructions(params_.flush_instructions_per_line *
                                       (bytes / 64 + 1));
   } else {
-    charge_submit_costs();
+    // Coherence: clean the host data caches so the accelerator's uncacheable
+    // reads observe the latest data (Section II-E). A full clean is what the
+    // reference driver does; the cost model charges the loop instructions
+    // and the write-back traffic is counted by the cache model.
+    const std::uint64_t dirty_lines = system_.caches().flush_data_caches();
+    const std::uint64_t touched_lines =
+        system_.caches().l1d().params().size_bytes / 64 +
+        system_.caches().l2().params().size_bytes / 64;
+    system_.cpu().charge_instructions(params_.flush_instructions_per_line *
+                                      touched_lines);
+    // Write-back drain time: dirty lines leave at DRAM bandwidth; the CPU
+    // stalls on the barrier that ends the clean sequence.
+    system_.cpu().charge_cycles(dirty_lines * 4);
   }
   // The register image travels through the same uncached PMIO window; the
   // device latches it into its work queue, so the writes are legal even

@@ -12,11 +12,11 @@
 // is exactly what makes low-intensity GEMV-like kernels lose in Figure 6.
 //
 // One driver instance manages every CIM device in the system (the way one
-// kernel module binds all instances of a peripheral). The blocking
-// submit/wait pair is the paper's original protocol; submit_queued/drain
-// back the asynchronous command-stream path (runtime/stream.hpp), pushing
-// jobs into a device's hardware work queue and waiting event-driven on the
-// completion interrupt instead of spin-polling.
+// kernel module binds all instances of a peripheral). Every job goes through
+// submit_queued, which pushes it into the device's hardware work queue, and
+// drain, which waits event-driven on the completion interrupt. The paper's
+// blocking submit-then-wait protocol is the command stream
+// (runtime/stream.hpp) at depth 1 followed by a drain.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +39,6 @@ struct DriverParams {
   std::uint64_t mmio_instructions = 6;
   /// Extra bus cycles per uncached context-register access.
   std::uint64_t mmio_cycles = 24;
-  /// Spin-poll period while waiting for completion (cycles).
-  std::uint64_t poll_period_cycles = 64;
 };
 
 /// A device buffer handed out by the driver: contiguous physical backing
@@ -72,18 +70,10 @@ class CimDriver {
   /// ioctl(CIM_FREE).
   support::Status free_buffer(const DeviceBuffer& buffer);
 
-  /// ioctl(CIM_SUBMIT): flushes the host caches, writes the prepared
-  /// context-register image, and triggers the micro-engine.
-  support::Status submit(const cim::ContextRegs& image, std::size_t device = 0);
-
-  /// ioctl(CIM_WAIT): spin-waits on the status register until DONE/ERROR.
-  [[nodiscard]] support::StatusOr<cim::DeviceStatus> wait(std::size_t device = 0);
-
-  // --- asynchronous command-stream path ---
-
-  /// ioctl(CIM_ENQUEUE): same host charges as submit, but the job lands in
-  /// the device's hardware work queue and the call returns without waiting.
-  /// kResourceExhausted when the queue is full.
+  /// ioctl(CIM_ENQUEUE): flushes the host caches, charges the programming
+  /// of the context-register image, and lands the job in the device's
+  /// hardware work queue; returns without waiting. kResourceExhausted when
+  /// the queue is full.
   support::Status submit_queued(const cim::ContextRegs& image,
                                 std::size_t device);
 
@@ -118,13 +108,11 @@ class CimDriver {
  private:
   void charge_syscall();
   void charge_mmio_access();
-  /// Coherence flush + full register-image programming charge.
-  void charge_submit_costs();
   /// Writes one 64-bit register through the PMIO window.
   support::Status write_reg(cim::Reg reg, std::uint64_t value,
-                            std::size_t device = 0);
+                            std::size_t device);
   [[nodiscard]] support::StatusOr<std::uint64_t> read_reg(cim::Reg reg,
-                                                          std::size_t device = 0);
+                                                          std::size_t device);
 
   DriverParams params_;
   sim::System& system_;

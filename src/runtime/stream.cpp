@@ -117,8 +117,7 @@ support::Status CimStream::enqueue(const Command& command) {
 
   // Backpressure: the stream keeps at most `depth` commands in flight per
   // accelerator (bounded additionally by the hardware FIFO).
-  const std::size_t depth = std::min(
-      params_.depth, accel.params().work_queue_depth + 1);
+  const std::size_t depth = device_depth(dev);
   system_.settle_to_host_time();
   if (accel.in_flight() >= depth) {
     if (params_.fallback_when_full && command.allow_cpu_fallback) {

@@ -26,6 +26,7 @@
 // enqueue everything, then synchronize before returning.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,8 +44,9 @@ namespace tdo::rt {
 class HostWorkerPool;
 
 struct StreamParams {
-  /// Maximum commands in flight per accelerator (running + queued). Depth 1
-  /// reproduces the paper's fully synchronous submit/wait behaviour.
+  /// Maximum commands in flight per accelerator (running + queued); 0 counts
+  /// as 1. Depth 1 reproduces the paper's fully synchronous submit/wait
+  /// behaviour.
   std::size_t depth = 2;
   /// Dynamic offload threshold on a command's MACs-per-CIM-write (DTO's
   /// DTO_MIN_BYTES analogue). 0 disables CPU fallback by intensity.
@@ -152,6 +154,14 @@ class CimStream {
   /// serving scheduler's shortest-queue placement signal.
   [[nodiscard]] std::size_t device_in_flight(std::size_t device) const {
     return driver_.device(device).in_flight();
+  }
+  /// Per-accelerator in-flight bound (running + queued): the configured
+  /// depth, where 0 counts as 1, capped by the device's hardware FIFO plus
+  /// its running job. enqueue() blocks or falls back at this bound, and the
+  /// serving scheduler gates dispatch on it.
+  [[nodiscard]] std::size_t device_depth(std::size_t device) const {
+    return std::min(params_.depth,
+                    driver_.device(device).params().work_queue_depth + 1);
   }
 
   /// Retunes the dynamic CPU-fallback threshold at runtime — the adaptive

@@ -7,6 +7,11 @@ namespace tdo::rt {
 
 namespace {
 
+/// Chains longer than this fall back to the host path (a bound on the
+/// descriptor table the device walks; severe fragmentation is better served
+/// by the cache-warm host loop anyway).
+constexpr std::size_t kMaxCopySegments = 64;
+
 /// Floor division for the (possibly negative) numerators of the row-index
 /// bounds below. Simulated physical addresses fit comfortably in int64.
 [[nodiscard]] std::int64_t floor_div(std::int64_t a, std::int64_t b) {
@@ -193,7 +198,7 @@ bool XferEngine::plan_view(CopyDesc::Dir dir, sim::VirtAddr dst,
     segments.push_back(seg);
   }
 
-  if (segments.size() > params_.max_segments) return false;
+  if (segments.size() > kMaxCopySegments) return false;
   desc->dir = dir;
   desc->segments = std::move(segments);
   desc->table_pa = 0;

@@ -152,10 +152,6 @@ struct XferParams {
   /// so a large scattered copy with one tiny tail segment still rides the
   /// stream instead of falling back to host memcpy.
   std::uint64_t min_async_bytes = 16 * 1024;
-  /// Chains longer than this fall back to the host path (a bound on the
-  /// descriptor table the device walks; severe fragmentation is better
-  /// served by the cache-warm host loop anyway).
-  std::uint32_t max_segments = 64;
 };
 
 /// Plans and executes host<->device copies for the runtime. Owns the
@@ -174,8 +170,8 @@ class XferEngine {
   /// Returns the DMA descriptor chain for [src, src+bytes) ->
   /// [dst, dst+bytes) when the copy is async-eligible: async copies enabled,
   /// the transfer clears the size threshold, and the footprint resolves to
-  /// at most max_segments physically contiguous runs (page-scattered buffers
-  /// become scatter-gather chains instead of falling back to host memcpy).
+  /// at most 64 physically contiguous runs (page-scattered buffers become
+  /// scatter-gather chains instead of falling back to host memcpy).
   /// Returns false (desc untouched) otherwise.
   [[nodiscard]] bool plan(CopyDesc::Dir dir, sim::VirtAddr dst,
                           sim::VirtAddr src, std::uint64_t bytes,

@@ -107,7 +107,6 @@ double AdmissionController::split_fraction_for(const SiteKey& key) const {
 }
 
 void AdmissionController::retune_split() {
-  if (!params_.tune_split) return;
   // The global knob tracks the largest fully-observed site: only jobs above
   // SplitConfig::min_macs split at all, so small sites must not drag the
   // fraction toward their (overhead-dominated) host latencies.

@@ -73,8 +73,6 @@ struct AdmissionParams {
   /// or less when the device is two orders of magnitude faster, and a
   /// linear ladder would quantize every such optimum to zero.
   int split_rungs = 10;
-  /// Master switch for retuning the split fraction from the EWMAs.
-  bool tune_split = true;
 };
 
 struct AdmissionReport {

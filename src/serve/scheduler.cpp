@@ -22,8 +22,7 @@ Scheduler::Scheduler(SchedulerParams params, rt::CimRuntime& runtime)
       batcher_{params_.batcher},
       admission_{params_.admission,
                  runtime.config().stream.min_macs_per_write,
-                 runtime.config().xfer.min_async_bytes},
-      submit_ring_{params_.ring_capacity} {
+                 runtime.config().xfer.min_async_bytes} {
   runtime_.set_placement(params_.placement);
   auto& registry = runtime_.system().stats();
   const std::string& p = params_.name;
@@ -210,12 +209,11 @@ void Scheduler::evict_idle() {
   }
 }
 
-std::size_t Scheduler::effective_pull_budget() const {
-  if (params_.pull_budget > 0) return params_.pull_budget;
+std::size_t Scheduler::pull_bound() const {
   auto& stream = runtime_.stream();
   std::size_t depth = 0;
   for (std::size_t d = 0; d < stream.device_count(); ++d) {
-    depth += effective_depth(d);
+    depth += stream.device_depth(d);
   }
   const std::size_t per_launch =
       params_.batching ? std::max<std::size_t>(params_.batcher.max_batch, 1)
@@ -470,7 +468,7 @@ support::Status Scheduler::pump() {
   // weighted shares. The outer loop re-enters when a dispatch finalized
   // synchronously (host-path launches) and thereby freed budget mid-pump;
   // every iteration either pulls or dispatches something, so it terminates.
-  const std::size_t budget = effective_pull_budget();
+  const std::size_t budget = pull_bound();
   bool progress = true;
   while (progress) {
     progress = false;
@@ -517,10 +515,10 @@ support::Status Scheduler::pump() {
         bool room = false;
         if (pin) {
           const auto d = static_cast<std::size_t>(*pin);
-          room = stream.device_in_flight(d) < effective_depth(d);
+          room = stream.device_in_flight(d) < stream.device_depth(d);
         } else {
           for (std::size_t d = 0; d < stream.device_count(); ++d) {
-            room = room || stream.device_in_flight(d) < effective_depth(d);
+            room = room || stream.device_in_flight(d) < stream.device_depth(d);
           }
         }
         if (!room) {
@@ -560,12 +558,6 @@ bool Scheduler::tile_fits(const Request& request) const {
              tile.cols();
 }
 
-std::size_t Scheduler::effective_depth(std::size_t device) const {
-  return std::min(runtime_.config().stream.depth,
-                  runtime_.driver().device(device).params().work_queue_depth +
-                      1);
-}
-
 std::size_t Scheduler::cheapest_device() const {
   auto& stream = runtime_.stream();
   const topo::Topology* topo = runtime_.topology();
@@ -579,7 +571,7 @@ std::size_t Scheduler::cheapest_device() const {
     for (std::size_t d = 0; d < count; ++d) {
       near_room = near_room ||
                   (topo->tier(d) == topo::Topology::kNearTier &&
-                   stream.device_in_flight(d) < effective_depth(d));
+                   stream.device_in_flight(d) < stream.device_depth(d));
     }
   }
   // Marginal cost of one more job on device d: queue depth scaled by the
@@ -688,11 +680,9 @@ support::Status Scheduler::dispatch(Batch batch, std::optional<int> pinned) {
   // --- adaptive knobs (and per-launch probe overrides) ---
   if (admission_.adaptive()) {
     runtime_.xfer().set_min_async_bytes(admission_.min_async_bytes());
-    if (params_.admission.tune_split) {
-      // Push the site's quantized pseudo-async split share into the runtime
-      // so the upcoming sgemm splits at the EWMA-derived optimum.
-      runtime_.set_split_fraction(admission_.split_fraction_for(site));
-    }
+    // Push the site's quantized pseudo-async split share into the runtime
+    // so the upcoming sgemm splits at the EWMA-derived optimum.
+    runtime_.set_split_fraction(admission_.split_fraction_for(site));
     double threshold = admission_.min_macs_per_write();
     if (path == AdmitPath::kForceHost) threshold = kForceHostThreshold;
     if (path == AdmitPath::kForceDevice) threshold = 0.0;

@@ -111,19 +111,6 @@ struct SchedulerParams {
   /// requests in the simulated time one submitter pushes one). 0 disables
   /// the clocks — arrivals stamp from global time when pump() drains them.
   sim::Tick submit_cost = 0;
-  /// Per-shard capacity of the cross-thread submission ring; a full shard
-  /// rejects with kResourceExhausted (backpressure, like the tenant bound).
-  std::size_t ring_capacity = 4096;
-  /// Pulled-but-unfinished request bound: pump() stops pulling from the
-  /// tenant queues once this many pulled requests are still in the batcher,
-  /// the pending-dispatch queue, or in flight. Without the bound every pump
-  /// would drain the whole backlog into the batcher and dispatch order —
-  /// not DRR — would decide tenant shares; with it the backlog stays in the
-  /// tenant queues where weights, per-tenant bounds, and shedding act. 0
-  /// derives a default from the fleet: 2 x total effective stream depth x
-  /// max_batch (enough to keep every device fed through one full pump
-  /// cycle).
-  std::size_t pull_budget = 0;
   /// Per-tenant end-to-end latency histograms (tenant_latency()). On by
   /// default; benches pushing 10^5+ tenants turn it off — a histogram per
   /// tenant is ~16KB, which dominates the per-tenant footprint at scale.
@@ -400,8 +387,15 @@ class Scheduler {
   /// Evicts tenants idle past tenant_idle_timeout (amortized O(1): one FIFO
   /// entry per idle transition, validated against the tenant's live state).
   void evict_idle();
-  /// params_.pull_budget, or the fleet-derived default when 0.
-  [[nodiscard]] std::size_t effective_pull_budget() const;
+  /// Pulled-but-unfinished request bound: pump() stops pulling from the
+  /// tenant queues once this many pulled requests are still in the batcher,
+  /// the pending-dispatch queue, or in flight. Without the bound every pump
+  /// would drain the whole backlog into the batcher and dispatch order —
+  /// not DRR — would decide tenant shares; with it the backlog stays in the
+  /// tenant queues where weights, per-tenant bounds, and shedding act.
+  /// Derived from the fleet: 2 x total stream depth x max_batch (enough to
+  /// keep every device fed through one full pump cycle), at least 16.
+  [[nodiscard]] std::size_t pull_bound() const;
   /// Pseudo-device id the host worker pool's completions log under: one past
   /// the last real accelerator.
   [[nodiscard]] int pool_device_id() const;
@@ -411,9 +405,6 @@ class Scheduler {
   /// The device a batched launch of `batch` would pin by residency
   /// affinity; nullopt when any device would do (no pin / not batchable).
   [[nodiscard]] std::optional<int> placement_preview(const Batch& batch);
-  /// The stream's true per-device in-flight bound: the configured depth
-  /// capped by the device's hardware FIFO (mirrors CimStream::enqueue).
-  [[nodiscard]] std::size_t effective_depth(std::size_t device) const;
   /// Cost-cheapest device for new work right now: queue depth weighted by
   /// the device's link latency multiplier when the runtime carries a
   /// topology (mirrors CimRuntime's topology-aware placement); plain
@@ -473,7 +464,8 @@ class Scheduler {
 
   /// Cross-thread submission path: per-shard rings plus per-shard simulated
   /// submitter clocks (each advanced by submit_cost per push, so N threads
-  /// submit N-wide in simulated time).
+  /// submit N-wide in simulated time). A full shard (ShardedRing's default
+  /// capacity) rejects with kResourceExhausted, like the tenant bound.
   support::ShardedRing<Request> submit_ring_;
   struct alignas(64) SubmitClock {
     std::atomic<sim::Tick> t{0};

@@ -21,13 +21,13 @@ void HostCpu::charge_cycles(std::uint64_t cycles) {
   cycles_.add_local(cycles);
 }
 
-std::uint64_t HostCpu::spin_until(Tick target, std::uint64_t poll_period_cycles) {
+std::uint64_t HostCpu::spin_until(Tick target, std::uint64_t period_cycles) {
   const Tick now_ticks = elapsed().ticks();
   if (target <= now_ticks) return 0;
   const double remaining_sec = from_ticks(target - now_ticks).seconds();
   const double remaining_cycles = remaining_sec * params_.frequency.hertz();
   const auto polls = static_cast<std::uint64_t>(
-      std::ceil(remaining_cycles / static_cast<double>(poll_period_cycles)));
+      std::ceil(remaining_cycles / static_cast<double>(period_cycles)));
   // Each poll is a handful of instructions: load status register (uncached,
   // folded into the poll period), compare, branch.
   spin_polls_.add_local(polls);

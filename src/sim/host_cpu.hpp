@@ -71,9 +71,9 @@ class HostCpu {
   void charge_cycles(std::uint64_t cycles);
 
   /// Busy-waits until `target` (event-queue ticks), charging polling
-  /// instructions at `poll_period_cycles` intervals — the "wait on spinlock"
+  /// instructions at `period_cycles` intervals — the "wait on spinlock"
   /// mode of Section II-E. Returns polled iterations.
-  std::uint64_t spin_until(Tick target, std::uint64_t poll_period_cycles = 64);
+  std::uint64_t spin_until(Tick target, std::uint64_t period_cycles = 64);
 
   /// Event-driven wait: the core sleeps (WFI) until the completion interrupt
   /// at `target` and pays only the interrupt entry/exit instructions — the

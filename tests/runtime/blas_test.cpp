@@ -120,7 +120,7 @@ TEST(BlasTest, OversizedGemmIsTiledAcrossCrossbar) {
     EXPECT_NEAR(got[i], c[i], bound) << "element " << i;
   }
   // Tiling must have produced more than one accelerator job.
-  EXPECT_GT(p.runtime().stats().tile_jobs, 1u);
+  EXPECT_GT(p.system().snapshot().counter_or("cim.jobs"), 1u);
 }
 
 TEST(BlasTest, GemvNoTransposeMatchesReference) {
@@ -255,7 +255,10 @@ TEST(BlasTest, HostToDevAndBackRoundTrips) {
       p.runtime().host_to_dev(*dev, *host_va, data.size() * 4).is_ok());
   const auto round = p.read_floats(*dev, data.size());
   for (std::size_t i = 0; i < data.size(); ++i) EXPECT_EQ(round[i], data[i]);
-  EXPECT_EQ(p.runtime().stats().bytes_copied, data.size() * 4);
+  const auto stats = p.system().snapshot();
+  EXPECT_EQ(stats.counter_or("stream.copy_bytes") +
+                stats.counter_or("xfer.host_copy_bytes"),
+            data.size() * 4);
 }
 
 TEST(BlasTest, ZeroDimensionIsRejected) {

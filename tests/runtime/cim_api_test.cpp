@@ -46,7 +46,7 @@ TEST(CimApiTest, SGemmReturnsDrainedAndMatchesReference) {
                                va_b, kN, &beta, va_c, kN),
             kCimSuccess);
   EXPECT_TRUE(p.runtime().stream().idle());
-  EXPECT_GT(p.runtime().stats().tile_jobs, 1u);
+  EXPECT_GT(p.system().snapshot().counter_or("cim.jobs"), 1u);
 
   ref_gemm(kM, kN, kK, alpha, a, kK, b, kN, beta, c, kN);
   const auto got = p.read_floats(va_c, kM * kN);
@@ -205,7 +205,7 @@ TEST(CimApiTest, BatchedRejectsUnknownStationaryLayout) {
         << "stationary = " << stationary;
   }
   // Rejected before touching the runtime: nothing was programmed.
-  EXPECT_EQ(p.runtime().stats().offload_calls, 0u);
+  EXPECT_EQ(p.system().snapshot().counter_or("stream.enqueued"), 0u);
   EXPECT_EQ(p.accel().report().weight_writes8, 0u);
   // The two real layouts are accepted.
   for (const int stationary : {0, 1}) {

@@ -64,27 +64,29 @@ TEST(DriverTest, AllocBufferIsContiguousAndMapped) {
 
 TEST(DriverTest, SubmitFlushesCachesAndChargesHost) {
   testing::Platform p;
+  CimDriver& driver = p.runtime().driver();
   // Dirty the caches with some host stores.
   for (int i = 0; i < 64; ++i) p.system().cpu().store(i * 64);
   const std::uint64_t insts_before = p.system().cpu().instructions();
 
   cim::ContextRegs image;
   image.write(cim::Reg::kOpcode, static_cast<std::uint64_t>(cim::Opcode::kNop));
-  ASSERT_TRUE(p.runtime().driver().submit(image).is_ok());
-  EXPECT_EQ(p.runtime().driver().flush_count(), 1u);
+  ASSERT_TRUE(driver.submit_queued(image, 0).is_ok());
+  EXPECT_EQ(driver.flush_count(), 1u);
   // Syscall + register MMIO + flush loop cost real instructions.
   EXPECT_GT(p.system().cpu().instructions(), insts_before + 1000);
   // The flush wrote back the dirty lines.
   EXPECT_GE(p.system().caches().l1d().writebacks(), 1u);
-  (void)p.runtime().driver().wait();
+  EXPECT_TRUE(driver.drain(0).is_ok());
 }
 
 TEST(DriverTest, WaitObservesCompletionStatus) {
   testing::Platform p;
+  CimDriver& driver = p.runtime().driver();
   cim::ContextRegs image;
   image.write(cim::Reg::kOpcode, static_cast<std::uint64_t>(cim::Opcode::kNop));
-  ASSERT_TRUE(p.runtime().driver().submit(image).is_ok());
-  auto status = p.runtime().driver().wait();
+  ASSERT_TRUE(driver.submit_queued(image, 0).is_ok());
+  auto status = driver.drain(0);
   ASSERT_TRUE(status.is_ok());
   EXPECT_EQ(*status, cim::DeviceStatus::kDone);
   // Acknowledged back to idle.
@@ -100,14 +102,39 @@ TEST(AcceleratorTest, RejectsMisalignedRegisterIo) {
   EXPECT_TRUE(p.accel().mmio_read(0, ok).is_ok());
 }
 
+TEST(AcceleratorTest, OnlyStatusRegisterIsHostWritable) {
+  testing::Platform p;
+  auto& bus = p.system().bus();
+  const auto addr = [&p](cim::Reg reg) {
+    return p.accel().params().pmio_base + cim::reg_offset(reg);
+  };
+  // Jobs enter only through the work queue: an MMIO command trigger, or a
+  // write to any job register, fails and starts nothing.
+  for (const cim::Reg reg :
+       {cim::Reg::kCommand, cim::Reg::kOpcode, cim::Reg::kCompleted}) {
+    EXPECT_EQ(bus.write_scalar<std::uint64_t>(addr(reg), 1).code(),
+              support::StatusCode::kFailedPrecondition)
+        << "register " << static_cast<std::uint32_t>(reg);
+  }
+  EXPECT_EQ(p.accel().regs().status(), cim::DeviceStatus::kIdle);
+  EXPECT_EQ(p.accel().jobs_completed(), 0u);
+  EXPECT_FALSE(p.accel().has_work());
+  // The DONE/ERROR acknowledge is the one host write.
+  EXPECT_TRUE(bus.write_scalar<std::uint64_t>(
+                     addr(cim::Reg::kStatus),
+                     static_cast<std::uint64_t>(cim::DeviceStatus::kIdle))
+                  .is_ok());
+}
+
 TEST(AcceleratorTest, BadJobSetsErrorStatus) {
   testing::Platform p;
   auto& regs = p.accel().regs();
+  CimDriver& driver = p.runtime().driver();
   cim::ContextRegs image;
   image.write(cim::Reg::kOpcode, static_cast<std::uint64_t>(cim::Opcode::kGemm));
   image.write(cim::Reg::kM, 0);  // zero dimension -> invalid
-  ASSERT_TRUE(p.runtime().driver().submit(image).is_ok());
-  auto status = p.runtime().driver().wait();
+  ASSERT_TRUE(driver.submit_queued(image, 0).is_ok());
+  auto status = driver.drain(0);
   ASSERT_TRUE(status.is_ok());
   EXPECT_EQ(*status, cim::DeviceStatus::kError);
   EXPECT_EQ(static_cast<support::StatusCode>(regs.read(cim::Reg::kResult)),
@@ -117,6 +144,7 @@ TEST(AcceleratorTest, BadJobSetsErrorStatus) {
 TEST(AcceleratorTest, OversizedTileIsRejectedByEngine) {
   testing::Platform p;
   ASSERT_TRUE(p.runtime().init(0).is_ok());
+  CimDriver& driver = p.runtime().driver();
   cim::ContextRegs image;
   image.write(cim::Reg::kOpcode, static_cast<std::uint64_t>(cim::Opcode::kGemm));
   image.write(cim::Reg::kM, 4);
@@ -127,8 +155,8 @@ TEST(AcceleratorTest, OversizedTileIsRejectedByEngine) {
   image.write(cim::Reg::kLdc, 512);
   image.write_f64(cim::Reg::kScaleA, 0.01);
   image.write_f64(cim::Reg::kScaleB, 0.01);
-  ASSERT_TRUE(p.runtime().driver().submit(image).is_ok());
-  auto status = p.runtime().driver().wait();
+  ASSERT_TRUE(driver.submit_queued(image, 0).is_ok());
+  auto status = driver.drain(0);
   ASSERT_TRUE(status.is_ok());
   EXPECT_EQ(*status, cim::DeviceStatus::kError);
 }

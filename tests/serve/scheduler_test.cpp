@@ -184,8 +184,8 @@ struct ServeFixture {
 
   explicit ServeFixture(std::size_t accelerators, std::size_t weight_sets,
                         std::uint64_t m_ = 8, std::uint64_t n_ = 64,
-                        std::uint64_t k_ = 64)
-      : platform{{}, {}, {}, accelerators}, m{m_}, n{n_}, k{k_} {
+                        std::uint64_t k_ = 64, rt::RuntimeConfig config = {})
+      : platform{config, {}, {}, accelerators}, m{m_}, n{n_}, k{k_} {
     EXPECT_TRUE(platform.runtime().init(0).is_ok());
     for (std::size_t w = 0; w < weight_sets; ++w) {
       weight_data.push_back(random_matrix(k * n, 1.0, 500 + w));
@@ -405,6 +405,22 @@ TEST(SchedulerTest, SecondSchedulerSurvivesFirstSchedulerTeardown) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_NEAR(got[i], expected[i], bound) << "element " << i;
   }
+}
+
+TEST(SchedulerTest, StreamDepthZeroStillDispatches) {
+  // The stream treats a configured depth of 0 as 1; the scheduler's
+  // capacity gate must read that same bound, or it never finds room and
+  // drain() reports a stall.
+  rt::RuntimeConfig config;
+  config.stream.depth = 0;
+  ServeFixture fx{1, 1, 8, 64, 64, config};
+  Scheduler scheduler{SchedulerParams{}, fx.platform.runtime()};
+  const sim::VirtAddr c = fx.fresh_output();
+  ASSERT_TRUE(scheduler.submit(fx.request(0, c)).is_ok());
+  const auto drained = scheduler.drain();
+  ASSERT_TRUE(drained.is_ok()) << drained.to_string();
+  EXPECT_EQ(scheduler.counters().completed.value(), 1u);
+  fx.check_result(c, 0);
 }
 
 /// One tenant's closed-loop traffic: `clients` concurrent requests against
