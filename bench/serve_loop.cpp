@@ -837,7 +837,6 @@ struct SmallGemm {
 
   tdo::serve::SchedulerParams params;
   params.admission.adaptive = false;
-  params.track_tenant_latency = false;  // a histogram per tenant dominates
   tdo::serve::Scheduler scheduler{params, *platform.runtime};
   for (std::size_t t = 0; t < tenants; ++t) {
     scheduler.set_tenant_weight(static_cast<std::uint32_t>(t), 1);

@@ -277,7 +277,7 @@ int main(int argc, char** argv) {
         cfg.topology = topology;
         const auto result = run_loop(cfg);
         if (!result.is_ok()) {
-          std::cerr << result.status() << "\n";
+          std::cerr << result.status().to_string() << "\n";
           return 1;
         }
         char hit[32], edp[32], life[32];

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   auto workload = tdo::pb::make_workload(
       "gemm", smoke ? tdo::pb::Preset::kTest : tdo::pb::Preset::kPaper);
   if (!workload.is_ok()) {
-    std::cerr << workload.status() << "\n";
+    std::cerr << workload.status().to_string() << "\n";
     return 1;
   }
 
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
         if (smoke) options.runtime.xfer.min_async_bytes = 1024;
         const auto report = tdo::pb::run_cim(*workload, options);
         if (!report.is_ok()) {
-          std::cerr << report.status() << "\n";
+          std::cerr << report.status().to_string() << "\n";
           return 1;
         }
         samples.push_back(Sample{accelerators, depth, async_copies,

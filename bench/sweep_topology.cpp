@@ -348,7 +348,7 @@ int main(int argc, char** argv) {
         cfg.requests = load;
         const auto result = run_serving(cfg);
         if (!result.is_ok()) {
-          std::cerr << result.status() << "\n";
+          std::cerr << result.status().to_string() << "\n";
           return 1;
         }
         results[aware ? 1 : 0] = *result;
@@ -423,7 +423,7 @@ int main(int argc, char** argv) {
     cfg.mult = smoke ? 4.0 : multipliers.back();
     const auto result = run_migration(cfg, p2p);
     if (!result.is_ok()) {
-      std::cerr << result.status() << "\n";
+      std::cerr << result.status().to_string() << "\n";
       return 1;
     }
     elapsed[p2p ? 1 : 0] = result->elapsed;

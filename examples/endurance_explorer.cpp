@@ -74,7 +74,7 @@ int main() {
       options.compile.enable_fusion = fusion;
       const auto report = tdo::pb::run_cim(workload, options);
       if (!report.is_ok()) {
-        std::cerr << report.status() << "\n";
+        std::cerr << report.status().to_string() << "\n";
         return 1;
       }
       const tdo::pcm::WriteTraffic traffic{report->cim_writes, report->runtime};

@@ -13,7 +13,7 @@
 int main() {
   auto workload = tdo::pb::make_workload("2mm", tdo::pb::Preset::kTest);
   if (!workload.is_ok()) {
-    std::cerr << workload.status() << "\n";
+    std::cerr << workload.status().to_string() << "\n";
     return 1;
   }
 
@@ -23,8 +23,8 @@ int main() {
   const auto host = tdo::pb::run_host(*workload);      // clang -O3
   const auto cim = tdo::pb::run_cim(*workload);        // -enable-loop-tactics
   if (!host.is_ok() || !cim.is_ok()) {
-    std::cerr << "run failed: " << host.status() << " / " << cim.status()
-              << "\n";
+    std::cerr << "run failed: " << host.status().to_string() << " / "
+              << cim.status().to_string() << "\n";
     return 1;
   }
 

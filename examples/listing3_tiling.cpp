@@ -25,7 +25,7 @@ kernel big_gemm(SIZE = 512) {
 )";
   auto fn = tdo::frontend::parse_kernel(source);
   if (!fn.is_ok()) {
-    std::cerr << fn.status() << "\n";
+    std::cerr << fn.status().to_string() << "\n";
     return 1;
   }
 
@@ -63,7 +63,7 @@ kernel big_gemm(SIZE = 512) {
     options.compile.enable_tiling = interchange;
     const auto report = tdo::pb::run_cim(w, options);
     if (!report.is_ok()) {
-      std::cerr << report.status() << "\n";
+      std::cerr << report.status().to_string() << "\n";
       return 1;
     }
     std::cout << (interchange ? "reuse-friendly (Listing 3) order: "

@@ -32,7 +32,7 @@ kernel gemm(M = 64, N = 64, K = 64, alpha = 1.5, beta = 1.2) {
   // 2. Front-end: C text -> affine IR.
   auto fn = tdo::frontend::parse_kernel(source);
   if (!fn.is_ok()) {
-    std::cerr << "parse error: " << fn.status() << "\n";
+    std::cerr << "parse error: " << fn.status().to_string() << "\n";
     return 1;
   }
   std::cout << "=== Input kernel ===\n" << tdo::ir::to_source(*fn) << "\n";
@@ -59,7 +59,7 @@ kernel gemm(M = 64, N = 64, K = 64, alpha = 1.5, beta = 1.2) {
   tdo::exec::Interpreter interp{system, &runtime};
 
   if (auto prepared = interp.prepare(compiled.cim_program); !prepared.is_ok()) {
-    std::cerr << "prepare failed: " << prepared << "\n";
+    std::cerr << "prepare failed: " << prepared.to_string() << "\n";
     return 1;
   }
   // Deterministic input data.
@@ -74,7 +74,7 @@ kernel gemm(M = 64, N = 64, K = 64, alpha = 1.5, beta = 1.2) {
   (void)interp.set_array("C", c);
 
   if (auto run = interp.run(compiled.cim_program); !run.is_ok()) {
-    std::cerr << "run failed: " << run << "\n";
+    std::cerr << "run failed: " << run.to_string() << "\n";
     return 1;
   }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "support/log.hpp"
 #include "topo/topology.hpp"
 
 namespace tdo::cim {
@@ -114,8 +113,6 @@ support::Status Accelerator::enqueue_job(const ContextRegs& image) {
     return support::Status::ok();
   }
   apply_image(image);
-  TDO_LOG(kDebug, "cim.accel") << "job triggered, opcode="
-                               << regs_.read(Reg::kOpcode);
   current_job_enqueued_ = system_.events().now();
   start_job(support::Duration::zero());
   return support::Status::ok();

@@ -1,7 +1,5 @@
 #include "cim/cim_tile.hpp"
 
-#include <cassert>
-
 namespace tdo::cim {
 
 CimTile::CimTile(TileParams params)
@@ -19,16 +17,6 @@ std::uint64_t CimTile::program_row(std::uint32_t row,
   stats_.weight_writes8 += weights.size();
   stats_.rows_programmed += 1;
   return weights.size();
-}
-
-void CimTile::program_tile(std::span<const std::int8_t> tile,
-                           std::uint32_t tile_rows, std::uint32_t tile_cols) {
-  assert(tile.size() >= static_cast<std::size_t>(tile_rows) * tile_cols);
-  assert(tile_rows <= rows() && tile_cols <= cols());
-  for (std::uint32_t r = 0; r < tile_rows; ++r) {
-    (void)program_row(r, tile.subspan(static_cast<std::size_t>(r) * tile_cols,
-                                      tile_cols));
-  }
 }
 
 std::vector<std::int32_t> CimTile::gemv(std::span<const std::int8_t> inputs,

@@ -50,10 +50,6 @@ class CimTile {
   /// buffers. Returns number of 8-bit weights written.
   std::uint64_t program_row(std::uint32_t row, std::span<const std::int8_t> weights);
 
-  /// Programs a full stationary tile: `tile` is row-major rows x cols.
-  void program_tile(std::span<const std::int8_t> tile, std::uint32_t tile_rows,
-                    std::uint32_t tile_cols);
-
   /// One GEMV: latches quantized inputs into the row buffer, evaluates the
   /// crossbar over rows [row0, row0 + active_rows), runs the ADC
   /// conversions, and returns the signed fixed-point accumulations for

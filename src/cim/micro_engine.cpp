@@ -89,9 +89,6 @@ MicroEngine::WeightPhase MicroEngine::load_weights(const GemmJob& job) {
     if (resident != nullptr && resident->pa == pa && resident->scale == scale &&
         resident->rows == tile_rows && resident->cols == tile_cols &&
         resident->layout == job.stationary && resident->ld == ld) {
-      TDO_LOG(kDebug, "cim.engine") << "stationary tile reuse at row "
-                                    << job.tile_row0 << ", skipping "
-                                    << tile_rows << " row programs";
       weight_writes_saved8_.add(tile_rows * tile_cols);
       return WeightPhase{};
     }

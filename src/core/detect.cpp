@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "support/log.hpp"
 
 namespace tdo::core {
 
@@ -461,11 +460,7 @@ DetectionResult detect_kernels(const ir::Function& fn) {
   for (std::size_t idx = 0; idx < fn.body.size(); ++idx) {
     const ir::Node& top = fn.body[idx];
     if (!top.is_loop()) continue;
-    if (!nest_is_affine(top)) {
-      TDO_LOG(kInfo, "tactics") << "nest " << idx
-                                << " is non-affine; skipping detection";
-      continue;
-    }
+    if (!nest_is_affine(top)) continue;
     if (auto gemm = match_gemm_nest(fn, top)) {
       DetectedKernel dk;
       dk.top_level_index = idx;

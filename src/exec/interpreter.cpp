@@ -102,12 +102,6 @@ Interpreter::ArrayInfo* Interpreter::find_array(const std::string& name) {
   return it == arrays_.end() ? nullptr : &it->second;
 }
 
-const Interpreter::ArrayInfo* Interpreter::find_array(
-    const std::string& name) const {
-  const auto it = arrays_.find(name);
-  return it == arrays_.end() ? nullptr : &it->second;
-}
-
 Status Interpreter::prepare(const Program& program) {
   if (prepared_) return Status::ok();
   for (const ir::ArrayDecl& decl : program.arrays) {
@@ -153,12 +147,6 @@ StatusOr<std::vector<float>> Interpreter::get_array(const std::string& name) {
         *pa, {bytes + done, std::min<std::uint64_t>(sim::kPageSize, size - done)});
   }
   return out;
-}
-
-StatusOr<sim::VirtAddr> Interpreter::host_address(const std::string& name) const {
-  const ArrayInfo* info = find_array(name);
-  if (info == nullptr) return support::not_found("unknown array " + name);
-  return info->host_va;
 }
 
 StatusOr<sim::VirtAddr> Interpreter::dev_operand(const OperandRef& op,

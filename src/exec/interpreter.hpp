@@ -50,10 +50,6 @@ class Interpreter {
   [[nodiscard]] support::StatusOr<std::vector<float>> get_array(
       const std::string& name);
 
-  /// Host virtual address of an array (valid after run()/prepare()).
-  [[nodiscard]] support::StatusOr<sim::VirtAddr> host_address(
-      const std::string& name) const;
-
   /// Pre-allocates arrays without executing (lets harnesses set inputs).
   [[nodiscard]] support::Status prepare(const Program& program);
 
@@ -120,7 +116,6 @@ class Interpreter {
   [[nodiscard]] support::Status run_nest(const PreparedNest& nest);
 
   [[nodiscard]] ArrayInfo* find_array(const std::string& name);
-  [[nodiscard]] const ArrayInfo* find_array(const std::string& name) const;
   [[nodiscard]] support::StatusOr<sim::VirtAddr> dev_operand(const OperandRef& op,
                                                              bool whole = false);
 

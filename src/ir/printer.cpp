@@ -81,12 +81,6 @@ void print_body(std::ostringstream& os, const std::vector<Node>& body,
 
 }  // namespace
 
-std::string to_source(const ExprPtr& expr) {
-  std::ostringstream os;
-  print_expr(os, expr, 0);
-  return os.str();
-}
-
 std::string to_source(const Stmt& stmt) {
   std::ostringstream os;
   print_access(os, stmt.lhs.array, stmt.lhs.subscripts);

@@ -14,6 +14,5 @@ namespace tdo::ir {
 [[nodiscard]] std::string to_source(const std::vector<Node>& body,
                                     int indent = 0);
 [[nodiscard]] std::string to_source(const Stmt& stmt);
-[[nodiscard]] std::string to_source(const ExprPtr& expr);
 
 }  // namespace tdo::ir

@@ -10,13 +10,6 @@ void PcmCell::program(std::uint8_t level) {
   ++writes_;
 }
 
-bool PcmCell::program_if_changed(std::uint8_t level) {
-  assert(level < levels());
-  if (level == level_) return false;
-  program(level);
-  return true;
-}
-
 double PcmCell::conductance(support::Rng* rng) const {
   const CellParams& p = *params();
   const double span = p.g_max_siemens - p.g_min_siemens;

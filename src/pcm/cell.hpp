@@ -35,10 +35,6 @@ class PcmCell {
   /// program-and-verify sequence always applies a RESET pulse first.
   void program(std::uint8_t level);
 
-  /// Programs only when the level changes (differential write optimization;
-  /// used by the ablation bench). Returns true when a pulse was applied.
-  bool program_if_changed(std::uint8_t level);
-
   /// Stored level (digital view used by the functional datapath).
   [[nodiscard]] std::uint8_t level() const { return level_; }
 

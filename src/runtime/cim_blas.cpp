@@ -37,10 +37,6 @@ support::Status CimRuntime::init(int device_index) {
   // Device node open + capability query.
   system_.cpu().charge_instructions(2000);
   initialized_ = true;
-  TDO_LOG(kInfo, "cim.rt") << "runtime initialized for device " << device_index
-                           << " (" << driver_->device_count()
-                           << " accelerator instance(s), stream depth "
-                           << stream_->params().depth << ")";
   return support::Status::ok();
 }
 
@@ -610,11 +606,8 @@ support::Status CimRuntime::migrate_residency(const WeightKey& key,
   // entry mid-migration: the destination crossbar then holds an unclaimed
   // stale tile and the next use of these weights simply reprograms — the
   // degradation is a wasted program, never a wrong result.
-  if (!residency_->rehome(key, from_device, to_device, row0, staging_rect,
-                          shadow_ld)) {
-    TDO_LOG(kDebug, "cim.rt")
-        << "tile invalidated mid-migration; destination reprograms on next use";
-  }
+  residency_->rehome(key, from_device, to_device, row0, staging_rect,
+                     shadow_ld);
   if (obs::enabled()) {
     // Host-side orchestration window of the migration (the copies and the
     // adopting kProgram trace their own spans on the dma/engine tracks).

@@ -58,12 +58,6 @@ support::Status CmaAllocator::release(sim::PhysAddr base) {
   return support::Status::ok();
 }
 
-std::uint64_t CmaAllocator::bytes_free() const {
-  std::uint64_t total = 0;
-  for (const auto& [_, size] : free_) total += size;
-  return total;
-}
-
 std::uint64_t CmaAllocator::bytes_allocated() const {
   std::uint64_t total = 0;
   for (const auto& [_, size] : allocated_) total += size;

@@ -30,7 +30,6 @@ class CmaAllocator {
   /// Releases an allocation previously returned by allocate().
   support::Status release(sim::PhysAddr base);
 
-  [[nodiscard]] std::uint64_t bytes_free() const;
   [[nodiscard]] std::uint64_t bytes_allocated() const;
   [[nodiscard]] std::size_t allocation_count() const { return allocated_.size(); }
   [[nodiscard]] const sim::CmaRegion& region() const { return region_; }

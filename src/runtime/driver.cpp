@@ -1,7 +1,6 @@
 #include "runtime/driver.hpp"
 
 #include "cim/accelerator.hpp"
-#include "support/log.hpp"
 
 namespace tdo::rt {
 
@@ -55,8 +54,6 @@ support::StatusOr<DeviceBuffer> CimDriver::alloc_buffer(std::uint64_t bytes) {
   }
   // Page-table population cost, proportional to the mapping size.
   system_.cpu().charge_instructions(16 * (bytes / sim::kPageSize + 1));
-  TDO_LOG(kDebug, "driver") << "CMA alloc " << bytes << "B at PA 0x" << std::hex
-                            << *pa;
   return DeviceBuffer{*va, *pa, bytes};
 }
 
@@ -140,13 +137,6 @@ support::Status CimDriver::submit_copy(const cim::ContextRegs& image,
   // its submission time.
   system_.settle_to_host_time();
   return accels_[device]->enqueue_job(image);
-}
-
-support::StatusOr<std::uint64_t> CimDriver::poll_completed(std::size_t device) {
-  system_.settle_to_host_time();
-  auto completed = read_reg(cim::Reg::kCompleted, device);
-  if (!completed.is_ok()) return completed.status();
-  return *completed;
 }
 
 void CimDriver::wait_for_space(std::size_t device,

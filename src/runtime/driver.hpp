@@ -84,11 +84,6 @@ class CimDriver {
   /// only the copy descriptor registers are programmed.
   support::Status submit_copy(const cim::ContextRegs& image, std::size_t device);
 
-  /// ioctl(CIM_POLL): non-blocking completion poll — retires every device
-  /// event due by now and reads the completed-jobs register.
-  [[nodiscard]] support::StatusOr<std::uint64_t> poll_completed(
-      std::size_t device);
-
   /// Blocks (event-driven, WFI) until the device's work queue is empty and
   /// the last job finished; acknowledges the final status back to IDLE.
   [[nodiscard]] support::StatusOr<cim::DeviceStatus> drain(std::size_t device);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
-#include "support/log.hpp"
 
 namespace tdo::rt {
 
@@ -108,9 +107,6 @@ HostPoolTicket HostWorkerPool::submit(const HostStripeJob& job) {
     }
   });
 
-  TDO_LOG(kDebug, "rt.host_pool")
-      << "stripe " << job.m << "x" << job.n << "x" << job.k << " on worker "
-      << worker << " [" << start << ", " << done << ")";
   if (obs::enabled()) {
     obs::Tracer::instance().span(
         params_.name + "/w" + std::to_string(worker), "stripe", start,

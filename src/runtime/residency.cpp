@@ -4,7 +4,6 @@
 
 #include "obs/trace.hpp"
 #include "runtime/driver.hpp"
-#include "support/log.hpp"
 
 namespace tdo::rt {
 
@@ -82,9 +81,6 @@ bool ResidencyCache::allocate_rows(int device, std::uint32_t rows,
           {{"dev", static_cast<std::uint64_t>(device)},
            {"row", entries_[victim].row0}});
     }
-    TDO_LOG(kDebug, "cim.residency")
-        << "evicting tile at device " << device << " row "
-        << entries_[victim].row0 << " (LRU)";
     erase_entry(victim);
   }
 }

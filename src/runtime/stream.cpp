@@ -5,7 +5,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/host_pool.hpp"
-#include "support/log.hpp"
 
 namespace tdo::rt {
 
@@ -228,8 +227,6 @@ support::Status CimStream::run_on_host(const cim::ContextRegs& image) {
 
   auto& cpu = system_.cpu();
   auto& mem = system_.memory();
-  TDO_LOG(kDebug, "cim.stream") << "CPU fallback GEMM " << m << "x" << n << "x"
-                                << k;
   for (std::uint64_t i = 0; i < m; ++i) {
     for (std::uint64_t j = 0; j < n; ++j) {
       double acc = 0.0;

@@ -204,7 +204,6 @@ class CimStream {
   /// True when nothing is in flight and no pending writes are tracked.
   [[nodiscard]] bool idle() const;
   [[nodiscard]] std::size_t in_flight() const;
-  [[nodiscard]] const StreamParams& params() const { return params_; }
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
   /// Attaches the pseudo-async host worker pool: synchronize()/idle()

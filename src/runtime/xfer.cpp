@@ -116,11 +116,6 @@ cim::ContextRegs make_copy_image(const CopyDesc& desc) {
   return image;
 }
 
-bool XferEngine::plan(CopyDesc::Dir dir, sim::VirtAddr dst, sim::VirtAddr src,
-                      std::uint64_t bytes, CopyDesc* desc) const {
-  return plan_view(dir, dst, src, bytes, bytes, 1, desc);
-}
-
 bool XferEngine::plan_view(CopyDesc::Dir dir, sim::VirtAddr dst,
                            sim::VirtAddr src, std::uint64_t pitch,
                            std::uint64_t width, std::uint64_t rows,
@@ -234,11 +229,6 @@ support::Status XferEngine::host_copy_row(sim::VirtAddr dst, sim::VirtAddr src,
     done += n;
   }
   return support::Status::ok();
-}
-
-support::Status XferEngine::host_copy(sim::VirtAddr dst, sim::VirtAddr src,
-                                      std::uint64_t bytes) {
-  return host_copy_2d(dst, src, bytes, bytes, 1);
 }
 
 support::Status XferEngine::host_copy_2d(sim::VirtAddr dst, sim::VirtAddr src,

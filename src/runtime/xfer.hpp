@@ -167,33 +167,24 @@ class XferEngine {
     system.stats().register_counter("xfer.host_copy_bytes", &host_copy_bytes_);
   }
 
-  /// Returns the DMA descriptor chain for [src, src+bytes) ->
-  /// [dst, dst+bytes) when the copy is async-eligible: async copies enabled,
-  /// the transfer clears the size threshold, and the footprint resolves to
-  /// at most 64 physically contiguous runs (page-scattered buffers become
-  /// scatter-gather chains instead of falling back to host memcpy).
-  /// Returns false (desc untouched) otherwise.
-  [[nodiscard]] bool plan(CopyDesc::Dir dir, sim::VirtAddr dst,
-                          sim::VirtAddr src, std::uint64_t bytes,
-                          CopyDesc* desc) const;
-
-  /// Plans a pitched (sub-matrix view) copy: `rows` rows of `width` bytes,
-  /// row starts `pitch` bytes apart on both sides. Derives the segment chain
-  /// from the footprint — per-row runs split at physical discontinuities,
-  /// then coalesced back into pitched rectangles where row starts advance by
-  /// a constant physical stride on both sides.
+  /// Returns the DMA descriptor chain for a pitched (sub-matrix view) copy
+  /// of `rows` rows of `width` bytes, row starts `pitch` bytes apart on both
+  /// sides, when the copy is async-eligible: async copies enabled, the
+  /// transfer clears the size threshold, and the footprint resolves to at
+  /// most 64 physically contiguous segments (page-scattered buffers become
+  /// scatter-gather chains instead of falling back to host memcpy). Returns
+  /// false (desc untouched) otherwise. Derives the segment chain from the
+  /// footprint: per-row runs split at physical discontinuities, then
+  /// coalesced back into pitched rectangles where row starts advance by a
+  /// constant physical stride on both sides.
   [[nodiscard]] bool plan_view(CopyDesc::Dir dir, sim::VirtAddr dst,
                                sim::VirtAddr src, std::uint64_t pitch,
                                std::uint64_t width, std::uint64_t rows,
                                CopyDesc* desc) const;
 
-  /// Blocking host-performed copy through the cache hierarchy (the paper's
-  /// original path, and the fallback for small or over-fragmented
-  /// transfers).
-  support::Status host_copy(sim::VirtAddr dst, sim::VirtAddr src,
-                            std::uint64_t bytes);
-
-  /// Pitched host copy (one accounting unit, not `rows` separate copies).
+  /// Blocking host-performed pitched copy through the cache hierarchy (the
+  /// paper's original path, and the fallback for small or over-fragmented
+  /// transfers); one accounting unit, not `rows` separate copies.
   support::Status host_copy_2d(sim::VirtAddr dst, sim::VirtAddr src,
                                std::uint64_t pitch, std::uint64_t width,
                                std::uint64_t rows);

@@ -205,7 +205,6 @@ void Scheduler::evict_idle() {
       continue;
     }
     tenants_.erase(it);
-    tenant_latency_.erase(tenant);
   }
 }
 
@@ -947,9 +946,6 @@ void Scheduler::finalize(InFlight inflight, sim::Tick done_tick) {
     completion.batch_size = batch_size;
     class_latency_[static_cast<std::size_t>(r.deadline)].add(
         completion.latency());
-    if (params_.track_tenant_latency) {
-      tenant_latency_[r.tenant].add(completion.latency());
-    }
     completions_.push_back(completion);
     counters_.completed.add();
     if (pulled_unfinished_ > 0) pulled_unfinished_ -= 1;
@@ -1038,20 +1034,12 @@ support::Status Scheduler::upload(sim::VirtAddr dst, sim::VirtAddr src,
 
 void Scheduler::reset_latency_stats() {
   for (auto& histogram : class_latency_) histogram.reset();
-  for (auto& [tenant, histogram] : tenant_latency_) histogram.reset();
 }
 
 std::vector<Completion> Scheduler::take_completions() {
   std::vector<Completion> out = std::move(completions_);
   completions_.clear();
   return out;
-}
-
-support::LatencyHistogram Scheduler::tenant_latency(
-    std::uint32_t tenant) const {
-  const auto it = tenant_latency_.find(tenant);
-  return it == tenant_latency_.end() ? support::LatencyHistogram{}
-                                     : it->second;
 }
 
 std::uint64_t Scheduler::latency_lock_contended() const {

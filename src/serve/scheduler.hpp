@@ -111,17 +111,12 @@ struct SchedulerParams {
   /// requests in the simulated time one submitter pushes one). 0 disables
   /// the clocks — arrivals stamp from global time when pump() drains them.
   sim::Tick submit_cost = 0;
-  /// Per-tenant end-to-end latency histograms (tenant_latency()). On by
-  /// default; benches pushing 10^5+ tenants turn it off — a histogram per
-  /// tenant is ~16KB, which dominates the per-tenant footprint at scale.
-  bool track_tenant_latency = true;
   /// A tenant idle (no queued requests, nothing in flight) for this long is
-  /// evicted from the per-tenant maps — state and latency histogram both —
-  /// so the maps track the active set, not every tenant ever seen. A
-  /// re-appearing tenant re-registers from the request (weight field) or
-  /// set_tenant_weight. 0 disables eviction. The default is one simulated
-  /// second: far past any serving-path timescale, so only truly departed
-  /// tenants age out.
+  /// evicted from the per-tenant map, so the map tracks the active set, not
+  /// every tenant ever seen. A re-appearing tenant re-registers from the
+  /// request (weight field) or set_tenant_weight. 0 disables eviction. The
+  /// default is one simulated second: far past any serving-path timescale,
+  /// so only truly departed tenants age out.
   support::Duration tenant_idle_timeout = support::Duration::from_us(1.0e6);
   /// Stats prefix for the serve.* counters.
   std::string name = "serve";
@@ -252,7 +247,7 @@ class Scheduler {
   /// unblock; drops never enter the latency histograms.
   [[nodiscard]] std::vector<Completion> take_completions();
 
-  /// Resets the latency histograms (class and tenant). ROI-style
+  /// Resets the per-class latency histograms. ROI-style
   /// measurement: benches warm the residency cache and the admission EWMAs
   /// first, then measure steady-state serving — the same snapshot-around-ROI
   /// discipline the rest of the harness uses.
@@ -264,14 +259,7 @@ class Scheduler {
   [[nodiscard]] support::LatencyHistogram class_latency(DeadlineClass c) const {
     return class_latency_[static_cast<std::size_t>(c)].merged();
   }
-  /// Per-tenant end-to-end latency snapshot (empty histogram for a tenant
-  /// that never completed a request, was evicted, or when
-  /// track_tenant_latency is off).
-  [[nodiscard]] support::LatencyHistogram tenant_latency(
-      std::uint32_t tenant) const;
-  /// Contended acquisitions across the class-histogram shard locks. (The
-  /// per-tenant histograms are plain driver-thread structures — at 10^5+
-  /// tenants a sharded histogram per tenant would cost ~256KB each.)
+  /// Contended acquisitions across the class-histogram shard locks.
   [[nodiscard]] std::uint64_t latency_lock_contended() const;
 
   [[nodiscard]] const Counters& counters() const { return counters_; }
@@ -487,10 +475,6 @@ class Scheduler {
   /// shards let a future parallel retirement path (and concurrent readers
   /// taking merged snapshots) proceed without a global histogram lock.
   support::ShardedLatencyHistogram class_latency_[kDeadlineClasses];
-  /// Plain driver-thread histograms (one sharded histogram per tenant is
-  /// ~256KB — untenable at 10^5+ tenants); gated by track_tenant_latency
-  /// and evicted with the tenant.
-  std::unordered_map<std::uint32_t, support::LatencyHistogram> tenant_latency_;
 
   Counters counters_;
 };

@@ -111,26 +111,8 @@ std::uint64_t CacheHierarchy::l1d_miss(PhysAddr addr, bool dirty_victim) {
   return latencies_.l2_hit_cycles + latencies_.dram_cycles;
 }
 
-std::uint64_t CacheHierarchy::inst_fetch(PhysAddr addr) {
-  bool dirty_victim = false;
-  if (l1i_.access(addr, /*is_write=*/false, &dirty_victim) == CacheOutcome::kHit) {
-    return 0;
-  }
-  bool l2_dirty_victim = false;
-  if (l2_.access(addr, /*is_write=*/false, &l2_dirty_victim) == CacheOutcome::kHit) {
-    return latencies_.l2_hit_cycles;
-  }
-  if (l2_dirty_victim) dram_accesses_.add_local();
-  dram_accesses_.add_local();
-  return latencies_.l2_hit_cycles + latencies_.dram_cycles;
-}
-
 std::uint64_t CacheHierarchy::flush_data_caches() {
   return l1d_.flush_all() + l2_.flush_all();
-}
-
-std::uint64_t CacheHierarchy::flush_data_range(PhysAddr addr, std::uint64_t bytes) {
-  return l1d_.flush_range(addr, bytes) + l2_.flush_range(addr, bytes);
 }
 
 void CacheHierarchy::register_stats(support::StatsRegistry& registry) const {

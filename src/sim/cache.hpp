@@ -133,13 +133,9 @@ class CacheHierarchy {
     return l1d_miss(addr, dirty_victim);
   }
 
-  /// Instruction fetch; returns stall cycles.
-  [[nodiscard]] std::uint64_t inst_fetch(PhysAddr addr);
-
   /// Flush both data levels (driver coherence protocol, Section II-E).
   /// Returns total dirty lines written back to memory.
   std::uint64_t flush_data_caches();
-  std::uint64_t flush_data_range(PhysAddr addr, std::uint64_t bytes);
 
   [[nodiscard]] Cache& l1d() { return l1d_; }
   [[nodiscard]] Cache& l1i() { return l1i_; }

@@ -11,25 +11,9 @@ void EventQueue::schedule_at(Tick when, std::string label,
   queue_.push(Event{when, next_sequence_++, std::move(label), std::move(action)});
 }
 
-void EventQueue::schedule_after(support::Duration delay, std::string label,
-                                std::function<void()> action) {
-  schedule_at(now_ + to_ticks(delay), std::move(label), std::move(action));
-}
-
-Tick EventQueue::run_to_completion() {
-  while (!queue_.empty()) {
-    // Copy out before pop: the action may schedule new events.
-    Event event = queue_.top();
-    queue_.pop();
-    now_ = event.when;
-    ++executed_;
-    event.action();
-  }
-  return now_;
-}
-
 Tick EventQueue::run_until(Tick limit) {
   while (!queue_.empty() && queue_.top().when <= limit) {
+    // Copy out before pop: the action may schedule new events.
     Event event = queue_.top();
     queue_.pop();
     now_ = event.when;

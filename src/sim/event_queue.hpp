@@ -19,7 +19,6 @@ namespace tdo::sim {
 /// Simulation time in integral picosecond ticks.
 using Tick = std::uint64_t;
 
-[[nodiscard]] constexpr Tick to_ticks(support::Duration d) { return d.ticks(); }
 [[nodiscard]] constexpr support::Duration from_ticks(Tick t) {
   return support::Duration::from_ps(static_cast<double>(t));
 }
@@ -39,13 +38,6 @@ class EventQueue {
   /// Schedules `action` at absolute tick `when` (must be >= now()).
   void schedule_at(Tick when, std::string label, std::function<void()> action);
 
-  /// Schedules `action` `delay` after now().
-  void schedule_after(support::Duration delay, std::string label,
-                      std::function<void()> action);
-
-  /// Runs events until the queue is empty. Returns the tick of the last event.
-  Tick run_to_completion();
-
   /// Runs events with `when <= limit`. Advances now() to `limit` even when
   /// the queue drains earlier. Returns now().
   Tick run_until(Tick limit);
@@ -61,8 +53,9 @@ class EventQueue {
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Moves the current time forward without executing anything (used by the
-  /// host to donate its accumulated atomic-mode time to the queue clock).
+  /// Moves the current time forward without executing anything; no pending
+  /// event may be due before `t` (a driver joining submitter-thread clocks
+  /// onto the queue clock).
   void advance_to(Tick t);
 
  private:

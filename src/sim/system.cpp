@@ -13,11 +13,6 @@ System::System(SystemParams params)
   caches_.register_stats(stats_);
 }
 
-void System::sync_event_clock_to_host() {
-  const Tick host_now = cpu_.elapsed().ticks();
-  if (host_now > events_.now()) events_.advance_to(host_now);
-}
-
 void System::settle_to_host_time() {
   const Tick host_now = cpu_.elapsed().ticks();
   if (host_now > events_.now()) (void)events_.run_until(host_now);

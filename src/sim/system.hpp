@@ -43,15 +43,10 @@ class System {
   [[nodiscard]] support::StatsRegistry& stats() { return stats_; }
   [[nodiscard]] const SystemParams& params() const { return params_; }
 
-  /// Synchronizes the event queue clock with the host's accumulated time
-  /// (called right before triggering the accelerator).
-  void sync_event_clock_to_host();
-
   /// Executes every device event due by the host's current time, then moves
-  /// the event clock up to it. Unlike sync_event_clock_to_host this is safe
-  /// while asynchronous jobs are in flight: completions that should already
-  /// have happened are retired (and may chain queued work) instead of being
-  /// jumped over.
+  /// the event clock up to it. Safe while asynchronous jobs are in flight:
+  /// completions that should already have happened are retired (and may
+  /// chain queued work) instead of being jumped over.
   void settle_to_host_time();
 
   /// Current global time: max(host elapsed, event queue now).

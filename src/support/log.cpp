@@ -7,7 +7,6 @@
 namespace tdo::support {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
 std::atomic<LogTap> g_tap{nullptr};
 std::mutex g_sink_mutex;
 
@@ -25,14 +24,10 @@ const char* to_string(LogLevel level) {
   return "?";
 }
 
-void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
 void set_log_tap(LogTap tap) { g_tap.store(tap, std::memory_order_release); }
 
 void log_message(LogLevel level, const char* component, const std::string& text) {
-  if (level < log_level()) return;
+  if (level < kLogThreshold) return;
   if (LogTap tap = g_tap.load(std::memory_order_acquire); tap != nullptr) {
     tap(level, component, text);
   }

@@ -1,7 +1,8 @@
 // Minimal leveled logger.
 //
-// Simulation components log through a single global sink so benches can mute
-// everything below Warn while tests can raise verbosity per-case.
+// Simulation components log through a single global sink. The threshold is a
+// constant: only Warn and Error lines are emitted, so a bench's stderr
+// carries problems only.
 #pragma once
 
 #include <sstream>
@@ -13,9 +14,8 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 [[nodiscard]] const char* to_string(LogLevel level);
 
-/// Global log threshold; messages below it are discarded cheaply.
-void set_log_level(LogLevel level);
-[[nodiscard]] LogLevel log_level();
+/// Log threshold; messages below it are discarded at the call site.
+inline constexpr LogLevel kLogThreshold = LogLevel::kWarn;
 
 /// Emits one formatted line (used by the TDO_LOG macro; rarely called raw).
 void log_message(LogLevel level, const char* component, const std::string& text);
@@ -53,8 +53,8 @@ class LogLine {
 
 }  // namespace tdo::support
 
-/// Usage: TDO_LOG(kInfo, "cim") << "wrote " << n << " cells";
-#define TDO_LOG(level, component)                                        \
-  if (::tdo::support::LogLevel::level < ::tdo::support::log_level()) {  \
-  } else                                                                 \
+/// Usage: TDO_LOG(kWarn, "cim") << "wrote " << n << " cells";
+#define TDO_LOG(level, component)                                          \
+  if (::tdo::support::LogLevel::level < ::tdo::support::kLogThreshold) {  \
+  } else                                                                   \
     ::tdo::support::detail::LogLine(::tdo::support::LogLevel::level, component)

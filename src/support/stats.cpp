@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <iomanip>
 
 #include "support/threading.hpp"
 
@@ -220,31 +219,6 @@ StatsSnapshot StatsRegistry::snapshot() const {
         static_cast<std::uint64_t>(merged.quantile(0.99).picoseconds());
   }
   return snap;
-}
-
-void StatsRegistry::dump(std::ostream& os) const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  for (const Entry& entry : counters_) {
-    os << std::left << std::setw(42) << entry.name << entry.value() << '\n';
-  }
-  for (const auto& [name, energy] : energies_) {
-    os << std::left << std::setw(42) << name << energy->total().to_string() << '\n';
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    const LatencyHistogram merged = histogram->merged();
-    os << std::left << std::setw(42) << name << "n=" << merged.count()
-       << " mean=" << merged.mean().to_string()
-       << " p50=" << merged.quantile(0.50).to_string()
-       << " p99=" << merged.quantile(0.99).to_string() << '\n';
-  }
-}
-
-std::vector<std::string> StatsRegistry::counter_names() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  std::vector<std::string> names;
-  names.reserve(counters_.size());
-  for (const Entry& entry : counters_) names.push_back(entry.name);
-  return names;
 }
 
 }  // namespace tdo::support

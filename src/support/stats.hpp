@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -157,7 +156,7 @@ class StatsRegistry {
   /// Sharded (per-thread) counter; snapshot() sums its shards on read.
   void register_counter(std::string name, const ShardedCounter* counter);
   void register_energy(std::string name, const EnergyAccumulator* energy);
-  /// Latency histogram; snapshot()/dump() surface `<name>.count` plus
+  /// Latency histogram; snapshot() surfaces `<name>.count` plus
   /// mean/p50/p99 picosecond summaries derived at read time.
   void register_histogram(std::string name,
                           const ShardedLatencyHistogram* histogram);
@@ -172,10 +171,6 @@ class StatsRegistry {
   void unregister_histogram(const ShardedLatencyHistogram* histogram);
 
   [[nodiscard]] StatsSnapshot snapshot() const;
-  void dump(std::ostream& os) const;
-
-  /// Names in registration order (stable output for tests and reports).
-  [[nodiscard]] std::vector<std::string> counter_names() const;
 
  private:
   /// Exactly one of the pointers is set per entry.

@@ -48,8 +48,4 @@ Status internal_error(std::string message) {
   return {StatusCode::kInternal, std::move(message)};
 }
 
-std::ostream& operator<<(std::ostream& os, const Status& s) {
-  return os << s.to_string();
-}
-
 }  // namespace tdo::support

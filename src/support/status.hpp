@@ -8,7 +8,6 @@
 
 #include <cassert>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <variant>
@@ -59,8 +58,6 @@ class [[nodiscard]] Status {
 [[nodiscard]] Status failed_precondition(std::string message);
 [[nodiscard]] Status unimplemented(std::string message);
 [[nodiscard]] Status internal_error(std::string message);
-
-std::ostream& operator<<(std::ostream& os, const Status& s);
 
 /// Either a value or an error Status. Minimal Expected-style wrapper.
 template <typename T>

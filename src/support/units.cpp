@@ -43,6 +43,5 @@ std::string Frequency::to_string() const { return with_si_prefix(hz_, 0, "Hz"); 
 
 std::ostream& operator<<(std::ostream& os, Energy e) { return os << e.to_string(); }
 std::ostream& operator<<(std::ostream& os, Duration d) { return os << d.to_string(); }
-std::ostream& operator<<(std::ostream& os, Frequency f) { return os << f.to_string(); }
 
 }  // namespace tdo::support

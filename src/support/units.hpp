@@ -148,7 +148,6 @@ class Frequency {
 
 std::ostream& operator<<(std::ostream& os, Energy e);
 std::ostream& operator<<(std::ostream& os, Duration d);
-std::ostream& operator<<(std::ostream& os, Frequency f);
 
 namespace literals {
 constexpr Energy operator""_fJ(long double v) { return Energy::from_fj(static_cast<double>(v)); }

@@ -28,7 +28,9 @@ TEST(TileTest, ProgramTileAndReadBack) {
   CimTile tile{params};
   std::vector<std::int8_t> data(64);
   for (int i = 0; i < 64; ++i) data[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(i - 32);
-  tile.program_tile(data, 8, 8);
+  for (std::uint32_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(tile.program_row(r, std::span(data).subspan(r * 8, 8)), 8u);
+  }
   EXPECT_EQ(tile.stats().weight_writes8, 64u);
   EXPECT_EQ(tile.stats().rows_programmed, 8u);
   for (std::uint32_t r = 0; r < 8; ++r) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 #include "testing/serve_load.hpp"
 
 namespace tdo::obs {
@@ -174,6 +175,40 @@ TEST(MetricsTest, TightLatencySloBreachesAndCountsIntoTheSeries) {
     EXPECT_GE(breach.slow_burn, 1.0);
   }
   EXPECT_GE(out.breach_counter_sampled, out.breaches.size());
+}
+
+TEST(MetricsTest, ShedBurnBreachLandsAsAnSloShedInstant) {
+  // Half of every window's requests are shed against a 25% budget: both
+  // burns reach 2.0 once the slow window spans the series, so exactly one
+  // rising-edge breach fires, and with tracing on it lands on the `slo`
+  // track as `<cls>.shed` with the burns in milli-units.
+  SloMonitor slo{tight_slo_params(), {SloSpec{"batch", 0, 0.25}}};
+  Tracer& tracer = Tracer::instance();
+  tracer.start(TracerParams{});
+  support::StatsSnapshot snapshot;
+  for (std::uint64_t i = 0; i <= 4; ++i) {
+    snapshot.counters["serve.requests"] = 100 * i;
+    snapshot.counters["serve.shed.batch"] = 50 * i;
+    slo.on_sample(i * 5'000'000, snapshot);
+  }
+  tracer.stop();
+  const std::vector<TraceEvent> events = tracer.sorted_events();
+  tracer.clear();
+
+  ASSERT_EQ(slo.breaches().size(), 1u);
+  EXPECT_EQ(slo.breaches()[0].kind, "shed");
+  EXPECT_EQ(slo.breaches()[0].tick, 15'000'000u);
+  std::vector<TraceEvent> instants;
+  for (const TraceEvent& event : events) {
+    if (event.track == "slo") instants.push_back(event);
+  }
+  ASSERT_EQ(instants.size(), 1u);
+  EXPECT_EQ(instants[0].name, "batch.shed");
+  EXPECT_EQ(instants[0].phase, Phase::kInstant);
+  EXPECT_EQ(instants[0].ts, 15'000'000u);
+  using Args = std::vector<std::pair<std::string, std::uint64_t>>;
+  EXPECT_EQ(instants[0].args,
+            (Args{{"fast_milli", 2000}, {"slow_milli", 2000}}));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "obs/critical_path.hpp"
 #include "serve/scheduler.hpp"
+#include "support/log.hpp"
 #include "testing/serve_load.hpp"
 #include "topo/topology.hpp"
 
@@ -138,6 +139,27 @@ TEST(TraceTest, PlacementPoliciesDivergeInTheTrace) {
   ASSERT_EQ(caller_devices.size(), caller.serve.completions.size());
   ASSERT_EQ(buffer_devices.size(), buffer.serve.completions.size());
   EXPECT_NE(caller_devices, buffer_devices);
+}
+
+TEST(TraceTest, WarnLogLinesLandAsLogInstants) {
+  // While tracing, every line that passes the log threshold is mirrored onto
+  // the `log` track at the tracer's last simulated tick.
+  Tracer& tracer = Tracer::instance();
+  tracer.start(TracerParams{});
+  tracer.note_tick(1234);
+  TDO_LOG(kWarn, "test") << "queue " << 3 << " full";
+  tracer.stop();
+  const std::vector<TraceEvent> events = tracer.sorted_events();
+  tracer.clear();
+
+  std::vector<TraceEvent> logs;
+  for (const TraceEvent& event : events) {
+    if (event.track == "log") logs.push_back(event);
+  }
+  ASSERT_EQ(logs.size(), 1u);
+  EXPECT_EQ(logs[0].name, "WARN test: queue 3 full");
+  EXPECT_EQ(logs[0].phase, Phase::kInstant);
+  EXPECT_EQ(logs[0].ts, 1234u);
 }
 
 TEST(StatsRegistryTest, SchedulerHistogramsDetachOnDestruction) {

@@ -147,6 +147,51 @@ TEST(CimApiTest, UnboundFacadeReportsNotInitialized) {
   EXPECT_EQ(polly_cimBlasGemmBatched(4, 4, 4, &one, ptrs, 4, ptrs, 4, &one,
                                      ptrs, 4, 1, 0),
             kCimNotInitialized);
+  EXPECT_EQ(polly_cimHostToDev(0x1000, 0x2000, 64), kCimNotInitialized);
+  EXPECT_EQ(polly_cimDevToHost(0x2000, 0x1000, 64), kCimNotInitialized);
+  EXPECT_EQ(polly_cimHostToDev2d(0x1000, 0x2000, 64, 16, 4),
+            kCimNotInitialized);
+  EXPECT_EQ(polly_cimDevToHost2d(0x2000, 0x1000, 64, 16, 4),
+            kCimNotInitialized);
+  EXPECT_EQ(polly_cimSynchronize(), kCimNotInitialized);
+}
+
+TEST(CimApiTest, PitchedCopiesRoundTripASubRectangle) {
+  // Listing 1's pitched transfers: a 5 x 6 window of a 16 x 16 host matrix
+  // goes to the device and back; nothing outside the window moves.
+  Platform p;
+  const RuntimeBinding binding{p.runtime()};
+  ASSERT_EQ(polly_cimInit(0), kCimSuccess);
+  constexpr std::size_t kDim = 16, kRow0 = 3, kCol0 = 5, kRows = 5, kCols = 6;
+  constexpr std::uint64_t kPitch = kDim * 4;
+  const auto matrix = random_matrix(kDim * kDim, 1.0, 61);
+  const auto host_in = p.system().mmu().allocate(kDim * kDim * 4);
+  const auto host_out = p.system().mmu().allocate(kDim * kDim * 4);
+  ASSERT_TRUE(host_in.is_ok() && host_out.is_ok());
+  p.write_floats(*host_in, matrix);
+  p.write_floats(*host_out, std::vector<float>(kDim * kDim, 0.0f));
+  const std::uint64_t dev = p.device_zeros(kDim * kDim);
+  const std::uint64_t window = (kRow0 * kDim + kCol0) * 4;
+
+  ASSERT_EQ(polly_cimHostToDev2d(dev + window, *host_in + window, kPitch,
+                                 kCols * 4, kRows),
+            kCimSuccess);
+  ASSERT_EQ(polly_cimDevToHost2d(*host_out + window, dev + window, kPitch,
+                                 kCols * 4, kRows),
+            kCimSuccess);
+  ASSERT_EQ(polly_cimSynchronize(), kCimSuccess);
+
+  const auto on_device = p.read_floats(dev, kDim * kDim);
+  const auto back = p.read_floats(*host_out, kDim * kDim);
+  for (std::size_t r = 0; r < kDim; ++r) {
+    for (std::size_t c = 0; c < kDim; ++c) {
+      const bool inside = r >= kRow0 && r < kRow0 + kRows && c >= kCol0 &&
+                          c < kCol0 + kCols;
+      const float want = inside ? matrix[r * kDim + c] : 0.0f;
+      EXPECT_EQ(on_device[r * kDim + c], want) << "device " << r << "," << c;
+      EXPECT_EQ(back[r * kDim + c], want) << "host " << r << "," << c;
+    }
+  }
 }
 
 TEST(CimApiTest, InvalidArgumentsReportInvalidValue) {

@@ -196,22 +196,19 @@ TEST(OverloadEvictionTest, IdleTenantsAgeOutOfThePerTenantMaps) {
   ASSERT_TRUE(scheduler.drain().is_ok());
   EXPECT_EQ(scheduler.counters().completed.value(), kTenants);
   EXPECT_EQ(scheduler.tenant_count(), kTenants);  // idle but not yet timed out
-  EXPECT_EQ(scheduler.tenant_latency(0).count(), 1u);
 
   // Leap simulated time past the idle timeout: the next pump evicts every
-  // tenant — state and latency histogram both.
+  // tenant.
   auto& events = fx.platform.system().events();
   events.run_until(events.now() + Duration::from_us(2.0e4).ticks());
   ASSERT_TRUE(scheduler.pump().is_ok());
   EXPECT_EQ(scheduler.tenant_count(), 0u);
-  EXPECT_EQ(scheduler.tenant_latency(0).count(), 0u);
 
   // A re-appearing tenant re-registers from scratch.
   ASSERT_TRUE(scheduler.submit(fx.light(3, 0, DeadlineClass::kStandard))
                   .is_ok());
   ASSERT_TRUE(scheduler.drain().is_ok());
   EXPECT_EQ(scheduler.tenant_count(), 1u);
-  EXPECT_EQ(scheduler.tenant_latency(3).count(), 1u);
 }
 
 /// Paced open-loop run at ~3x the measured service rate: batch-heavy flood

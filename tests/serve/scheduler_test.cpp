@@ -431,9 +431,13 @@ struct TenantSpec {
   int clients = 1;
 };
 
+/// Each tenant's end-to-end latencies of finished requests, taken from the
+/// completions drive() collects with Scheduler::take_completions().
+using TenantLatency = std::map<std::uint32_t, support::LatencyHistogram>;
+
 void run_closed_loop(ServeFixture& fx, Scheduler& scheduler,
                      const std::vector<TenantSpec>& specs,
-                     int requests_per_client) {
+                     int requests_per_client, TenantLatency* latency) {
   std::vector<const TenantSpec*> tenant_of;  // client -> its tenant's spec
   std::vector<sim::VirtAddr> outputs;         // four per client
   for (const auto& spec : specs) {
@@ -442,13 +446,27 @@ void run_closed_loop(ServeFixture& fx, Scheduler& scheduler,
       for (int p = 0; p < 4; ++p) outputs.push_back(fx.fresh_output());
     }
   }
-  ClosedSource source{
+  struct Recording : ClosedSource {
+    Recording(std::size_t clients, std::size_t per_client, Make make,
+              TenantLatency* latency)
+        : ClosedSource{clients, per_client, std::move(make)},
+          latency_{latency} {}
+    void complete(const Completion& completion) override {
+      if (completion.outcome == Completion::Outcome::kDone) {
+        (*latency_)[completion.tenant].add(completion.latency());
+      }
+      ClosedSource::complete(completion);
+    }
+    TenantLatency* latency_;
+  };
+  Recording source{
       tenant_of.size(), static_cast<std::size_t>(requests_per_client),
       [&](std::size_t i, std::size_t nth) {
         const TenantSpec& spec = *tenant_of[i];
         return fx.request(spec.weight, outputs[4 * i + nth % 4],
                           spec.tenant);
-      }};
+      },
+      latency};
   const auto finished = drive(scheduler, source, source.target());
   ASSERT_TRUE(finished.is_ok()) << finished.status().to_string();
 }
@@ -464,15 +482,17 @@ TEST(SchedulerTest, LightTenantTailBoundedUnderTenToOneFlood) {
   {
     ServeFixture fx{2, 2};
     Scheduler scheduler{params, fx.platform.runtime()};
-    run_closed_loop(fx, scheduler, {TenantSpec{1, 1, 1}}, kRequests);
-    solo_p99 = scheduler.tenant_latency(1).quantile(0.99);
+    TenantLatency solo;
+    run_closed_loop(fx, scheduler, {TenantSpec{1, 1, 1}}, kRequests, &solo);
+    solo_p99 = solo[1].quantile(0.99);
   }
   ServeFixture fx{2, 2};
   Scheduler scheduler{params, fx.platform.runtime()};
-  run_closed_loop(fx, scheduler,
-                  {TenantSpec{0, 0, 10}, TenantSpec{1, 1, 1}}, kRequests);
-  const Duration light_p99 = scheduler.tenant_latency(1).quantile(0.99);
-  const Duration heavy_p99 = scheduler.tenant_latency(0).quantile(0.99);
+  TenantLatency flood;
+  run_closed_loop(fx, scheduler, {TenantSpec{0, 0, 10}, TenantSpec{1, 1, 1}},
+                  kRequests, &flood);
+  const Duration light_p99 = flood[1].quantile(0.99);
+  const Duration heavy_p99 = flood[0].quantile(0.99);
   ASSERT_GT(solo_p99.picoseconds(), 0.0);
   ASSERT_GT(light_p99.picoseconds(), 0.0);
   // Bounded interference: the light tenant's tail grows by at most a small

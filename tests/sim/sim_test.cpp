@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "cim/accelerator.hpp"
 #include "sim/bus.hpp"
 #include "sim/cache.hpp"
 #include "sim/event_queue.hpp"
@@ -25,8 +27,9 @@ TEST(EventQueueTest, ExecutesInTimeOrder) {
   queue.schedule_at(30, "c", [&] { order.push_back(3); });
   queue.schedule_at(10, "a", [&] { order.push_back(1); });
   queue.schedule_at(20, "b", [&] { order.push_back(2); });
-  EXPECT_EQ(queue.run_to_completion(), 30u);
+  EXPECT_EQ(queue.run_until(30), 30u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueueTest, SameTickIsFifo) {
@@ -34,7 +37,7 @@ TEST(EventQueueTest, SameTickIsFifo) {
   std::vector<int> order;
   queue.schedule_at(5, "a", [&] { order.push_back(1); });
   queue.schedule_at(5, "b", [&] { order.push_back(2); });
-  queue.run_to_completion();
+  queue.run_until(5);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -43,10 +46,12 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   int fired = 0;
   queue.schedule_at(1, "outer", [&] {
     ++fired;
-    queue.schedule_after(support::Duration::from_ps(4), "inner",
-                         [&] { ++fired; });
+    queue.schedule_at(queue.now() + 4, "inner", [&] { ++fired; });
   });
-  EXPECT_EQ(queue.run_to_completion(), 5u);
+  queue.run_until(4);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(queue.next_when(), 5u);
+  queue.run_until(5);
   EXPECT_EQ(fired, 2);
 }
 
@@ -341,13 +346,28 @@ TEST(BusTest, RoutesDramAndRejectsUnmapped) {
   EXPECT_FALSE(system.bus().read_scalar<std::uint32_t>(0x50'0000'0000ull).is_ok());
 }
 
+TEST(BusTest, RejectsWindowsOverlappingDramOrADevice) {
+  System system;
+  cim::Accelerator accel{{}, system};  // attaches its PMIO window
+  const PhysAddr pmio = cim::AcceleratorParams{}.pmio_base;
+  const auto overlap = system.bus().attach(pmio + 8, 16, accel);
+  ASSERT_FALSE(overlap.is_ok());
+  EXPECT_EQ(overlap.code(), support::StatusCode::kInvalidArgument);
+  EXPECT_NE(overlap.message().find("overlaps cim-accelerator"),
+            std::string::npos)
+      << overlap.to_string();
+  EXPECT_FALSE(system.bus().attach(0x40, 16, accel).is_ok());
+}
+
 TEST(SystemTest, GlobalTimeTracksBothClocks) {
   System system;
   system.cpu().charge_cycles(1200);  // 1 us at 1.2 GHz
   EXPECT_NEAR(system.global_time().microseconds(), 1.0, 0.01);
-  system.sync_event_clock_to_host();
-  system.events().schedule_after(support::Duration::from_us(5), "x", [] {});
-  system.events().run_to_completion();
+  system.settle_to_host_time();
+  const Tick done =
+      system.events().now() + support::Duration::from_us(5).ticks();
+  system.events().schedule_at(done, "x", [] {});
+  system.events().run_until(done);
   EXPECT_NEAR(system.global_time().microseconds(), 6.0, 0.02);
 }
 
