@@ -34,6 +34,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -822,19 +823,17 @@ struct SmallGemm {
   }
 };
 
-/// One row of the tenant-scale table: host nanoseconds of scheduling work
-/// per served request with the per-tenant maps holding `tenants` entries.
-/// The maps are pre-populated through set_tenant_weight (registration is the
+/// One trial of a tenant-scale row: host nanoseconds of scheduling work per
+/// served request with the per-tenant maps holding `tenants` entries. The
+/// maps are pre-populated through set_tenant_weight (registration is the
 /// cheap part); the timed region drives a fixed request count, at most 64
 /// in flight, through the full submit -> pump -> complete path, so the
 /// measured cost is the DRR active-list churn plus map lookups — flat when
 /// pop_next_request is O(1), linear in `tenants` if a full-scan scheduler
 /// ever regresses.
-[[nodiscard]] double run_scale_point(const Options& opts,
+[[nodiscard]] double run_scale_trial(const Options& opts, Platform& platform,
+                                     const SmallGemm& gemm,
                                      std::size_t tenants) {
-  Platform platform{1};
-  const SmallGemm gemm{platform, 4, 32, 32, opts.seed + 520, 16};
-
   tdo::serve::SchedulerParams params;
   params.admission.adaptive = false;
   tdo::serve::Scheduler scheduler{params, *platform.runtime};
@@ -845,7 +844,7 @@ struct SmallGemm {
   constexpr std::size_t kInFlight = 64;
   const std::size_t requests = opts.smoke ? 1024 : 4096;
   const std::size_t stride = std::max<std::size_t>(tenants / requests, 1);
-  const auto run_trial = [&]() -> double {
+  const auto run = [&]() -> double {
     std::size_t submitted = 0;
     ClosedSource source{
         kInFlight, requests / kInFlight, [&](std::size_t, std::size_t) {
@@ -861,10 +860,9 @@ struct SmallGemm {
     return std::chrono::duration<double, std::nano>(t1 - t0).count() /
            static_cast<double>(requests);
   };
-  // Two trials, keep the faster: the first also warms allocator and caches.
-  const double first = run_trial();
-  const double second = run_trial();
-  return std::min(first, second);
+  // The untimed pass warms allocator and caches after the previous trial.
+  (void)run();
+  return run();
 }
 
 // --- pseudo-asynchronous host/device split experiment ---
@@ -1630,14 +1628,25 @@ void drr_experiment(const Options& opts, Report& report) {
 void scale_experiment(const Options& opts, Report& report) {
   std::vector<std::size_t> scales{100, 1000, 10000};
   if (!opts.smoke) scales.push_back(100000);
+  // Every trial runs on one platform, so its memory layout is common to all
+  // tenant counts, and trials go round-robin over the counts, so a shift in
+  // machine speed lands on every count alike. Each count keeps its fastest
+  // trial.
+  Platform platform{1};
+  const SmallGemm gemm{platform, 4, 32, 32, opts.seed + 520, 16};
+  constexpr int kTrials = 9;
+  std::vector<double> ns(scales.size(), std::numeric_limits<double>::infinity());
+  for (int trial = 0; trial < kTrials; ++trial) {
+    for (std::size_t i = 0; i < scales.size(); ++i) {
+      ns[i] = std::min(ns[i], run_scale_trial(opts, platform, gemm, scales[i]));
+    }
+  }
   TextTable scale("Tenant-scale pump cost (fixed request count, "
                   "pre-registered tenants)");
   scale.set_header({"Tenants", "ns/request", "vs 10^2"});
-  std::vector<double> ns;
-  for (const std::size_t tenants : scales) {
-    ns.push_back(run_scale_point(opts, tenants));
-    scale.add_row({std::to_string(tenants), strprintf("%.0f", ns.back()),
-                   strprintf("%.2fx", ns.back() / ns.front())});
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    scale.add_row({std::to_string(scales[i]), strprintf("%.0f", ns[i]),
+                   strprintf("%.2fx", ns[i] / ns.front())});
   }
   std::printf("\n");
   scale.print(std::cout);

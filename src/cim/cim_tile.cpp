@@ -19,35 +19,32 @@ std::uint64_t CimTile::program_row(std::uint32_t row,
   return weights.size();
 }
 
-std::vector<std::int32_t> CimTile::gemv(std::span<const std::int8_t> inputs,
-                                        std::uint32_t active_rows,
-                                        std::uint32_t active_cols,
-                                        std::uint32_t row0) {
+void CimTile::gemv(std::span<const std::int8_t> inputs, std::uint32_t active_rows,
+                   std::uint32_t row0, std::span<std::int32_t> out) {
   // Row buffers latch the inputs (one byte per active row).
   stats_.buffer_byte_accesses += active_rows;
-  pcm::GemvResult raw =
-      crossbar_.gemv(inputs, active_rows, active_cols, nullptr, row0);
+  crossbar_.gemv(inputs, active_rows, row0, out);
   // Each logical column needs two nibble-column conversions through the
   // shared ADCs; saturating behaviour is configurable via AdcParams.
-  std::vector<std::int32_t> out(active_cols);
-  for (std::uint32_t c = 0; c < active_cols; ++c) {
-    out[c] = static_cast<std::int32_t>(adc_.convert(raw.acc[c]));
-  }
+  adc_.convert(out);
+  const std::uint64_t active_cols = out.size();
   // Results land in the output buffers (4 bytes each).
-  stats_.buffer_byte_accesses += static_cast<std::uint64_t>(active_cols) * 4;
+  stats_.buffer_byte_accesses += active_cols * 4;
   stats_.gemv_ops += 1;
-  stats_.mac8_ops += static_cast<std::uint64_t>(active_rows) * active_cols;
+  stats_.mac8_ops += active_rows * active_cols;
   // Offset-correction arithmetic done digitally per column (2 mul-add).
-  stats_.extra_alu_ops += static_cast<std::uint64_t>(active_cols) * 2;
-  return out;
+  stats_.extra_alu_ops += active_cols * 2;
 }
 
-float CimTile::postprocess(std::int32_t acc, double scale, float alpha,
-                           float beta, float previous) {
-  stats_.extra_alu_ops += 3;  // dequant-mul, alpha-mul, beta-fma
-  const double dequant = static_cast<double>(acc) * scale;
-  return static_cast<float>(static_cast<double>(alpha) * dequant +
-                            static_cast<double>(beta) * previous);
+void CimTile::postprocess(std::span<const std::int32_t> acc, double scale,
+                          float alpha, float beta, std::span<const float> previous,
+                          std::span<float> out) {
+  stats_.extra_alu_ops += 3 * acc.size();  // dequant-mul, alpha-mul, beta-fma
+  for (std::size_t j = 0; j < acc.size(); ++j) {
+    const double dequant = static_cast<double>(acc[j]) * scale;
+    out[j] = static_cast<float>(static_cast<double>(alpha) * dequant +
+                                static_cast<double>(beta) * previous[j]);
+  }
 }
 
 }  // namespace tdo::cim

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "pcm/adc.hpp"
 #include "pcm/crossbar.hpp"
@@ -52,18 +51,19 @@ class CimTile {
 
   /// One GEMV: latches quantized inputs into the row buffer, evaluates the
   /// crossbar over rows [row0, row0 + active_rows), runs the ADC
-  /// conversions, and returns the signed fixed-point accumulations for
-  /// `active_cols` columns. `row0` selects the crossbar row window holding
-  /// the stationary tile (several tiles can be resident in disjoint rows).
-  [[nodiscard]] std::vector<std::int32_t> gemv(std::span<const std::int8_t> inputs,
-                                               std::uint32_t active_rows,
-                                               std::uint32_t active_cols,
-                                               std::uint32_t row0 = 0);
+  /// conversions, and writes the signed fixed-point accumulations of the
+  /// first `out.size()` columns into `out`. `row0` selects the crossbar row
+  /// window holding the stationary tile (several tiles can be resident in
+  /// disjoint rows).
+  void gemv(std::span<const std::int8_t> inputs, std::uint32_t active_rows,
+            std::uint32_t row0, std::span<std::int32_t> out);
 
-  /// Digital-logic post-processing of one output element:
-  /// result = alpha * (acc * scale) + beta * previous. Charged as ALU ops.
-  [[nodiscard]] float postprocess(std::int32_t acc, double scale, float alpha,
-                                  float beta, float previous);
+  /// Digital-logic post-processing of one GEMV's outputs:
+  /// out[j] = alpha * (acc[j] * scale) + beta * previous[j]. Charged as ALU
+  /// ops.
+  void postprocess(std::span<const std::int32_t> acc, double scale, float alpha,
+                   float beta, std::span<const float> previous,
+                   std::span<float> out);
 
   /// Count extra digital-ALU work done on behalf of the micro-engine.
   void charge_alu_ops(std::uint64_t n) { stats_.extra_alu_ops += n; }

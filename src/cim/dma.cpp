@@ -35,10 +35,7 @@ support::Duration Dma::write_block(sim::PhysAddr dst,
 support::Duration Dma::read_strided(sim::PhysAddr src, std::uint64_t stride,
                                     std::uint32_t elem_bytes, std::uint32_t count,
                                     std::span<std::uint8_t> out) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    memory_.read(src + i * stride,
-                 out.subspan(static_cast<std::size_t>(i) * elem_bytes, elem_bytes));
-  }
+  memory_.read_strided(src, stride, elem_bytes, count, out);
   const std::uint64_t bytes = static_cast<std::uint64_t>(elem_bytes) * count;
   bytes_read_.add(bytes);
   bursts_.add();
@@ -48,10 +45,7 @@ support::Duration Dma::read_strided(sim::PhysAddr src, std::uint64_t stride,
 support::Duration Dma::write_strided(sim::PhysAddr dst, std::uint64_t stride,
                                      std::uint32_t elem_bytes, std::uint32_t count,
                                      std::span<const std::uint8_t> in) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    memory_.write(dst + i * stride,
-                  in.subspan(static_cast<std::size_t>(i) * elem_bytes, elem_bytes));
-  }
+  memory_.write_strided(dst, stride, elem_bytes, count, in);
   const std::uint64_t bytes = static_cast<std::uint64_t>(elem_bytes) * count;
   bytes_written_.add(bytes);
   bursts_.add();

@@ -146,6 +146,7 @@ MicroEngine::StreamPhase MicroEngine::stream_vectors(const GemmJob& job) {
   std::vector<float> c_old(out_len, 0.0f);
   std::vector<float> c_new(out_len);
   std::vector<std::int8_t> in_q;
+  std::vector<std::int32_t> acc(out_len);
 
   Duration fill_done = Duration::zero();
   Duration compute_done = Duration::zero();
@@ -181,12 +182,8 @@ MicroEngine::StreamPhase MicroEngine::stream_vectors(const GemmJob& job) {
 
     // --- compute ---
     quantize_into(in_f, in_scale, in_q);
-    const std::vector<std::int32_t> acc =
-        tile_.gemv(in_q, static_cast<std::uint32_t>(reduce),
-                   static_cast<std::uint32_t>(out_len), job.tile_row0);
-    for (std::uint64_t j = 0; j < out_len; ++j) {
-      c_new[j] = tile_.postprocess(acc[j], out_scale, job.alpha, job.beta, c_old[j]);
-    }
+    tile_.gemv(in_q, static_cast<std::uint32_t>(reduce), job.tile_row0, acc);
+    tile_.postprocess(acc, out_scale, job.alpha, job.beta, c_old, c_new);
 
     // --- store result from output buffers ---
     Duration out_time;

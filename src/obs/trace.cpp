@@ -20,7 +20,6 @@ void trace_log_tap(support::LogLevel level, const char* component,
                    const std::string& text) {
   if (!enabled()) return;
   Tracer& tracer = Tracer::instance();
-  if (level < tracer.params().log_threshold) return;
   std::string name = std::string{support::to_string(level)} + " " +
                      component + ": " + text;
   tracer.instant("log", std::move(name), tracer.last_tick());

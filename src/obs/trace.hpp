@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/log.hpp"
 #include "support/threading.hpp"
 
 namespace tdo::obs {
@@ -56,8 +55,6 @@ struct TracerParams {
   /// Bounded per-thread shard capacity; pushes beyond it are counted as
   /// dropped rather than growing without limit.
   std::size_t shard_capacity = 1u << 16;
-  /// Minimum log level mirrored onto the `log` track while tracing.
-  support::LogLevel log_threshold = support::LogLevel::kWarn;
 };
 
 namespace detail {

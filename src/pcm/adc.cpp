@@ -1,22 +1,20 @@
 #include "pcm/adc.hpp"
 
-#include <algorithm>
-
 namespace tdo::pcm {
 
-std::int64_t AdcArray::convert(std::int64_t raw) {
-  ++conversions_;
-  if (!params_.saturate) return raw;
+void AdcArray::convert(std::span<std::int32_t> raw) {
+  conversions_ += raw.size();
+  if (!params_.saturate) return;
   const std::int64_t max_code = (std::int64_t{1} << params_.bits) - 1;
-  if (raw > max_code) {
-    ++saturations_;
-    return max_code;
+  for (std::int32_t& v : raw) {
+    if (v > max_code) {
+      ++saturations_;
+      v = static_cast<std::int32_t>(max_code);
+    } else if (v < 0) {
+      ++saturations_;
+      v = 0;
+    }
   }
-  if (raw < 0) {
-    ++saturations_;
-    return 0;
-  }
-  return raw;
 }
 
 }  // namespace tdo::pcm

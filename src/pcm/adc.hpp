@@ -8,9 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
-#include <vector>
 
 namespace tdo::pcm {
 
@@ -39,11 +37,11 @@ class AdcArray {
     return params_.columns_per_adc;
   }
 
-  /// Applies range behaviour to a raw column accumulation and counts the
-  /// conversion. Values within [0, 2^bits) pass through; out-of-range values
-  /// clamp when `saturate` is set (they never occur with the default 12-bit
-  /// width and 256 active rows).
-  [[nodiscard]] std::int64_t convert(std::int64_t raw);
+  /// Converts one GEMV's raw column accumulations in place and counts one
+  /// conversion per column. Values within [0, 2^bits) pass through;
+  /// out-of-range values clamp when `saturate` is set (they never occur with
+  /// the default 12-bit width and 256 active rows).
+  void convert(std::span<std::int32_t> raw);
 
   [[nodiscard]] std::uint64_t conversions() const { return conversions_; }
   [[nodiscard]] std::uint64_t saturations() const { return saturations_; }

@@ -1,7 +1,9 @@
 #include "polybench/workloads.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 namespace tdo::pb {
 
@@ -28,17 +30,21 @@ using Matrix = std::vector<float>;
   return m;
 }
 
-/// Double-precision GEMM: C = alpha*A*B + beta*C.
+/// Double-precision GEMM: C = alpha*A*B + beta*C. Loops i-k-j over a row
+/// of accumulators so the inner loop runs along rows of B; each output still
+/// sums its products in ascending kk order.
 void dgemm(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
            const Matrix& a, const Matrix& b, double beta, Matrix& c) {
+  std::vector<double> acc(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < m; ++i) {
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const double a_ik = a[i * k + kk];
+      const float* b_row = &b[kk * n];
+      for (std::int64_t j = 0; j < n; ++j) acc[j] += a_ik * b_row[j];
+    }
     for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<double>(a[i * k + kk]) * b[kk * n + j];
-      }
-      c[i * n + j] =
-          static_cast<float>(alpha * acc + beta * c[i * n + j]);
+      c[i * n + j] = static_cast<float>(alpha * acc[j] + beta * c[i * n + j]);
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "runtime/cim_blas.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -345,14 +346,22 @@ support::StatusOr<double> CimRuntime::operand_max_abs(sim::VirtAddr va,
   auto& mem = system_.memory();
   const auto base_pa = translate_checked(va, ((rows - 1) * ld + row_len) * kElem);
   if (!base_pa.is_ok()) return base_pa.status();
+  // The values come from memory a page-sized chunk at a time; the host is
+  // still charged one load and one bundle per element, in element order.
+  std::array<float, sim::kPageSize / sizeof(float)> chunk{};
   double max_abs = 0.0;
   for (std::uint64_t r = 0; r < rows; ++r) {
     const sim::PhysAddr row_pa = *base_pa + r * ld * kElem;
-    for (std::uint64_t c = 0; c < row_len; ++c) {
-      const float v = mem.read_scalar<float>(row_pa + c * kElem);
-      max_abs = std::max(max_abs, static_cast<double>(std::fabs(v)));
-      cpu.load(row_pa + c * kElem);
-      cpu.issue(sim::InstBundle{.fp_ops = 2, .branches = 1});  // fabs+max+loop
+    for (std::uint64_t c0 = 0; c0 < row_len; c0 += chunk.size()) {
+      const std::size_t n =
+          static_cast<std::size_t>(std::min<std::uint64_t>(chunk.size(), row_len - c0));
+      mem.read(row_pa + c0 * kElem,
+               std::span(reinterpret_cast<std::uint8_t*>(chunk.data()), n * kElem));
+      for (std::size_t i = 0; i < n; ++i) {
+        max_abs = std::max(max_abs, static_cast<double>(std::fabs(chunk[i])));
+        cpu.load(row_pa + (c0 + i) * kElem);
+        cpu.issue(sim::InstBundle{.fp_ops = 2, .branches = 1});  // fabs+max+loop
+      }
     }
   }
   if (max_abs == 0.0) max_abs = 1.0;  // all-zero operand: any scale is exact

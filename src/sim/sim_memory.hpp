@@ -42,6 +42,15 @@ class SimMemory {
   void read(PhysAddr addr, std::span<std::uint8_t> out) const;
   void write(PhysAddr addr, std::span<const std::uint8_t> in);
 
+  /// Gathers `count` elements of `elem_bytes` from `addr`, `addr + stride`,
+  /// ... into `out`, densely packed. Looks each page up once per run of
+  /// elements that lie wholly inside it.
+  void read_strided(PhysAddr addr, std::uint64_t stride, std::uint32_t elem_bytes,
+                    std::uint32_t count, std::span<std::uint8_t> out) const;
+  /// Scatters densely packed elements of `in` the same way.
+  void write_strided(PhysAddr addr, std::uint64_t stride, std::uint32_t elem_bytes,
+                     std::uint32_t count, std::span<const std::uint8_t> in);
+
   template <typename T>
   [[nodiscard]] T read_scalar(PhysAddr addr) const {
     static_assert(std::is_trivially_copyable_v<T>);

@@ -7,9 +7,7 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <span>
 
 namespace tdo::support {
 
@@ -23,44 +21,19 @@ struct QuantScale {
     return {max_abs / 127.0};
   }
 
+  /// Clamps, then rounds half to even: adding and subtracting 1.5 * 2^52
+  /// leaves no fraction bits for |x| < 2^51, so under the default rounding
+  /// mode it equals std::nearbyint on [-127, 127] without a libm call.
   [[nodiscard]] std::int8_t quantize(double real) const {
-    const double q = std::nearbyint(real / scale);
-    return static_cast<std::int8_t>(std::clamp(q, -127.0, 127.0));
+    constexpr double kRoundingBias = 6755399441055744.0;  // 1.5 * 2^52
+    const double x = std::clamp(real / scale, -127.0, 127.0);
+    return static_cast<std::int8_t>((x + kRoundingBias) - kRoundingBias);
   }
 
   [[nodiscard]] double dequantize(std::int64_t q) const {
     return static_cast<double>(q) * scale;
   }
 };
-
-/// Largest |x| over a span (0 for empty spans).
-[[nodiscard]] inline double max_abs(std::span<const float> values) {
-  double m = 0.0;
-  for (const float v : values) m = std::max(m, static_cast<double>(std::fabs(v)));
-  return m;
-}
-
-/// Splits a signed 8-bit weight into (msb, lsb) 4-bit magnitudes plus a sign,
-/// matching the two-column crossbar layout: |w| = 16*msb + lsb, both in 0..15.
-struct NibblePair {
-  std::uint8_t msb = 0;
-  std::uint8_t lsb = 0;
-  std::int8_t sign = 1;  // +1 or -1
-};
-
-[[nodiscard]] inline NibblePair split_nibbles(std::int8_t w) {
-  NibblePair out;
-  const int magnitude = std::abs(static_cast<int>(w));
-  out.sign = (w < 0) ? -1 : 1;
-  out.msb = static_cast<std::uint8_t>(magnitude >> 4);
-  out.lsb = static_cast<std::uint8_t>(magnitude & 0xF);
-  return out;
-}
-
-[[nodiscard]] inline std::int8_t join_nibbles(const NibblePair& p) {
-  const int magnitude = (static_cast<int>(p.msb) << 4) | static_cast<int>(p.lsb);
-  return static_cast<std::int8_t>(p.sign * magnitude);
-}
 
 /// Analytic worst-case absolute error of a quantized dot product of length n:
 /// |sum a_i b_i - s_a s_b sum qa_i qb_i| <= n * (|a|max * eb + |b|max * ea + ea*eb)

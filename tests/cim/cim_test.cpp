@@ -50,8 +50,8 @@ TEST(TileTest, GemvCountsMacsAndBufferTraffic) {
   for (std::uint32_t r = 0; r < 16; ++r) (void)tile.program_row(r, row);
   const std::uint64_t bytes_before = tile.stats().buffer_byte_accesses;
   std::vector<std::int8_t> in(16, 2);
-  const auto acc = tile.gemv(in, 16, 8);
-  ASSERT_EQ(acc.size(), 8u);
+  std::vector<std::int32_t> acc(8);
+  tile.gemv(in, 16, /*row0=*/0, acc);
   for (const auto v : acc) EXPECT_EQ(v, 16 * 2 * 3);
   EXPECT_EQ(tile.stats().gemv_ops, 1u);
   EXPECT_EQ(tile.stats().mac8_ops, 16u * 8u);
@@ -61,10 +61,14 @@ TEST(TileTest, GemvCountsMacsAndBufferTraffic) {
 
 TEST(TileTest, PostprocessAppliesAlphaBetaAndScale) {
   CimTile tile{TileParams{}};
-  const float out = tile.postprocess(/*acc=*/1000, /*scale=*/0.01, /*alpha=*/2.0f,
-                                     /*beta=*/0.5f, /*previous=*/4.0f);
-  EXPECT_FLOAT_EQ(out, 2.0f * 10.0f + 0.5f * 4.0f);
-  EXPECT_GE(tile.stats().extra_alu_ops, 3u);
+  const std::vector<std::int32_t> acc = {1000, -200};
+  const std::vector<float> previous = {4.0f, 2.0f};
+  std::vector<float> out(2);
+  tile.postprocess(acc, /*scale=*/0.01, /*alpha=*/2.0f, /*beta=*/0.5f, previous,
+                   out);
+  EXPECT_FLOAT_EQ(out[0], 2.0f * 10.0f + 0.5f * 4.0f);
+  EXPECT_FLOAT_EQ(out[1], 2.0f * -2.0f + 0.5f * 2.0f);
+  EXPECT_EQ(tile.stats().extra_alu_ops, 6u);  // three per element
 }
 
 TEST(AdcTest, SharingFactorDeterminesCountAndWaves) {
@@ -75,12 +79,14 @@ TEST(AdcTest, SharingFactorDeterminesCountAndWaves) {
 
 TEST(AdcTest, SaturationClampsWhenEnabled) {
   pcm::AdcArray ideal{pcm::AdcParams{.bits = 4, .saturate = false}, 8};
-  EXPECT_EQ(ideal.convert(100), 100);
+  std::vector<std::int32_t> raw = {100};
+  ideal.convert(raw);
+  EXPECT_EQ(raw[0], 100);
   EXPECT_EQ(ideal.saturations(), 0u);
   pcm::AdcArray clamped{pcm::AdcParams{.bits = 4, .saturate = true}, 8};
-  EXPECT_EQ(clamped.convert(100), 15);
-  EXPECT_EQ(clamped.convert(-5), 0);
-  EXPECT_EQ(clamped.convert(7), 7);
+  raw = {100, -5, 7};
+  clamped.convert(raw);
+  EXPECT_EQ(raw, (std::vector<std::int32_t>{15, 0, 7}));
   EXPECT_EQ(clamped.saturations(), 2u);
   EXPECT_EQ(clamped.conversions(), 3u);
 }

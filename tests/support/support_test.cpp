@@ -2,7 +2,11 @@
 // tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "support/ewma.hpp"
 #include "support/fixed_point.hpp"
@@ -127,11 +131,34 @@ TEST(QuantTest, SaturatesAtRange) {
   EXPECT_EQ(q.quantize(-50.0), -127);
 }
 
-TEST(QuantTest, NibbleSplitJoinRoundTrips) {
-  for (int w = -128; w <= 127; ++w) {
-    const auto v = static_cast<std::int8_t>(w);
-    if (v == -128) continue;  // magnitude 128 does not fit two nibbles
-    EXPECT_EQ(join_nibbles(split_nibbles(v)), v) << w;
+// quantize rounds with a bias add instead of std::nearbyint; the two must
+// agree on every tie near the clamp range, at the clamp edges and on random
+// values, including values far outside the range.
+TEST(QuantTest, QuantizeMatchesNearbyintReference) {
+  const auto reference = [](const QuantScale& q, double x) {
+    const double r = std::nearbyint(x / q.scale);
+    return static_cast<std::int8_t>(std::clamp(r, -127.0, 127.0));
+  };
+  const QuantScale unit{1.0};
+  std::vector<double> inputs;
+  for (int k = -130; k <= 130; ++k) inputs.push_back(k + 0.5);
+  for (const double edge : {127.5, -127.5}) {
+    inputs.push_back(std::nextafter(edge, 0.0));
+    inputs.push_back(std::nextafter(edge, edge * 2));
+    inputs.push_back(edge);
+  }
+  inputs.push_back(std::numeric_limits<double>::infinity());
+  inputs.push_back(-std::numeric_limits<double>::infinity());
+  for (const double x : inputs) {
+    EXPECT_EQ(unit.quantize(x), reference(unit, x)) << x;
+  }
+  // Mostly inside the range, 10% past either end of it.
+  Rng rng{2026};
+  for (int i = 0; i < 100000; ++i) {
+    const double max_abs = rng.uniform(1e-3, 10.0);
+    const QuantScale q = QuantScale::for_max_abs(max_abs);
+    const double x = rng.uniform(-1.1, 1.1) * max_abs;
+    ASSERT_EQ(q.quantize(x), reference(q, x)) << x << " scale " << q.scale;
   }
 }
 
