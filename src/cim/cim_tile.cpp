@@ -25,7 +25,7 @@ void CimTile::gemv(std::span<const std::int8_t> inputs, std::uint32_t active_row
   stats_.buffer_byte_accesses += active_rows;
   crossbar_.gemv(inputs, active_rows, row0, out);
   // Each logical column needs two nibble-column conversions through the
-  // shared ADCs; saturating behaviour is configurable via AdcParams.
+  // shared ADCs; the conversions leave the signed sums unchanged.
   adc_.convert(out);
   const std::uint64_t active_cols = out.size();
   // Results land in the output buffers (4 bytes each).

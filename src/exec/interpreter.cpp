@@ -19,7 +19,9 @@ using support::StatusOr;
 // A host nest compiles to one flat op array in source pre-order: a loop op
 // is followed by its body, which ends at the loop's `end` index, and a
 // statement holds its rhs as postfix expression ops. run_nest() walks the
-// array with a program counter and a stack of open loops.
+// array with a program counter and a stack of open loops; an innermost loop
+// runs in one routine that advances each access's index by a constant per
+// iteration instead of evaluating its subscripts.
 
 namespace {
 
@@ -39,11 +41,13 @@ struct Interpreter::PreparedAccess {
   const ArrayInfo* array = nullptr;
   std::int64_t elements = 0;
   PreparedAffine offset;  // flat row-major element index
+  /// The offset's coefficient of the innermost enclosing loop's slot: one
+  /// iteration of that loop moves the index by inner_coeff x step.
+  std::int64_t inner_coeff = 0;
 
-  /// The addressed element through the array's page table; null data when
-  /// the index falls outside the array.
-  [[nodiscard]] HostMapping resolve(const std::vector<std::int64_t>& env) const {
-    const std::int64_t index = offset.eval(env);
+  /// Element `index` through the array's page table; null data when the
+  /// index falls outside the array.
+  [[nodiscard]] HostMapping at(std::int64_t index) const {
     if (index < 0 || index >= elements) return {};
     const auto byte = static_cast<std::uint64_t>(index) * 4;
     const HostMapping& page = array->pages[byte >> sim::kPageShift];
@@ -58,18 +62,18 @@ struct Interpreter::PreparedAccess {
 };
 
 struct Interpreter::ExprOp {
+  /// kLoad pushes the statement's next access, kConst pushes `value` (scalar
+  /// params resolve to constants at prepare time), and kBin pops rhs then
+  /// lhs and pushes `lhs op rhs`.
   enum class Kind { kLoad, kConst, kBin };
   Kind kind = Kind::kConst;
-  // kLoad: pushes the element.
-  PreparedAccess access;
-  // kConst (also used for scalar params, resolved at prepare time).
   double value = 0.0;
-  // kBin: pops rhs then lhs, pushes `lhs op rhs`.
   ir::BinOpKind op = ir::BinOpKind::kAdd;
 };
 
 struct Interpreter::PreparedStmt {
-  PreparedAccess lhs;
+  /// The rhs loads in postfix order, then the lhs.
+  std::vector<PreparedAccess> accesses;
   bool accumulate = false;
   /// lhs address is invariant in the innermost enclosing loop: -O3 keeps the
   /// accumulator in a register, so no per-iteration lhs load/store occurs.
@@ -86,11 +90,18 @@ struct Interpreter::PreparedLoop {
   PreparedBound upper;
   std::int64_t step = 1;
   std::size_t end = 0;  // op index one past the loop body
+  /// The body holds only statements and the upper bound does not read
+  /// `slot`: the bound and every access's starting index are evaluated once
+  /// per entry, and each index then advances by its inner_coeff x step.
+  bool innermost = false;
 };
 
 struct Interpreter::PreparedNest {
   std::vector<std::variant<PreparedLoop, PreparedStmt>> ops;
   std::size_t stack_depth = 0;  // deepest rhs evaluation
+  /// Accesses of the largest innermost body or statement: the length of the
+  /// index buffer run_nest() allocates.
+  std::size_t streams = 0;
 };
 
 Interpreter::Interpreter(sim::System& system, rt::CimRuntime* runtime,
@@ -343,39 +354,36 @@ Status Interpreter::prepare_access(const std::string& array,
 
 StatusOr<std::size_t> Interpreter::prepare_expr(const ir::ExprPtr& e,
                                                 const SlotMap& slots,
-                                                std::vector<ExprOp>* out,
-                                                std::uint32_t* fp_ops,
-                                                std::uint32_t* loads) {
+                                                PreparedStmt* stmt) {
   ExprOp op;
   if (const auto* load = std::get_if<ir::LoadExpr>(&e->node)) {
     op.kind = ExprOp::Kind::kLoad;
-    TDO_RETURN_IF_ERROR(
-        prepare_access(load->array, load->subscripts, slots, &op.access));
-    ++*loads;
-    out->push_back(std::move(op));
+    TDO_RETURN_IF_ERROR(prepare_access(load->array, load->subscripts, slots,
+                                       &stmt->accesses.emplace_back()));
+    stmt->rhs.push_back(op);
     return std::size_t{1};
   }
   if (const auto* c = std::get_if<ir::ConstExpr>(&e->node)) {
     op.value = c->value;
-    out->push_back(std::move(op));
+    stmt->rhs.push_back(op);
     return std::size_t{1};
   }
   if (const auto* p = std::get_if<ir::ParamExpr>(&e->node)) {
     const auto it = scalars_.find(p->name);
     if (it == scalars_.end()) return support::not_found("scalar " + p->name);
     op.value = it->second;
-    out->push_back(std::move(op));
+    stmt->rhs.push_back(op);
     return std::size_t{1};
   }
   if (const auto* bin = std::get_if<ir::BinExpr>(&e->node)) {
-    auto lhs = prepare_expr(bin->lhs, slots, out, fp_ops, loads);
+    auto lhs = prepare_expr(bin->lhs, slots, stmt);
     if (!lhs.is_ok()) return lhs.status();
-    auto rhs = prepare_expr(bin->rhs, slots, out, fp_ops, loads);
+    auto rhs = prepare_expr(bin->rhs, slots, stmt);
     if (!rhs.is_ok()) return rhs.status();
     op.kind = ExprOp::Kind::kBin;
     op.op = bin->op;
-    out->push_back(std::move(op));
-    ++*fp_ops;
+    stmt->rhs.push_back(op);
+    ++stmt->fp_ops;
     return std::max(*lhs, *rhs + 1);
   }
   return support::unimplemented("non-affine expression reached the interpreter");
@@ -404,29 +412,42 @@ Status Interpreter::prepare_body(const std::vector<ir::Node>& nodes, int depth,
       const std::size_t index = nest->ops.size();
       nest->ops.emplace_back(std::move(prepared));
       TDO_RETURN_IF_ERROR(prepare_body(loop.body, depth + 1, slots, nest));
-      std::get<PreparedLoop>(nest->ops[index]).end = nest->ops.size();
       slots->erase(loop.iv);
+
+      auto& done = std::get<PreparedLoop>(nest->ops[index]);
+      done.end = nest->ops.size();
+      done.innermost = done.upper.expr.coeff_of(depth) == 0 &&
+                       done.upper.min_with.coeff_of(depth) == 0;
+      std::size_t streams = 0;
+      for (std::size_t op = index + 1; op < done.end; ++op) {
+        const auto* stmt = std::get_if<PreparedStmt>(&nest->ops[op]);
+        if (stmt == nullptr) {
+          done.innermost = false;
+          break;
+        }
+        streams += stmt->accesses.size();
+      }
+      if (done.innermost) nest->streams = std::max(nest->streams, streams);
     } else {
       const ir::Stmt& stmt = node.stmt();
       PreparedStmt prepared;
       prepared.accumulate = stmt.accumulate;
-      TDO_RETURN_IF_ERROR(prepare_access(stmt.lhs.array, stmt.lhs.subscripts,
-                                         *slots, &prepared.lhs));
-      std::uint32_t loads = 0;
-      auto stack = prepare_expr(stmt.rhs, *slots, &prepared.rhs,
-                                &prepared.fp_ops, &loads);
+      PreparedAccess lhs;
+      TDO_RETURN_IF_ERROR(
+          prepare_access(stmt.lhs.array, stmt.lhs.subscripts, *slots, &lhs));
+      auto stack = prepare_expr(stmt.rhs, *slots, &prepared);
       if (!stack.is_ok()) return stack.status();
-      nest->stack_depth = std::max(nest->stack_depth, *stack);
-      if (stmt.accumulate) ++prepared.fp_ops;  // the += add
-      if (cost_.promote_accumulators && stmt.accumulate && depth > 0) {
-        const int innermost_slot = depth - 1;
-        prepared.lhs_promoted = true;
-        for (const auto& [slot, coeff] : prepared.lhs.offset.terms) {
-          if (slot == innermost_slot && coeff != 0) {
-            prepared.lhs_promoted = false;
-          }
-        }
+      const auto loads = static_cast<std::uint32_t>(prepared.accesses.size());
+      prepared.accesses.push_back(std::move(lhs));
+      for (PreparedAccess& access : prepared.accesses) {
+        access.inner_coeff = access.offset.coeff_of(depth - 1);
       }
+      nest->stack_depth = std::max(nest->stack_depth, *stack);
+      nest->streams = std::max(nest->streams, prepared.accesses.size());
+      if (stmt.accumulate) ++prepared.fp_ops;  // the += add
+      prepared.lhs_promoted = cost_.promote_accumulators && stmt.accumulate &&
+                              depth > 0 &&
+                              prepared.accesses.back().inner_coeff == 0;
       const std::uint32_t lhs_accesses = prepared.lhs_promoted ? 0 : 1;
       prepared.addr_int_ops = (loads + lhs_accesses) * cost_.int_ops_per_access;
       nest->ops.emplace_back(std::move(prepared));
@@ -435,10 +456,61 @@ Status Interpreter::prepare_body(const std::vector<ir::Node>& nodes, int depth,
   return Status::ok();
 }
 
+const Interpreter::PreparedAccess* Interpreter::exec_stmt(
+    const PreparedStmt& stmt, const std::int64_t* index, double* stack) {
+  sim::HostCpu& cpu = system_.cpu();
+  ++stmts_executed_;
+  const PreparedAccess* access = stmt.accesses.data();
+  double* top = stack;  // one past the last pushed value
+  for (const ExprOp& op : stmt.rhs) {
+    switch (op.kind) {
+      case ExprOp::Kind::kConst:
+        *top++ = op.value;
+        break;
+      case ExprOp::Kind::kLoad: {
+        const HostMapping at = access->at(*index);
+        if (at.data == nullptr) return access;
+        cpu.load(at.pa);
+        *top++ = static_cast<double>(read_float(at.data));
+        ++access;
+        ++index;
+        break;
+      }
+      case ExprOp::Kind::kBin: {
+        const double r = *--top;
+        double& l = top[-1];
+        switch (op.op) {
+          case ir::BinOpKind::kAdd: l = l + r; break;
+          case ir::BinOpKind::kSub: l = l - r; break;
+          case ir::BinOpKind::kMul: l = l * r; break;
+          case ir::BinOpKind::kDiv: l = l / r; break;
+        }
+        break;
+      }
+    }
+  }
+  double value = stack[0];
+  const HostMapping lhs = access->at(*index);
+  if (lhs.data == nullptr) return access;
+  if (stmt.accumulate) {
+    if (!stmt.lhs_promoted) cpu.load(lhs.pa);
+    value += static_cast<double>(read_float(lhs.data));
+  }
+  write_float(lhs.data, static_cast<float>(value));
+  if (!stmt.lhs_promoted) cpu.store(lhs.pa);
+  cpu.issue(sim::InstBundle{.int_alu = stmt.addr_int_ops,
+                            .fp_ops = stmt.fp_ops});
+  return nullptr;
+}
+
 Status Interpreter::run_nest(const PreparedNest& nest) {
   sim::HostCpu& cpu = system_.cpu();
   std::vector<std::int64_t> env(32, 0);
   std::vector<double> stack(nest.stack_depth);
+  // The flat element index of each access in the running statement or
+  // innermost body, and how far one innermost iteration moves it.
+  std::vector<std::int64_t> index(nest.streams);
+  std::vector<std::int64_t> advance(nest.streams);
   struct OpenLoop {
     const PreparedLoop* loop;
     std::size_t body;  // op index of the first body op
@@ -447,20 +519,59 @@ Status Interpreter::run_nest(const PreparedNest& nest) {
   std::vector<OpenLoop> open;
   open.reserve(32);
 
-  // Starts the iteration of `loop` at `i`, or returns false past its bound.
-  const auto iterate = [&](const PreparedLoop& loop, std::int64_t i,
-                           std::uint32_t* unroll_phase) {
-    std::int64_t hi = loop.upper.expr.eval(env);
-    if (loop.upper.has_min) hi = std::min(hi, loop.upper.min_with.eval(env));
-    if (i >= hi) return false;
-    env[static_cast<std::size_t>(loop.slot)] = i;
-    // Loop bookkeeping amortizes across the unroll factor at -O3.
+  // Loop bookkeeping amortizes across the unroll factor at -O3.
+  const auto bookkeep = [&](std::uint32_t* unroll_phase) {
     if (*unroll_phase == 0) {
       cpu.issue(sim::InstBundle{.int_alu = cost_.loop_int_ops,
                                 .branches = cost_.loop_branches});
     }
     if (++*unroll_phase >= cost_.unroll_factor) *unroll_phase = 0;
+  };
+
+  // Starts the iteration of `loop` at `i`, or returns false past its bound.
+  const auto iterate = [&](const PreparedLoop& loop, std::int64_t i,
+                           std::uint32_t* unroll_phase) {
+    if (i >= loop.upper.eval(env)) return false;
+    env[static_cast<std::size_t>(loop.slot)] = i;
+    bookkeep(unroll_phase);
     return true;
+  };
+
+  // Runs the innermost loop at op `pc`. Its bound reads only outer slots,
+  // so it is evaluated once; each access's index is evaluated at the first
+  // iteration and then advanced, and still bounds-checked at every one.
+  const auto run_innermost = [&](std::size_t pc) -> Status {
+    const auto& loop = std::get<PreparedLoop>(nest.ops[pc]);
+    const auto slot = static_cast<std::size_t>(loop.slot);
+    const std::int64_t lo = loop.lower.eval(env);
+    const std::int64_t hi = loop.upper.eval(env);
+    if (lo >= hi) return Status::ok();
+    env[slot] = lo;
+    std::size_t streams = 0;
+    for (std::size_t op = pc + 1; op < loop.end; ++op) {
+      for (const PreparedAccess& access :
+           std::get<PreparedStmt>(nest.ops[op]).accesses) {
+        index[streams] = access.offset.eval(env);
+        advance[streams] = access.inner_coeff * loop.step;
+        ++streams;
+      }
+    }
+    std::uint32_t unroll_phase = 0;
+    std::int64_t i = lo;
+    for (; i < hi; i += loop.step) {
+      bookkeep(&unroll_phase);
+      const std::int64_t* at = index.data();
+      for (std::size_t op = pc + 1; op < loop.end; ++op) {
+        const auto& stmt = std::get<PreparedStmt>(nest.ops[op]);
+        if (const PreparedAccess* bad = exec_stmt(stmt, at, stack.data())) {
+          return bad->out_of_range();
+        }
+        at += stmt.accesses.size();
+      }
+      for (std::size_t k = 0; k < streams; ++k) index[k] += advance[k];
+    }
+    env[slot] = i - loop.step;  // the last iteration, as iterate() leaves it
+    return Status::ok();
   };
 
   std::size_t pc = 0;
@@ -480,6 +591,11 @@ Status Interpreter::run_nest(const PreparedNest& nest) {
       continue;
     }
     if (const auto* loop = std::get_if<PreparedLoop>(&nest.ops[pc])) {
+      if (loop->innermost) {
+        TDO_RETURN_IF_ERROR(run_innermost(pc));
+        pc = loop->end;
+        continue;
+      }
       std::uint32_t unroll_phase = 0;
       if (iterate(*loop, loop->lower.eval(env), &unroll_phase)) {
         open.push_back(OpenLoop{loop, pc + 1, unroll_phase});
@@ -491,44 +607,12 @@ Status Interpreter::run_nest(const PreparedNest& nest) {
     }
     const auto& stmt = std::get<PreparedStmt>(nest.ops[pc]);
     ++pc;
-    ++stmts_executed_;
-    double* top = stack.data();  // one past the last pushed value
-    for (const ExprOp& op : stmt.rhs) {
-      switch (op.kind) {
-        case ExprOp::Kind::kConst:
-          *top++ = op.value;
-          break;
-        case ExprOp::Kind::kLoad: {
-          const HostMapping at = op.access.resolve(env);
-          if (at.data == nullptr) return op.access.out_of_range();
-          cpu.load(at.pa);
-          *top++ = static_cast<double>(read_float(at.data));
-          break;
-        }
-        case ExprOp::Kind::kBin: {
-          const double r = *--top;
-          double& l = top[-1];
-          switch (op.op) {
-            case ir::BinOpKind::kAdd: l = l + r; break;
-            case ir::BinOpKind::kSub: l = l - r; break;
-            case ir::BinOpKind::kMul: l = l * r; break;
-            case ir::BinOpKind::kDiv: l = l / r; break;
-          }
-          break;
-        }
-      }
+    for (std::size_t k = 0; k < stmt.accesses.size(); ++k) {
+      index[k] = stmt.accesses[k].offset.eval(env);
     }
-    double value = stack[0];
-    const HostMapping lhs = stmt.lhs.resolve(env);
-    if (lhs.data == nullptr) return stmt.lhs.out_of_range();
-    if (stmt.accumulate) {
-      if (!stmt.lhs_promoted) cpu.load(lhs.pa);
-      value += static_cast<double>(read_float(lhs.data));
+    if (const PreparedAccess* bad = exec_stmt(stmt, index.data(), stack.data())) {
+      return bad->out_of_range();
     }
-    write_float(lhs.data, static_cast<float>(value));
-    if (!stmt.lhs_promoted) cpu.store(lhs.pa);
-    cpu.issue(sim::InstBundle{.int_alu = stmt.addr_int_ops,
-                              .fp_ops = stmt.fp_ops});
   }
 }
 

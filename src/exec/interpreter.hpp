@@ -8,6 +8,7 @@
 // gem5 full-system simulation of the paper.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -81,11 +82,22 @@ class Interpreter {
       for (const auto& [slot, coeff] : terms) v += coeff * env[slot];
       return v;
     }
+    /// The coefficient of `slot` (0 when the expression does not read it).
+    [[nodiscard]] std::int64_t coeff_of(int slot) const {
+      for (const auto& [s, coeff] : terms) {
+        if (s == slot) return coeff;
+      }
+      return 0;
+    }
   };
   struct PreparedBound {
     PreparedAffine expr;
     bool has_min = false;
     PreparedAffine min_with;
+    [[nodiscard]] std::int64_t eval(const std::vector<std::int64_t>& env) const {
+      const std::int64_t hi = expr.eval(env);
+      return has_min ? std::min(hi, min_with.eval(env)) : hi;
+    }
   };
   struct PreparedAccess;
   struct ExprOp;
@@ -105,15 +117,21 @@ class Interpreter {
   [[nodiscard]] support::Status prepare_access(
       const std::string& array, const std::vector<ir::AffineExpr>& subscripts,
       const SlotMap& slots, PreparedAccess* out);
-  /// Appends `e` in postfix order to `out`; returns its evaluation depth.
+  /// Appends `e` in postfix order to `stmt`'s rhs, and its loads to its
+  /// accesses; returns its evaluation depth.
   [[nodiscard]] support::StatusOr<std::size_t> prepare_expr(
-      const ir::ExprPtr& e, const SlotMap& slots, std::vector<ExprOp>* out,
-      std::uint32_t* fp_ops, std::uint32_t* loads);
+      const ir::ExprPtr& e, const SlotMap& slots, PreparedStmt* stmt);
   [[nodiscard]] support::Status prepare_body(const std::vector<ir::Node>& nodes,
                                              int depth, SlotMap* slots,
                                              PreparedNest* nest);
 
   [[nodiscard]] support::Status run_nest(const PreparedNest& nest);
+  /// Executes one statement whose accesses (rhs loads in postfix order,
+  /// then the lhs) sit at the flat element indices `index`. Returns the
+  /// first access whose index falls outside its array, or null.
+  [[nodiscard]] const PreparedAccess* exec_stmt(const PreparedStmt& stmt,
+                                                const std::int64_t* index,
+                                                double* stack);
 
   [[nodiscard]] ArrayInfo* find_array(const std::string& name);
   [[nodiscard]] support::StatusOr<sim::VirtAddr> dev_operand(const OperandRef& op,

@@ -2,9 +2,9 @@
 //
 // "To further improve the energy efficiency, ADCs are shared amongst
 // multiple columns which are reused using sample and holds (S&H)."
-// The functional value path is exact (see crossbar.hpp); this model adds
-// (a) conversion counting for the mixed-signal energy lump, and
-// (b) optional range saturation for non-ideal ADC studies.
+// The functional value path is exact (see crossbar.hpp): the column sums
+// are offset-corrected signed integers, and the ADCs pass them through
+// unchanged. This model counts conversions for the mixed-signal energy lump.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +13,7 @@
 namespace tdo::pcm {
 
 struct AdcParams {
-  std::uint32_t bits = 12;              // per-nibble-column conversion width
-  std::uint32_t columns_per_adc = 8;    // S&H sharing factor
-  bool saturate = false;                // clamp out-of-range conversions
+  std::uint32_t columns_per_adc = 8;  // S&H sharing factor
 };
 
 class AdcArray {
@@ -37,20 +35,15 @@ class AdcArray {
     return params_.columns_per_adc;
   }
 
-  /// Converts one GEMV's raw column accumulations in place and counts one
-  /// conversion per column. Values within [0, 2^bits) pass through;
-  /// out-of-range values clamp when `saturate` is set (they never occur with
-  /// the default 12-bit width and 256 active rows).
-  void convert(std::span<std::int32_t> raw);
+  /// Digitizes one GEMV's column accumulations: one conversion per column.
+  void convert(std::span<const std::int32_t> raw) { conversions_ += raw.size(); }
 
   [[nodiscard]] std::uint64_t conversions() const { return conversions_; }
-  [[nodiscard]] std::uint64_t saturations() const { return saturations_; }
 
  private:
   AdcParams params_;
   std::uint32_t total_phys_columns_;
   std::uint64_t conversions_ = 0;
-  std::uint64_t saturations_ = 0;
 };
 
 }  // namespace tdo::pcm

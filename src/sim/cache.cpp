@@ -1,5 +1,6 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -16,41 +17,34 @@ Cache::Cache(CacheParams params) : params_{std::move(params)} {
   assert(std::has_single_bit(num_sets_));
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(params_.line_bytes));
   set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
-  lines_.resize(static_cast<std::size_t>(num_sets_) * params_.ways);
+  keys_.resize(static_cast<std::size_t>(num_sets_) * params_.ways);
 }
 
-void Cache::fill(Line* set, std::uint64_t tag, bool is_write,
+void Cache::fill(std::uint64_t* set, std::uint64_t key, bool is_write,
                  bool* evicted_dirty) {
-  Line* victim = set;
-  for (std::uint32_t w = 0; w < params_.ways; ++w) {
-    Line& line = set[w];
-    if (!valid(line)) {
-      victim = &line;  // prefer an invalid way
-    } else if (valid(*victim) && line.lru_stamp < victim->lru_stamp) {
-      victim = &line;
-    }
-  }
-
   misses_.add_local();
-  if (valid(*victim) && victim->dirty) {
+  const std::uint64_t victim = set[params_.ways - 1];
+  if (valid(victim) && (victim & kDirtyBit) != 0) {
     --dirty_lines_;
     writebacks_.add_local();
     if (evicted_dirty != nullptr) *evicted_dirty = true;
   }
-  victim->epoch = epoch_;
-  victim->dirty = is_write;
-  if (is_write) ++dirty_lines_;
-  victim->tag = tag;
-  victim->lru_stamp = ++stamp_;
+  for (std::uint32_t w = params_.ways - 1; w > 0; --w) set[w] = set[w - 1];
+  if (is_write) {
+    key |= kDirtyBit;
+    ++dirty_lines_;
+  }
+  set[0] = key;
 }
 
 std::uint64_t Cache::flush_all() {
   const std::uint64_t dirty = dirty_lines_;
   dirty_lines_ = 0;
-  // Ending the epoch invalidates every line. Only when the counter wraps
-  // could a stale line carry the new epoch, so then the lines are cleared.
-  if (++epoch_ == kInvalidEpoch) {
-    for (Line& line : lines_) line.epoch = kInvalidEpoch;
+  // Ending the epoch invalidates every key. Only when the 24-bit counter
+  // wraps could a stale key carry the new epoch, so then the keys are
+  // cleared.
+  if (++epoch_ == kEpochLimit) {
+    std::fill(keys_.begin(), keys_.end(), std::uint64_t{0});
     epoch_ = kInvalidEpoch + 1;
   }
   flushes_.add_local();
@@ -64,17 +58,17 @@ std::uint64_t Cache::flush_range(PhysAddr addr, std::uint64_t bytes) {
   const PhysAddr last_line = (addr + bytes + params_.line_bytes - 1) >> line_shift_;
   for (PhysAddr lineno = first_line; lineno < last_line; ++lineno) {
     const PhysAddr line_addr = lineno << line_shift_;
-    const std::uint64_t set = set_index(line_addr);
-    const std::uint64_t tag = tag_of(line_addr);
-    Line* begin = &lines_[set * params_.ways];
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-      Line& line = begin[w];
-      if (valid(line) && line.tag == tag) {
-        if (line.dirty) ++dirty;
-        line.epoch = kInvalidEpoch;
-        line.dirty = false;
-      }
-    }
+    std::uint64_t* set = &keys_[set_index(line_addr) * params_.ways];
+    std::uint64_t* end = set + params_.ways;
+    const std::uint64_t want = live_key(tag_of(line_addr));
+    std::uint64_t* way = std::find_if(set, end, [want](std::uint64_t key) {
+      return (key & ~kDirtyBit) == want;
+    });
+    if (way == end) continue;
+    if ((*way & kDirtyBit) != 0) ++dirty;
+    // The invalidated key moves behind every valid one.
+    std::copy(way + 1, end, way);
+    end[-1] = 0;
   }
   dirty_lines_ -= dirty;
   flushes_.add_local();

@@ -7,6 +7,7 @@
 // separates GEMV-like from GEMM-like kernels in Figure 6.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,30 +34,34 @@ class Cache {
 
   /// Looks up `addr`; on miss installs the line (write-allocate) and reports
   /// whether a dirty victim was evicted through `evicted_dirty`. The hit path
-  /// is inline: it is the host model's per-load common case.
+  /// is inline: it is the host model's per-load common case, and most hits
+  /// land on the set's most recently used way, which needs no reordering.
   CacheOutcome access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
     if (evicted_dirty != nullptr) *evicted_dirty = false;
-    Line* set = &lines_[set_index(addr) * params_.ways];
-    const std::uint64_t tag = tag_of(addr);
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-      Line& line = set[w];
-      if (valid(line) && line.tag == tag) {
-        line.lru_stamp = ++stamp_;
-        if (is_write && !line.dirty) {
-          line.dirty = true;
-          ++dirty_lines_;
-        }
-        hits_.add_local();
-        return CacheOutcome::kHit;
+    std::uint64_t* set = &keys_[set_index(addr) * params_.ways];
+    const std::uint64_t want = live_key(tag_of(addr));
+    std::uint32_t w = 0;
+    while ((set[w] & ~kDirtyBit) != want) {
+      if (++w == params_.ways) {
+        fill(set, want, is_write, evicted_dirty);
+        return CacheOutcome::kMiss;
       }
     }
-    fill(set, tag, is_write, evicted_dirty);
-    return CacheOutcome::kMiss;
+    std::uint64_t key = set[w];
+    if (is_write && (key & kDirtyBit) == 0) {
+      key |= kDirtyBit;
+      ++dirty_lines_;
+    }
+    // Rotate the hit key to the front: the ways ahead of it age by one.
+    for (; w > 0; --w) set[w] = set[w - 1];
+    set[0] = key;
+    hits_.add_local();
+    return CacheOutcome::kHit;
   }
 
   /// Invalidates the whole cache, counting dirty lines written back.
   /// Returns the number of dirty lines flushed. O(1): the dirty lines are
-  /// counted as they turn dirty, and the lines are invalidated by ending
+  /// counted as they turn dirty, and the keys are invalidated by ending
   /// their epoch.
   std::uint64_t flush_all();
 
@@ -71,26 +76,36 @@ class Cache {
   void register_stats(support::StatsRegistry& registry) const;
 
  private:
+  // A way is one packed key, `epoch:24 | tag:39 | dirty:1`. A key is valid
+  // only while its epoch is the cache's current one, and its dirty bit means
+  // nothing once it is invalid. Each set keeps its keys in recency order,
+  // most recently used first, with every invalid key behind the valid ones:
+  // the last key is then the victim, an invalid way if the set has one and
+  // the least recently used way otherwise.
+  static constexpr std::uint64_t kDirtyBit = 1;
+  static constexpr unsigned kTagBits = 39;
+  static constexpr unsigned kEpochShift = kTagBits + 1;
+  static constexpr std::uint32_t kEpochLimit = std::uint32_t{1} << 24;
   static constexpr std::uint32_t kInvalidEpoch = 0;
 
-  /// A line is valid only while its epoch is the cache's current one;
-  /// `dirty` means nothing once the line is invalid.
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint32_t epoch = kInvalidEpoch;
-    bool dirty = false;
-    std::uint64_t lru_stamp = 0;
-  };
-
-  [[nodiscard]] bool valid(const Line& line) const { return line.epoch == epoch_; }
   [[nodiscard]] std::uint64_t set_index(PhysAddr addr) const {
     return (addr >> line_shift_) & (num_sets_ - 1);
   }
   [[nodiscard]] std::uint64_t tag_of(PhysAddr addr) const {
-    return addr >> (line_shift_ + set_shift_);
+    const std::uint64_t tag = addr >> (line_shift_ + set_shift_);
+    assert(tag >> kTagBits == 0);
+    return tag;
   }
-  /// Miss in `set`: installs `tag` over an invalid way, else the LRU one.
-  void fill(Line* set, std::uint64_t tag, bool is_write, bool* evicted_dirty);
+  /// The clean key of `tag` in the current epoch.
+  [[nodiscard]] std::uint64_t live_key(std::uint64_t tag) const {
+    return (std::uint64_t{epoch_} << kEpochShift) | (tag << 1);
+  }
+  [[nodiscard]] bool valid(std::uint64_t key) const {
+    return key >> kEpochShift == epoch_;
+  }
+  /// Miss in `set`: drops the last key and installs `key` at the front.
+  void fill(std::uint64_t* set, std::uint64_t key, bool is_write,
+            bool* evicted_dirty);
 
   CacheParams params_;
   std::uint32_t num_sets_;
@@ -98,10 +113,9 @@ class Cache {
   // lookup indexes with shifts instead of dividing by runtime values.
   std::uint32_t line_shift_;
   std::uint32_t set_shift_;
-  std::vector<Line> lines_;  // num_sets_ * ways, row-major by set
-  std::uint64_t stamp_ = 0;
+  std::vector<std::uint64_t> keys_;  // num_sets_ * ways, row-major by set
   std::uint32_t epoch_ = kInvalidEpoch + 1;
-  std::uint64_t dirty_lines_ = 0;  // valid lines with `dirty` set
+  std::uint64_t dirty_lines_ = 0;  // valid keys with the dirty bit set
 
   // Single-writer counters (Counter::add_local): lookups and flushes come
   // from the serialized host model and driver, never concurrently.

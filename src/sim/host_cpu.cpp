@@ -66,7 +66,7 @@ void HostCpu::register_stats(support::StatsRegistry& registry) const {
   registry.register_counter("host.stall_cycles", &stall_cycles_);
   registry.register_counter("host.spin_polls", &spin_polls_);
   registry.register_counter("host.irq_waits", &irq_waits_);
-  registry.register_energy("host.energy", &energy_);
+  registry.register_energy("host.energy", &insts_, params_.energy_per_inst);
 }
 
 }  // namespace tdo::sim

@@ -84,7 +84,6 @@ class HostCpu {
   [[nodiscard]] std::uint64_t cycles() const { return cycles_.value(); }
   [[nodiscard]] std::uint64_t instructions() const { return insts_.value(); }
   [[nodiscard]] std::uint64_t fp_instructions() const { return fp_insts_.value(); }
-  [[nodiscard]] support::Energy energy() const { return energy_.total(); }
   [[nodiscard]] support::Duration elapsed() const {
     return params_.frequency.cycles(static_cast<double>(cycles_.value()));
   }
@@ -95,15 +94,17 @@ class HostCpu {
  private:
   void retire(std::uint32_t insts) { cycles_.add_local(retire_cycles(insts)); }
 
-  /// Counts `insts` retired instructions and their energy, and returns
-  /// their whole cycles, carrying the sub-cycle remainder to the next call.
+  /// Counts `insts` retired instructions and returns their whole cycles,
+  /// carrying the sub-cycle remainder to the next call. Their energy is
+  /// read from the count: `host.energy` is energy_per_inst x instructions.
   [[nodiscard]] std::uint64_t retire_cycles(std::uint32_t insts) {
     insts_.add_local(insts);
-    energy_.add(params_.energy_per_inst * static_cast<double>(insts));
     const double cycles = params_.base_cpi * insts + cycle_fraction_;
-    const auto whole = static_cast<std::uint64_t>(cycles);
+    // Signed conversions: one instruction each way on x86-64, and exact
+    // for any cycle count below 2^63.
+    const auto whole = static_cast<std::int64_t>(cycles);
     cycle_fraction_ = cycles - static_cast<double>(whole);
-    return whole;
+    return static_cast<std::uint64_t>(whole);
   }
 
   void access(PhysAddr addr, bool is_write) {
@@ -119,7 +120,7 @@ class HostCpu {
   double cycle_fraction_ = 0.0;  // carries sub-cycle CPI remainders
 
   // Single-writer counters (Counter::add_local): callers serialize every
-  // HostCpu call, which cycle_fraction_ and energy_ already require.
+  // HostCpu call, which cycle_fraction_ already requires.
   support::Counter cycles_;
   support::Counter insts_;
   support::Counter fp_insts_;
@@ -127,7 +128,6 @@ class HostCpu {
   support::Counter stall_cycles_;
   support::Counter spin_polls_;
   support::Counter irq_waits_;
-  support::EnergyAccumulator energy_;
 };
 
 }  // namespace tdo::sim

@@ -147,10 +147,22 @@ void StatsRegistry::register_counter(std::string name,
   counters_.push_back(Entry{std::move(name), nullptr, counter});
 }
 
+Energy StatsRegistry::EnergyEntry::value() const {
+  return accumulator != nullptr
+             ? accumulator->total()
+             : per_count * static_cast<double>(count->value());
+}
+
 void StatsRegistry::register_energy(std::string name,
                                     const EnergyAccumulator* energy) {
   const std::lock_guard<std::mutex> lock{mutex_};
-  energies_.emplace_back(std::move(name), energy);
+  energies_.push_back(EnergyEntry{std::move(name), energy, nullptr, {}});
+}
+
+void StatsRegistry::register_energy(std::string name, const Counter* count,
+                                    Energy per_count) {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  energies_.push_back(EnergyEntry{std::move(name), nullptr, count, per_count});
 }
 
 void StatsRegistry::unregister_counter(const Counter* counter) {
@@ -165,8 +177,8 @@ void StatsRegistry::unregister_counter(const Counter* counter) {
 void StatsRegistry::unregister_energy(const EnergyAccumulator* energy) {
   const std::lock_guard<std::mutex> lock{mutex_};
   energies_.erase(std::remove_if(energies_.begin(), energies_.end(),
-                                 [energy](const auto& entry) {
-                                   return entry.second == energy;
+                                 [energy](const EnergyEntry& entry) {
+                                   return entry.accumulator == energy;
                                  }),
                   energies_.end());
 }
@@ -201,8 +213,8 @@ StatsSnapshot StatsRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock{mutex_};
   StatsSnapshot snap;
   for (const Entry& entry : counters_) snap.counters[entry.name] = entry.value();
-  for (const auto& [name, energy] : energies_) {
-    snap.energies_pj[name] = energy->total().picojoules();
+  for (const EnergyEntry& entry : energies_) {
+    snap.energies_pj[entry.name] = entry.value().picojoules();
   }
   for (const auto& [name, histogram] : histograms_) {
     const LatencyHistogram merged = histogram->merged();

@@ -156,6 +156,10 @@ class StatsRegistry {
   /// Sharded (per-thread) counter; snapshot() sums its shards on read.
   void register_counter(std::string name, const ShardedCounter* counter);
   void register_energy(std::string name, const EnergyAccumulator* energy);
+  /// Energy derived at read time: `per_count` times the counter's value.
+  /// It equals adding `per_count` once per count while every partial sum is
+  /// an integer number of picojoules below 2^53.
+  void register_energy(std::string name, const Counter* count, Energy per_count);
   /// Latency histogram; snapshot() surfaces `<name>.count` plus
   /// mean/p50/p99 picosecond summaries derived at read time.
   void register_histogram(std::string name,
@@ -182,9 +186,19 @@ class StatsRegistry {
     [[nodiscard]] std::uint64_t value() const;
   };
 
+  /// Either an accumulator, or a counter scaled by `per_count`.
+  struct EnergyEntry {
+    std::string name;
+    const EnergyAccumulator* accumulator = nullptr;
+    const Counter* count = nullptr;
+    Energy per_count;
+
+    [[nodiscard]] Energy value() const;
+  };
+
   mutable std::mutex mutex_;
   std::vector<Entry> counters_;
-  std::vector<std::pair<std::string, const EnergyAccumulator*>> energies_;
+  std::vector<EnergyEntry> energies_;
   std::vector<std::pair<std::string, const ShardedLatencyHistogram*>>
       histograms_;
 };

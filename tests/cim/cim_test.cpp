@@ -72,23 +72,19 @@ TEST(TileTest, PostprocessAppliesAlphaBetaAndScale) {
 }
 
 TEST(AdcTest, SharingFactorDeterminesCountAndWaves) {
-  pcm::AdcArray adc{pcm::AdcParams{.bits = 12, .columns_per_adc = 8}, 512};
+  pcm::AdcArray adc{pcm::AdcParams{.columns_per_adc = 8}, 512};
   EXPECT_EQ(adc.adc_count(), 64u);
   EXPECT_EQ(adc.conversion_waves(), 8u);
 }
 
-TEST(AdcTest, SaturationClampsWhenEnabled) {
-  pcm::AdcArray ideal{pcm::AdcParams{.bits = 4, .saturate = false}, 8};
-  std::vector<std::int32_t> raw = {100};
-  ideal.convert(raw);
-  EXPECT_EQ(raw[0], 100);
-  EXPECT_EQ(ideal.saturations(), 0u);
-  pcm::AdcArray clamped{pcm::AdcParams{.bits = 4, .saturate = true}, 8};
-  raw = {100, -5, 7};
-  clamped.convert(raw);
-  EXPECT_EQ(raw, (std::vector<std::int32_t>{15, 0, 7}));
-  EXPECT_EQ(clamped.saturations(), 2u);
-  EXPECT_EQ(clamped.conversions(), 3u);
+// Conversion reads the signed column sums without changing them (a negative
+// dot product stays negative) and counts one conversion per column.
+TEST(AdcTest, ConvertCountsOneConversionPerColumn) {
+  pcm::AdcArray adc{pcm::AdcParams{}, 8};
+  const std::vector<std::int32_t> raw = {100000, -5, 7};
+  adc.convert(raw);
+  adc.convert(std::span<const std::int32_t>{raw}.first(1));
+  EXPECT_EQ(adc.conversions(), 4u);
 }
 
 TEST(DmaTest, BlockTransferTimingScalesWithSize) {

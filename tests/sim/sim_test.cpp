@@ -223,6 +223,27 @@ TEST(CacheTest, FlushRangeOnlyTouchesRange) {
   EXPECT_EQ(cache.access(1024, false, &dirty), CacheOutcome::kHit);
 }
 
+// The 24-bit epoch comes back to the one a line was filled in after
+// 2^24 - 1 flushes; the cache must clear its keys when the epoch wraps, or
+// that stale line would hit (and count as dirty) again.
+TEST(CacheTest, EpochWrapLeavesNoStaleHit) {
+  Cache cache{CacheParams{.name = "t", .size_bytes = 256, .line_bytes = 64, .ways = 2}};
+  bool dirty = false;
+  (void)cache.access(0, /*is_write=*/true, &dirty);
+  (void)cache.access(64, /*is_write=*/false, &dirty);
+  EXPECT_EQ(cache.flush_all(), 1u);
+  // With the flush above, 2^24 - 1 flushes since the fill.
+  for (std::uint32_t i = 0; i < (std::uint32_t{1} << 24) - 2; ++i) {
+    ASSERT_EQ(cache.flush_all(), 0u) << "flush " << i;
+  }
+  EXPECT_EQ(cache.access(0, false, &dirty), CacheOutcome::kMiss);
+  EXPECT_EQ(cache.access(64, false, &dirty), CacheOutcome::kMiss);
+  EXPECT_EQ(cache.access(0, false, &dirty), CacheOutcome::kHit);
+  EXPECT_EQ(cache.flush_all(), 0u);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.writebacks(), 1u);
+}
+
 /// Straightforward set-associative write-back cache: explicit valid bits
 /// and flushes that scan every line. Cache must behave exactly like it.
 class ReferenceCache {
@@ -353,8 +374,10 @@ TEST(HostCpuTest, ChargesInstructionEnergy) {
   SystemParams params;
   System system{params};
   system.cpu().charge_instructions(1000);
-  EXPECT_EQ(system.cpu().instructions(), 1000u);
-  EXPECT_NEAR(system.cpu().energy().nanojoules(), 128.0, 1e-9);
+  system.cpu().issue(InstBundle{.int_alu = 3, .fp_ops = 4});
+  EXPECT_EQ(system.cpu().instructions(), 1007u);
+  // host.energy is 128 pJ per instruction, read from the count: exact.
+  EXPECT_EQ(system.snapshot().energies_pj.at("host.energy"), 128.0 * 1007);
 }
 
 TEST(HostCpuTest, MemoryStallsRaiseCycles) {
