@@ -1,5 +1,7 @@
 #include "ir/program.hpp"
 
+#include <array>
+#include <charconv>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -65,7 +67,12 @@ void renumber(std::vector<Node>& body, int& counter) {
     if (node.is_loop()) {
       renumber(node.loop().body, counter);
     } else {
-      node.stmt().name = "S" + std::to_string(counter++);
+      // Built in a local buffer: gcc 12 at -O3 raises a false -Wrestrict
+      // inside libstdc++'s inlined string replace for `"S" + to_string(n)`.
+      std::array<char, 16> buf{'S'};
+      char* end =
+          std::to_chars(buf.data() + 1, buf.data() + buf.size(), counter++).ptr;
+      node.stmt().name = std::string(buf.data(), end);
     }
   }
 }

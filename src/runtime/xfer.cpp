@@ -61,36 +61,76 @@ bool Rect::overlaps(const Rect& other) const {
   return false;
 }
 
-bool RectTracker::reads_overlap(const Rect& r) const {
-  for (const TrackedRect& pending : reads_) {
+template <typename F>
+void RectTracker::Set::for_each_granule_word(const Rect& r, F f) {
+  std::uint64_t g = r.base >> kGranuleShift;
+  std::uint64_t last = (r.span_end() - 1) >> kGranuleShift;
+  if (last - g >= kGranules) {
+    g = 0;
+    last = kGranules - 1;
+  }
+  while (g <= last) {
+    const std::uint64_t bit = g % kGranules;
+    const std::uint64_t n = std::min(64 - bit % 64, last - g + 1);
+    const std::uint64_t ones =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    f(bit / 64, ones << (bit % 64));
+    g += n;
+  }
+}
+
+void RectTracker::Set::mark(const Rect& r) {
+  for_each_granule_word(r, [this](std::uint64_t word, std::uint64_t mask) {
+    occupied_[word] |= mask;
+  });
+}
+
+bool RectTracker::Set::may_overlap(const Rect& r) const {
+  bool hit = false;
+  for_each_granule_word(r, [&](std::uint64_t word, std::uint64_t mask) {
+    hit = hit || (occupied_[word] & mask) != 0;
+  });
+  return hit;
+}
+
+void RectTracker::Set::add(const Rect& r, int device) {
+  if (r.empty()) return;
+  entries_.push_back(TrackedRect{r, device});
+  mark(r);
+}
+
+bool RectTracker::Set::any_overlap(const Rect& r) const {
+  if (r.empty() || !may_overlap(r)) return false;
+  for (const TrackedRect& pending : entries_) {
     if (pending.rect.overlaps(r)) return true;
   }
   return false;
 }
 
-bool RectTracker::writes_overlap(const Rect& r) const {
-  for (const TrackedRect& pending : writes_) {
-    if (pending.rect.overlaps(r)) return true;
-  }
-  return false;
-}
-
-std::vector<TrackedRect> RectTracker::writes_overlapping(const Rect& r) const {
+std::vector<TrackedRect> RectTracker::Set::overlapping(const Rect& r) const {
   std::vector<TrackedRect> out;
-  for (const TrackedRect& pending : writes_) {
+  if (r.empty() || !may_overlap(r)) return out;
+  for (const TrackedRect& pending : entries_) {
     if (pending.rect.overlaps(r)) out.push_back(pending);
   }
   return out;
 }
 
-void RectTracker::remove_device(int device) {
-  const auto tagged = [device](const TrackedRect& t) {
-    return t.device == device;
-  };
-  reads_.erase(std::remove_if(reads_.begin(), reads_.end(), tagged),
-               reads_.end());
-  writes_.erase(std::remove_if(writes_.begin(), writes_.end(), tagged),
-                writes_.end());
+void RectTracker::Set::remove_device(int device) {
+  std::erase_if(entries_,
+                [device](const TrackedRect& t) { return t.device == device; });
+  occupied_.fill(0);
+  for (const TrackedRect& t : entries_) mark(t.rect);
+}
+
+void RectTracker::Set::clear() {
+  // Every set bit lies in a word some pending rectangle marked.
+  for (const TrackedRect& t : entries_) {
+    for_each_granule_word(t.rect, [this](std::uint64_t word, std::uint64_t) {
+      occupied_[word] = 0;
+    });
+  }
+  entries_.clear();
 }
 
 cim::ContextRegs make_copy_image(const CopyDesc& desc) {

@@ -17,6 +17,7 @@
 // instead of forcing hazard synchronizations.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -68,20 +69,34 @@ struct TrackedRect {
 };
 
 /// Pending read/write rectangles of in-flight stream commands.
+///
+/// Each set keeps its rectangles in insertion order plus an occupancy map:
+/// one bit per 4 KiB granule of physical memory, direct-mapped modulo
+/// 128 MiB, set for every granule that a pending rectangle's
+/// [base, span_end()) touches. Two rectangles overlap only if those ranges
+/// share a byte, so a query whose granule bits are all clear overlaps
+/// nothing and scans nothing; only a query that finds a set bit scans the
+/// set's rectangles.
 class RectTracker {
  public:
-  void note_read(const Rect& r, int device = -1) {
-    if (!r.empty()) reads_.push_back(TrackedRect{r, device});
+  void note_read(const Rect& r, int device = -1) { reads_.add(r, device); }
+  void note_write(const Rect& r, int device = -1) { writes_.add(r, device); }
+  [[nodiscard]] bool reads_overlap(const Rect& r) const {
+    return reads_.any_overlap(r);
   }
-  void note_write(const Rect& r, int device = -1) {
-    if (!r.empty()) writes_.push_back(TrackedRect{r, device});
+  [[nodiscard]] bool writes_overlap(const Rect& r) const {
+    return writes_.any_overlap(r);
   }
-  [[nodiscard]] bool reads_overlap(const Rect& r) const;
-  [[nodiscard]] bool writes_overlap(const Rect& r) const;
-  /// Every pending write rectangle overlapping `r`, with producing devices.
-  [[nodiscard]] std::vector<TrackedRect> writes_overlapping(const Rect& r) const;
+  /// Every pending write rectangle overlapping `r`, with producing devices,
+  /// in insertion order; a rectangle noted twice appears twice.
+  [[nodiscard]] std::vector<TrackedRect> writes_overlapping(const Rect& r) const {
+    return writes_.overlapping(r);
+  }
   /// Retires every rectangle tagged `device` (that accelerator drained).
-  void remove_device(int device);
+  void remove_device(int device) {
+    reads_.remove_device(device);
+    writes_.remove_device(device);
+  }
   void clear() {
     reads_.clear();
     writes_.clear();
@@ -89,8 +104,33 @@ class RectTracker {
   [[nodiscard]] bool empty() const { return reads_.empty() && writes_.empty(); }
 
  private:
-  std::vector<TrackedRect> reads_;
-  std::vector<TrackedRect> writes_;
+  class Set {
+   public:
+    void add(const Rect& r, int device);
+    [[nodiscard]] bool any_overlap(const Rect& r) const;
+    [[nodiscard]] std::vector<TrackedRect> overlapping(const Rect& r) const;
+    void remove_device(int device);
+    void clear();
+    [[nodiscard]] bool empty() const { return entries_.empty(); }
+
+   private:
+    static constexpr unsigned kGranuleShift = 12;
+    static constexpr std::uint64_t kGranules = std::uint64_t{1} << 15;
+
+    /// Calls f(word index, bit mask) for the occupancy bits of the granules
+    /// that r's [base, span_end()) touches; every bit when they cover the
+    /// whole map.
+    template <typename F>
+    static void for_each_granule_word(const Rect& r, F f);
+    void mark(const Rect& r);
+    [[nodiscard]] bool may_overlap(const Rect& r) const;
+
+    std::vector<TrackedRect> entries_;
+    std::array<std::uint64_t, kGranules / 64> occupied_{};
+  };
+
+  Set reads_;
+  Set writes_;
 };
 
 /// One scatter-gather segment: matching src/dst rectangles (same width and

@@ -8,6 +8,10 @@
 //     a naive per-byte oracle that materializes every byte of one rectangle
 //     and probes the other — the analytic row-intersection math must agree
 //     with brute force on every random shape, including degenerate ones.
+//     A long-lived tracker (notes, device retirements, clears) is checked
+//     against a linear scan of the same history, so its occupancy map must
+//     never hide a rectangle the scan finds, and the order and duplicates
+//     of writes_overlapping must match the scan's.
 //
 //  2. Copy plans: ~200 random scatter-gather copy plans (random MMU
 //     fragmentation, random segment counts/sizes, pitched sub-matrix views,
@@ -110,6 +114,119 @@ TEST(XferFuzzTest, RectTrackerVerdictsMatchPerByteOracle) {
     EXPECT_EQ(!tracker.writes_overlapping(probe).empty(), want_writes)
         << "iter " << iter;
   }
+}
+
+/// A rectangle for the long-lived tracker. A quarter of the bases sit at 0;
+/// the rest spread over 1 MiB, and one in five of those moves up by a
+/// multiple of 128 MiB, the span of the occupancy map, so that unrelated
+/// rectangles share occupancy bits. Widths and pitch slack run from bytes
+/// to a MiB; one rectangle in 25 strides 64 MiB per row and covers the
+/// whole map; a few rectangles are empty.
+Rect scattered_rect(support::Rng& rng) {
+  constexpr std::uint64_t kMap = std::uint64_t{128} << 20;
+  Rect r;
+  if (!rng.chance(0.25)) {
+    r.base = static_cast<sim::PhysAddr>(rng.uniform_int(0, 1 << 20));
+    if (rng.chance(0.2)) {
+      r.base += kMap * static_cast<std::uint64_t>(rng.uniform_int(1, 3));
+    }
+  }
+  const auto scale = std::int64_t{1} << rng.uniform_int(0, 20);
+  r.width = static_cast<std::uint64_t>(rng.uniform_int(0, scale));
+  r.rows = static_cast<std::uint64_t>(rng.uniform_int(0, 6));
+  // Mostly pitch >= width (disjoint rows); sometimes rows overlap.
+  r.pitch = rng.chance(0.8)
+                ? r.width + static_cast<std::uint64_t>(rng.uniform_int(0, scale))
+                : static_cast<std::uint64_t>(rng.uniform_int(0, scale));
+  if (rng.chance(0.04)) {
+    r.pitch = kMap / 2;
+    r.rows = 3;
+  }
+  return r;
+}
+
+bool same_tracked(const TrackedRect& a, const TrackedRect& b) {
+  return a.device == b.device && a.rect.base == b.rect.base &&
+         a.rect.pitch == b.rect.pitch && a.rect.width == b.rect.width &&
+         a.rect.rows == b.rect.rows;
+}
+
+TEST(XferFuzzTest, LongLivedTrackerMatchesLinearScan) {
+  // One tracker lives through notes, device retirements and clears; after
+  // every step its verdicts must equal a linear scan of the same history,
+  // including the order and duplicates of writes_overlapping.
+  support::Rng rng{fuzz_seed() ^ 0x5bd1e995c0ffeeull};
+  RectTracker tracker;
+  std::vector<TrackedRect> reads;  // insertion order, empties dropped
+  std::vector<TrackedRect> writes;
+  int multi_stripe = 0;  // probes overlapping two or more writes
+  int hit_below = 0;     // overlaps by a write whose base precedes the probe's
+  int removals = 0;
+  int clears = 0;
+  for (int step = 0; step < 1000; ++step) {
+    const double action = rng.uniform(0.0, 1.0);
+    if (action < 0.03) {
+      tracker.clear();
+      reads.clear();
+      writes.clear();
+      ++clears;
+    } else if (action < 0.10) {
+      const int device = static_cast<int>(rng.uniform_int(-1, 3));
+      tracker.remove_device(device);
+      const auto tagged = [device](const TrackedRect& t) {
+        return t.device == device;
+      };
+      std::erase_if(reads, tagged);
+      std::erase_if(writes, tagged);
+      ++removals;
+    } else {
+      const int device = static_cast<int>(rng.uniform_int(-1, 3));
+      const bool as_write = rng.chance(0.5);
+      std::vector<TrackedRect>& set = as_write ? writes : reads;
+      // Re-noting a pending rectangle exercises duplicates.
+      const Rect r =
+          !set.empty() && rng.chance(0.15)
+              ? set[static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<std::int64_t>(set.size()) - 1))]
+                    .rect
+              : scattered_rect(rng);
+      if (as_write) {
+        tracker.note_write(r, device);
+      } else {
+        tracker.note_read(r, device);
+      }
+      if (!r.empty()) set.push_back(TrackedRect{r, device});
+    }
+    for (int q = 0; q < 4; ++q) {
+      const Rect probe = scattered_rect(rng);
+      bool want_reads = false;
+      for (const TrackedRect& t : reads) {
+        want_reads = want_reads || t.rect.overlaps(probe);
+      }
+      std::vector<TrackedRect> want_writes;
+      for (const TrackedRect& t : writes) {
+        if (!t.rect.overlaps(probe)) continue;
+        want_writes.push_back(t);
+        if (t.rect.base < probe.base) ++hit_below;
+      }
+      if (want_writes.size() >= 2) ++multi_stripe;
+      ASSERT_EQ(tracker.reads_overlap(probe), want_reads) << "step " << step;
+      ASSERT_EQ(tracker.writes_overlap(probe), !want_writes.empty())
+          << "step " << step;
+      const auto got = tracker.writes_overlapping(probe);
+      ASSERT_EQ(got.size(), want_writes.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(same_tracked(got[i], want_writes[i]))
+            << "step " << step << ": writes_overlapping entry " << i;
+      }
+    }
+    EXPECT_EQ(tracker.empty(), reads.empty() && writes.empty());
+  }
+  // The history must have exercised what the occupancy map could get wrong.
+  EXPECT_GT(multi_stripe, 50);
+  EXPECT_GT(hit_below, 50);
+  EXPECT_GT(removals, 10);
+  EXPECT_GT(clears, 5);
 }
 
 // --- layer 2: random copy plans, async vs synchronous host path ---
